@@ -1,11 +1,12 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one source each.
 
-Each kernel has a numba-compiled implementation and a pure-numpy fallback.
-The fallback is selected by setting the environment variable
-``KOOPSOS_NO_NUMBA=1`` before import (or automatically when numba is not
-installed).  Both paths produce numerically equivalent results; the compiled
-path is much faster for the 1e6..1e7-row workloads used by the experiment
-runners.
+The sequential trajectory kernels are scalar loops written in the subset of
+Python that numba compiles.  When numba is installed, that same source is
+jit-compiled (``njit(cache=True)``); setting the environment variable
+``KOOPSOS_NO_NUMBA=1`` before import turns the jit off, and the loops then run
+as plain Python.  Either way the floating-point operations are the same, so the
+trajectories are bit-identical.  The dictionary evaluation kernels are
+vectorized numpy and run the same way whether or not numba is present.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ if USE_NUMBA:
     except ImportError:  # pragma: no cover
         USE_NUMBA = False
 
+_jit = njit(cache=True) if USE_NUMBA else (lambda f: f)
+
 __all__ = [
     "USE_NUMBA",
     "logistic_trajectory",
@@ -35,45 +38,61 @@ VDP = 0
 CIRCLE = 1
 
 
-# -- pure numpy implementations ----------------------------------------------
+# -- sequential kernels, jit-compiled when numba is available -----------------
 
-def _logistic_trajectory_np(x0: float, lams: np.ndarray) -> np.ndarray:
+@_jit
+def _logistic_trajectory(x0, lams):
     out = np.empty(lams.shape[0] + 1)
     out[0] = x = x0
     for i in range(lams.shape[0]):
-        x = lams[i] * x * (1.0 - x)
+        x = float(lams[i]) * x * (1.0 - x)
         out[i + 1] = x
     return out
 
 
-def _vdp_rhs(state, mu):
-    x, y = state
-    return np.array([y, mu * (1.0 - x * x) * y - x])
-
-
-def _circle_rhs(state):
-    x, y = state
+@_jit
+def _rhs(kind, x, y, mu):
+    if kind == VDP:
+        return y, mu * (1.0 - x * x) * y - x
     r = 1.0 - x * x - y * y
-    return np.array([-y + x * r, x + y * r])
+    return -y + x * r, x + y * r
 
 
-def _rk4_trajectory_np(kind: int, x0: np.ndarray, tau: float, n_steps: int,
-                       mu: float) -> np.ndarray:
-    rhs = (lambda s: _vdp_rhs(s, mu)) if kind == VDP else _circle_rhs
+@_jit
+def _rk4_trajectory(kind, x0, tau, n_steps, mu):
     out = np.empty((n_steps + 1, 2))
-    out[0] = s = np.asarray(x0, dtype=float)
+    x, y = float(x0[0]), float(x0[1])
+    out[0, 0], out[0, 1] = x, y
     for i in range(n_steps):
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * tau * k1)
-        k3 = rhs(s + 0.5 * tau * k2)
-        k4 = rhs(s + tau * k3)
-        s = s + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = s
+        k1x, k1y = _rhs(kind, x, y, mu)
+        k2x, k2y = _rhs(kind, x + 0.5 * tau * k1x, y + 0.5 * tau * k1y, mu)
+        k3x, k3y = _rhs(kind, x + 0.5 * tau * k2x, y + 0.5 * tau * k2y, mu)
+        k4x, k4y = _rhs(kind, x + tau * k3x, y + tau * k3y, mu)
+        x = x + (tau / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + (tau / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        out[i + 1, 0], out[i + 1, 1] = x, y
     return out
 
 
-def _monomial_eval_np(X: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    # X: (n, d), expo: (m, d) -> (m, n)
+# -- public kernels -----------------------------------------------------------
+
+def logistic_trajectory(x0: float, lams: np.ndarray) -> np.ndarray:
+    """Iterate x_{t+1} = lam_t x_t (1 - x_t); returns all states incl. x0."""
+    lams = np.ascontiguousarray(lams, dtype=np.float64)
+    return _logistic_trajectory(float(x0), lams)
+
+
+def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
+                   mu: float = 0.1) -> np.ndarray:
+    """Classical fixed-step RK4 for the built-in planar vector fields."""
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    return _rk4_trajectory(int(kind), x0, float(tau), int(n_steps), float(mu))
+
+
+def monomial_eval(X: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """Evaluate monomials x^expo at rows of X; returns (n_basis, n_points)."""
+    X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
+    expo = np.ascontiguousarray(expo, dtype=np.int64)
     n, d = X.shape
     max_deg = int(expo.max()) if expo.size else 0
     # powers[k][j] = X[:, j] ** k, built once per coordinate
@@ -86,8 +105,10 @@ def _monomial_eval_np(X: np.ndarray, expo: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chebyshev_eval_np(Z: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    # Z: (n, d) already rescaled into [-1, 1]; expo: (m, d) -> (m, n)
+def chebyshev_eval(Z: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """Evaluate tensor-product Chebyshev polynomials at rows of Z in [-1,1]^d."""
+    Z = np.ascontiguousarray(np.atleast_2d(Z), dtype=np.float64)
+    expo = np.ascontiguousarray(expo, dtype=np.int64)
     n, d = Z.shape
     max_deg = int(expo.max()) if expo.size else 0
     T = np.ones((max_deg + 1, n, d))
@@ -99,123 +120,3 @@ def _chebyshev_eval_np(Z: np.ndarray, expo: np.ndarray) -> np.ndarray:
     for j in range(d):
         out *= T[expo[:, j], :, j]
     return out
-
-
-# -- numba implementations ----------------------------------------------------
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _logistic_trajectory_nb(x0, lams):
-        out = np.empty(lams.shape[0] + 1)
-        out[0] = x = x0
-        for i in range(lams.shape[0]):
-            x = lams[i] * x * (1.0 - x)
-            out[i + 1] = x
-        return out
-
-    @njit(cache=True)
-    def _rhs_nb(kind, x, y, mu):
-        if kind == 0:  # van der Pol
-            return y, mu * (1.0 - x * x) * y - x
-        r = 1.0 - x * x - y * y
-        return -y + x * r, x + y * r
-
-    @njit(cache=True)
-    def _rk4_trajectory_nb(kind, x0, tau, n_steps, mu):
-        out = np.empty((n_steps + 1, 2))
-        x, y = x0[0], x0[1]
-        out[0, 0], out[0, 1] = x, y
-        for i in range(n_steps):
-            k1x, k1y = _rhs_nb(kind, x, y, mu)
-            k2x, k2y = _rhs_nb(kind, x + 0.5 * tau * k1x, y + 0.5 * tau * k1y, mu)
-            k3x, k3y = _rhs_nb(kind, x + 0.5 * tau * k2x, y + 0.5 * tau * k2y, mu)
-            k4x, k4y = _rhs_nb(kind, x + tau * k3x, y + tau * k3y, mu)
-            x = x + (tau / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + (tau / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            out[i + 1, 0], out[i + 1, 1] = x, y
-        return out
-
-    @njit(cache=True)
-    def _monomial_eval_nb(X, expo):
-        # power chains and product order mirror the numpy fallback exactly so
-        # both paths are bit-identical
-        n, d = X.shape
-        m = expo.shape[0]
-        out = np.empty((m, n))
-        for i in range(m):
-            for p in range(n):
-                v = 1.0
-                for j in range(d):
-                    e = expo[i, j]
-                    b = X[p, j]
-                    w = 1.0
-                    for _ in range(e):
-                        w *= b
-                    v *= w
-                out[i, p] = v
-        return out
-
-    @njit(cache=True)
-    def _chebyshev_eval_nb(Z, expo):
-        n, d = Z.shape
-        m = expo.shape[0]
-        max_deg = 0
-        for i in range(m):
-            for j in range(d):
-                if expo[i, j] > max_deg:
-                    max_deg = expo[i, j]
-        T = np.ones((max_deg + 1, n, d))
-        if max_deg >= 1:
-            for p in range(n):
-                for j in range(d):
-                    T[1, p, j] = Z[p, j]
-        for k in range(2, max_deg + 1):
-            for p in range(n):
-                for j in range(d):
-                    T[k, p, j] = 2.0 * Z[p, j] * T[k - 1, p, j] - T[k - 2, p, j]
-        out = np.empty((m, n))
-        for i in range(m):
-            for p in range(n):
-                v = 1.0
-                for j in range(d):
-                    v *= T[expo[i, j], p, j]
-                out[i, p] = v
-        return out
-
-
-# -- public dispatchers --------------------------------------------------------
-
-def logistic_trajectory(x0: float, lams: np.ndarray) -> np.ndarray:
-    """Iterate x_{t+1} = lam_t x_t (1 - x_t); returns all states incl. x0."""
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    if USE_NUMBA:
-        return _logistic_trajectory_nb(float(x0), lams)
-    return _logistic_trajectory_np(float(x0), lams)
-
-
-def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
-                   mu: float = 0.1) -> np.ndarray:
-    """Classical fixed-step RK4 for the built-in planar vector fields."""
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if USE_NUMBA:
-        return _rk4_trajectory_nb(kind, x0, float(tau), int(n_steps), float(mu))
-    return _rk4_trajectory_np(kind, x0, float(tau), int(n_steps), float(mu))
-
-
-def monomial_eval(X: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """Evaluate monomials x^expo at rows of X; returns (n_basis, n_points)."""
-    X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-    expo = np.ascontiguousarray(expo, dtype=np.int64)
-    if USE_NUMBA and X.shape[0] * expo.shape[0] > 512:
-        return _monomial_eval_nb(X, expo)
-    return _monomial_eval_np(X, expo)
-
-
-def chebyshev_eval(Z: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """Evaluate tensor-product Chebyshev polynomials at rows of Z in [-1,1]^d."""
-    Z = np.ascontiguousarray(np.atleast_2d(Z), dtype=np.float64)
-    expo = np.ascontiguousarray(expo, dtype=np.int64)
-    if USE_NUMBA and Z.shape[0] * expo.shape[0] > 512:
-        return _chebyshev_eval_nb(Z, expo)
-    return _chebyshev_eval_np(Z, expo)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sos
-from .koopman import (EdmdOperators, analytic_circle_moments, divergence_indicator,
-                      fit_edmd, fit_gedmd)
+from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
+                      fit_gedmd)
 from .polybasis import (MONOMIAL, Dictionary, Poly, monomial_to_cheb,
                         poly_from_index, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN
@@ -37,19 +37,6 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
         rows[j] = exact_lie_apply(spec, poly_from_index(phi, phi.indices[j]),
                                   psi).coeffs
     return rows
-
-
-def lie_matrix_from(source, spec_or_ops, phi: Dictionary, psi: Dictionary):
-    """Resolve a Lie matrix from {exact | edmd | gedmd} plus its carrier."""
-    if source == "exact":
-        return exact_lie_matrix(spec_or_ops, phi, psi)
-    ops: EdmdOperators = spec_or_ops
-    if ops.phi != phi or ops.psi != psi:
-        raise ValueError("operator dictionaries do not match the request")
-    mat = ops.L if source == "edmd" else ops.G
-    if mat is None:
-        raise ValueError(f"{source} matrix missing from the fitted operators")
-    return mat
 
 
 def _norm_squared(phi: Dictionary) -> Poly:

@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_NONOPTIMAL = 1
 EXIT_CONFIG = 2
 
+_DATA_SOURCES = ("edmd", "gedmd")
+
 
 class ConfigError(ValueError):
     pass
@@ -184,35 +186,32 @@ def cmd_simulate(cfg) -> int:
     return EXIT_OK
 
 
+def _fit_data(cfg, spec, source: str, phi, psi):
+    """Sample snapshots for a data-driven lie source and fit its operators."""
+    if source == "gedmd":
+        return fit_gedmd(_sample(cfg, spec, kind=GENERATOR, phi=phi), phi, psi)
+    return fit_edmd(_sample(cfg, spec), phi, psi)
+
+
 def _fit_operators(cfg, spec):
     phi, psi = _dictionaries(cfg, spec)
     source = cfg.get("lie_source", "edmd")
     tol = float(cfg.get("solver", {}).get("tol", 1e-8))
     if source == "exact":
         return phi, psi, exact_lie_matrix(spec, phi, psi), source, tol
-    if source == "gedmd":
-        data = _sample(cfg, spec, kind=GENERATOR, phi=phi)
-        ops = fit_gedmd(data, phi, psi)
-        return phi, psi, ops.G, source, tol
-    if source == "edmd":
-        data = _sample(cfg, spec)
-        ops = fit_edmd(data, phi, psi)
-        return phi, psi, ops.L, source, tol
-    raise ConfigError(f"unknown lie_source {cfg['lie_source']!r}")
+    if source not in _DATA_SOURCES:
+        raise ConfigError(f"unknown lie_source {cfg['lie_source']!r}")
+    ops = _fit_data(cfg, spec, source, phi, psi)
+    return phi, psi, ops.G if source == "gedmd" else ops.L, source, tol
 
 
 def cmd_fit(cfg) -> int:
     spec = _system(cfg)
     phi, psi = _dictionaries(cfg, spec)
     source = cfg.get("lie_source", "edmd")
-    if source == "gedmd":
-        data = _sample(cfg, spec, kind=GENERATOR, phi=phi)
-        ops = fit_gedmd(data, phi, psi)
-    elif source == "edmd":
-        data = _sample(cfg, spec)
-        ops = fit_edmd(data, phi, psi)
-    else:
+    if source not in _DATA_SOURCES:
         raise ConfigError("fit requires lie_source edmd or gedmd")
+    ops = _fit_data(cfg, spec, source, phi, psi)
     path = _write_json(cfg, json.loads(ops.to_json()), "operators.json")
     print(f"wrote fitted operators to {path}")
     return EXIT_OK

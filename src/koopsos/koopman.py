@@ -36,7 +36,8 @@ def pinv(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.T)
     cutoff = rel_tol * s[0] * max(M.shape)
-    inv = np.where(s >= cutoff, np.divide(1.0, s, where=s > 0), 0.0)
+    inv = np.where(s >= cutoff,
+                   np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (Vt.T * inv) @ U.T
 
 

@@ -181,11 +181,6 @@ class Poly:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.coeffs @ evaluate(self.basis, x)
 
-    def in_basis(self, target: Dictionary) -> "Poly":
-        """Re-express exactly in a larger dictionary of the same family."""
-        theta = inclusion_matrix(self.basis, target)
-        return Poly(target, self.coeffs @ theta)
-
     def __add__(self, other: "Poly") -> "Poly":
         if other.basis != self.basis:
             raise DimensionMismatch("polynomials must share a dictionary")
@@ -206,15 +201,6 @@ def poly_from_index(dictionary: Dictionary, idx: MultiIndex) -> Poly:
     c = np.zeros(dictionary.size)
     c[dictionary.position(tuple(idx))] = 1.0
     return Poly(dictionary, c)
-
-
-def zero_poly(dictionary: Dictionary) -> Poly:
-    return Poly(dictionary, np.zeros(dictionary.size))
-
-
-def constant_poly(dictionary: Dictionary, value: float) -> Poly:
-    d = dictionary.dimension
-    return value * poly_from_index(dictionary, (0,) * d)
 
 
 # -- sparse arithmetic in a fixed family --------------------------------------

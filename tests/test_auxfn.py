@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from koopsos.auxfn import (circle_dictionaries, circular_orbit_casestudy,
-                           ergodic_bound, exact_lie_matrix, find_lyapunov,
-                           lie_matrix_from)
+                           ergodic_bound, exact_lie_matrix, find_lyapunov)
 from koopsos.koopman import fit_edmd, fit_gedmd
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
                                poly_from_index, total_degree_dictionary)
@@ -127,17 +126,6 @@ def test_gedmd_bound_matches_exact():
                           lie_source="gedmd").bound
     b_exact = ergodic_bound("upper", g, lie, psi, phi, domain=domain).bound
     assert b_fit == pytest.approx(b_exact, abs=1e-6)
-
-
-def test_lie_matrix_from_dispatch():
-    spec, phi, psi, _, _ = _logistic_setup(2)
-    np.testing.assert_allclose(lie_matrix_from("exact", spec, phi, psi),
-                               exact_lie_matrix(spec, phi, psi))
-    data = sample_snapshots(spec, "trajectory", 1.0, 1000, rng=make_rng(0))
-    ops = fit_edmd(data, phi, psi)
-    np.testing.assert_allclose(lie_matrix_from("edmd", ops, phi, psi), ops.L)
-    with pytest.raises(ValueError):
-        lie_matrix_from("gedmd", ops, phi, psi)
 
 
 def test_data_bound_carries_validity_caveat():

@@ -118,6 +118,31 @@ def test_fit_writes_operators(tmp_path):
     assert len(ops["K"]) == 3  # phi size for alpha=2 in 1D
 
 
+def test_fit_gedmd_writes_generator(tmp_path):
+    cfg = _write(tmp_path, "fit.json", {
+        "system": "StochasticLogistic",
+        "sampling": {"mode": "trajectory", "n": 2000, "seed": 1},
+        "dictionaries": {"alpha": 2},
+        "lie_source": "gedmd",
+        "output": {"path": str(tmp_path / "ops.json")},
+    })
+    assert main(["fit", cfg]) == EXIT_OK
+    ops = json.loads((tmp_path / "ops.json").read_text())
+    assert ops["K"] is None and ops["L"] is None
+    assert len(ops["G"]) == 3
+
+
+def test_fit_exact_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "fit.json", {
+        "system": "StochasticLogistic",
+        "lie_source": "exact",
+        "output": {"path": str(tmp_path / "ops.json")},
+    })
+    assert main(["fit", cfg]) == EXIT_CONFIG
+    assert "edmd or gedmd" in capsys.readouterr().err
+    assert not (tmp_path / "ops.json").exists()
+
+
 def test_lyapunov_then_verify(tmp_path):
     result = str(tmp_path / "lyap.json.out")
     cfg = _write(tmp_path, "lyap.json", {

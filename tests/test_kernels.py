@@ -1,4 +1,4 @@
-"""Tests that the jitted kernels and numpy fallbacks agree."""
+"""Tests that the trajectory kernels match their numpy references."""
 
 import os
 import subprocess
@@ -10,39 +10,51 @@ import pytest
 from koopsos import _kernels
 
 
-numba_available = hasattr(_kernels, "_logistic_trajectory_nb")
+# References: the vectorized RK4 step and the logistic recurrence, written with
+# numpy arrays rather than the scalar floats the kernels hold.  The kernels
+# must match them bit for bit, whether numba compiles them or not.
+
+def _reference_logistic(x0, lams):
+    out = np.empty(lams.shape[0] + 1)
+    out[0] = x = x0
+    for i in range(lams.shape[0]):
+        x = lams[i] * x * (1.0 - x)
+        out[i + 1] = x
+    return out
 
 
-@pytest.mark.skipif(not numba_available, reason="numba path not compiled")
-def test_logistic_trajectory_paths_bit_identical():
+def _reference_rk4(kind, x0, tau, n_steps, mu):
+    def rhs(s):
+        x, y = s
+        if kind == _kernels.VDP:
+            return np.array([y, mu * (1.0 - x * x) * y - x])
+        r = 1.0 - x * x - y * y
+        return np.array([-y + x * r, x + y * r])
+
+    out = np.empty((n_steps + 1, 2))
+    out[0] = s = np.asarray(x0, dtype=float)
+    for i in range(n_steps):
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * tau * k1)
+        k3 = rhs(s + 0.5 * tau * k2)
+        k4 = rhs(s + tau * k3)
+        s = s + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = s
+    return out
+
+
+def test_logistic_trajectory_matches_reference():
     lams = np.random.default_rng(0).uniform(0.0, 4.0, 500)
-    a = _kernels._logistic_trajectory_np(0.51, lams)
-    b = _kernels._logistic_trajectory_nb(0.51, lams)
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(_kernels.logistic_trajectory(0.51, lams),
+                                  _reference_logistic(0.51, lams))
 
 
-@pytest.mark.skipif(not numba_available, reason="numba path not compiled")
-def test_rk4_paths_bit_identical():
+@pytest.mark.parametrize("kind", [_kernels.VDP, _kernels.CIRCLE],
+                         ids=["vdp", "circle"])
+def test_rk4_trajectory_matches_reference(kind):
     x0 = np.array([0.1, 0.2])
-    for kind in (_kernels.VDP, _kernels.CIRCLE):
-        a = _kernels._rk4_trajectory_np(kind, x0, 1e-3, 2000, 0.1)
-        b = _kernels._rk4_trajectory_nb(kind, x0, 1e-3, 2000, 0.1)
-        np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.skipif(not numba_available, reason="numba path not compiled")
-def test_eval_paths_bit_identical():
-    # downstream Gram matrices are badly conditioned, so the two paths must
-    # agree exactly, not just approximately
-    rng = np.random.default_rng(1)
-    X = rng.uniform(-2, 2, size=(2000, 2))
-    expo = np.array([(i, j) for i in range(11) for j in range(11 - i)],
-                    dtype=np.int64)
-    np.testing.assert_array_equal(_kernels._monomial_eval_np(X, expo),
-                                  _kernels._monomial_eval_nb(X, expo))
-    Z = rng.uniform(-1, 1, size=(2000, 2))
-    np.testing.assert_array_equal(_kernels._chebyshev_eval_np(Z, expo),
-                                  _kernels._chebyshev_eval_nb(Z, expo))
+    np.testing.assert_array_equal(_kernels.rk4_trajectory(kind, x0, 1e-3, 2000),
+                                  _reference_rk4(kind, x0, 1e-3, 2000, 0.1))
 
 
 def test_no_numba_env_flag_selects_numpy_path():

@@ -1,5 +1,7 @@
 """Tests for the EDMD / gEDMD fits, moment matrices, and diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,13 @@ def test_pinv_truncates_small_singular_values():
     M = np.diag([1.0, 1e-15])
     P = pinv(M, rel_tol=1e-12)
     np.testing.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-14)
+
+
+def test_pinv_singular_matrix_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = pinv(np.diag([1.0, 0.0]))
+    np.testing.assert_array_equal(P, np.diag([1.0, 0.0]))
 
 
 # -- fits and identities ------------------------------------------------------
