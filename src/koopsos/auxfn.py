@@ -19,7 +19,7 @@ import numpy as np
 from . import sos
 from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
-from .polybasis import (MONOMIAL, Dictionary, Poly, monomial_to_cheb,
+from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
                         poly_from_index, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN
 from .systems import CIRCULAR_ORBIT, SystemSpec, exact_lie_apply, sample_snapshots
@@ -37,19 +37,6 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
         rows[j] = exact_lie_apply(spec, poly_from_index(phi, phi.indices[j]),
                                   psi).coeffs
     return rows
-
-
-def _norm_squared(phi: Dictionary) -> Poly:
-    d = phi.dimension
-    mono = total_degree_dictionary(MONOMIAL, d, 2)
-    c = np.zeros(mono.size)
-    for j in range(d):
-        c[mono.position(tuple(2 if k == j else 0 for k in range(d)))] = 1.0
-    p = Poly(mono, c)
-    if phi.family != MONOMIAL:
-        p = monomial_to_cheb(
-            p, total_degree_dictionary(phi.family, d, 2, phi.box))
-    return p
 
 
 @dataclass
@@ -71,25 +58,23 @@ class LyapunovResult:
 
 
 def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
-                  phi: Dictionary, objective: str = "l1",
-                  posterior_lie: np.ndarray | None = None,
+                  phi: Dictionary, posterior_lie: np.ndarray | None = None,
                   tol: float = 1e-8) -> LyapunovResult:
-    """Search for V in span(phi) with V - |x|^2 >= 0 and -LV - |x|^2 >= 0.
+    """Search for the l1-minimal V in span(phi) with V - |x|^2 >= 0 and
+    -LV - |x|^2 >= 0.
 
     The strictness parameter is fixed at 1 by rescaling V.  When
     ``posterior_lie`` (an exact-generator matrix) is supplied, the returned
     epsilon is the largest value certified for the found V against it.
     """
-    n2 = _norm_squared(phi)
-    neg_n2 = -1.0 * n2
+    neg_n2 = -1.0 * norm_squared(phi.family, phi.dimension, phi.box)
     one = sos._one(phi)
     cons = [
         sos.InequalityConstraint(phi=phi, a=one, c_const=neg_n2),
         sos.InequalityConstraint(phi=phi, b=-1.0 * one, lie_matrix=lie_matrix,
                                  lie_basis=lie_basis, c_const=neg_n2),
     ]
-    obj = ("l1_phi",) if objective == "l1" else ("feasibility",)
-    prog = sos.SosProgram(phi=phi, constraints=cons, objective=obj)
+    prog = sos.SosProgram(phi=phi, constraints=cons, objective=("l1_phi",))
     solution = sos.solve(sos.compile(prog), tol=tol)
     if solution.status != "Optimal":
         return LyapunovResult(False, None, None, solution.status, solution,
@@ -197,11 +182,7 @@ def circular_orbit_casestudy(tau: float = 0.01, n: int = 1000,
     ops_gedmd = fit_gedmd(data_g, phi, psi)
 
     v_pattern = np.array([1.0, 1.0, 1.0])  # 1 + x1^2 + x2^2 over phi
-    g_basis = total_degree_dictionary(MONOMIAL, 2, 2)
-    g = np.zeros(g_basis.size)
-    g[g_basis.position((2, 0))] = 1.0
-    g[g_basis.position((0, 2))] = 1.0
-    g = Poly(g_basis, g)
+    g = norm_squared(MONOMIAL, 2)
 
     results = {}
     for label, ops, which in (("edmd", ops_edmd, "edmd"),

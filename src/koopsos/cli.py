@@ -24,7 +24,7 @@ from .auxfn import (circular_orbit_casestudy, ergodic_bound, exact_lie_matrix,
                     find_lyapunov)
 from .koopman import convergence_study, fit_edmd, fit_gedmd, loglog_slope
 from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                        total_degree_dictionary)
+                        norm_squared, poly_from_index, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
 from .sos import SemialgebraicSet, posterior_verify
 from .systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
@@ -131,16 +131,12 @@ def _sample(cfg, spec: SystemSpec, kind: str = KOOPMAN, phi=None):
 
 def _observable(name: str, spec: SystemSpec, family, box) -> Poly:
     d = spec.dimension
-    mono = total_degree_dictionary(MONOMIAL, d, 2)
-    c = np.zeros(mono.size)
     if name == "energy":
-        for j in range(d):
-            c[mono.position(tuple(2 if k == j else 0 for k in range(d)))] = 1.0
-    elif name == "state":
-        c[mono.position(tuple(1 if k == 0 else 0 for k in range(d)))] = 1.0
-    else:
+        return norm_squared(family, d, box)
+    if name != "state":
         raise ConfigError(f"unknown observable {name!r}")
-    p = Poly(mono, c)
+    p = poly_from_index(total_degree_dictionary(MONOMIAL, d, 2),
+                        (1,) + (0,) * (d - 1))
     if family == CHEBYSHEV:
         p = monomial_to_cheb(p, total_degree_dictionary(CHEBYSHEV, d, 2, box))
     return p
@@ -241,8 +237,7 @@ def cmd_lyapunov(cfg) -> int:
     spec = _system(cfg)
     phi, psi, lie, source, tol = _fit_operators(cfg, spec)
     posterior = exact_lie_matrix(spec, phi, psi)
-    res = find_lyapunov(lie, psi, phi, objective="l1",
-                        posterior_lie=posterior, tol=tol)
+    res = find_lyapunov(lie, psi, phi, posterior_lie=posterior, tol=tol)
     payload = json.loads(res.to_json())
     payload["phi"] = json.loads(phi.to_json())
     path = _write_json(cfg, payload, "lyapunov.json")
@@ -277,6 +272,23 @@ def _retry_bound(*args, tol=1e-8, **kwargs):
     return res
 
 
+def _reproduce_cell(writer, label, spec, data, direction, g, phi, psi,
+                    expected, domain=None) -> bool:
+    """Bound one table cell, with the exact Lie matrix when ``data`` is None
+    and an EDMD fit to it otherwise; writes the cell's row and returns
+    whether the cell failed."""
+    if data is None:
+        lie, source = exact_lie_matrix(spec, phi, psi), "exact"
+    else:
+        lie, source = fit_edmd(data, phi, psi).L, "edmd"
+    res = _retry_bound(direction, g, lie, psi, phi, domain=domain,
+                       lie_source=source)
+    val = "failed" if res.bound is None else f"{res.bound:.4f}"
+    diff = "" if res.bound is None else f"{res.bound - expected:+.4f}"
+    writer([*label, f"alpha={phi.max_degree}", val, expected, diff])
+    return res.status != "Optimal"
+
+
 def _reproduce_vdp(writer):
     spec = SystemSpec(VAN_DER_POL)
     ref = reference_values.VDP_TABLE
@@ -293,18 +305,10 @@ def _reproduce_vdp(writer):
                     ref["rows"][row_name]["empirical"],
                     f"{emp - ref['rows'][row_name]['empirical']:+.4f}"])
         for alpha, expected in zip(ref["alphas"], ref["rows"][row_name]["bounds"]):
-            phi = total_degree_dictionary(MONOMIAL, 2, alpha)
-            psi = total_degree_dictionary(MONOMIAL, 2, alpha + 2)
-            lie = (exact_lie_matrix(spec, phi, psi) if data is None
-                   else fit_edmd(data, phi, psi).L)
-            res = _retry_bound("upper", g, lie, psi, phi,
-                               lie_source="exact" if data is None else "edmd")
-            if res.status != "Optimal":
-                failures += 1
-            val = "failed" if res.bound is None else f"{res.bound:.4f}"
-            diff = ("" if res.bound is None
-                    else f"{res.bound - expected:+.4f}")
-            writer(["vdp", row_name, f"alpha={alpha}", val, expected, diff])
+            failures += _reproduce_cell(
+                writer, ("vdp", row_name), spec, data, "upper", g,
+                total_degree_dictionary(MONOMIAL, 2, alpha),
+                total_degree_dictionary(MONOMIAL, 2, alpha + 2), expected)
     return failures
 
 
@@ -318,24 +322,14 @@ def _reproduce_logistic(writer):
                             rng=make_rng(12345))
     failures = 0
     for direction in ("upper", "lower"):
-        for row_name in ("exact", "n=1e7"):
-            if row_name not in ref[direction]:
-                continue
+        for row_name, row_data in (("exact", None), ("n=1e7", data)):
             for alpha, expected in zip(ref["alphas"], ref[direction][row_name]):
-                phi = total_degree_dictionary(CHEBYSHEV, 1, alpha, box)
-                psi = total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, box)
-                lie = (exact_lie_matrix(spec, phi, psi) if row_name == "exact"
-                       else fit_edmd(data, phi, psi).L)
-                res = _retry_bound(direction, g, lie, psi, phi, domain=domain,
-                                   lie_source="exact" if row_name == "exact"
-                                   else "edmd")
-                if res.status != "Optimal":
-                    failures += 1
-                val = "failed" if res.bound is None else f"{res.bound:.4f}"
-                diff = ("" if res.bound is None
-                        else f"{res.bound - expected:+.4f}")
-                writer([f"logistic_{direction}", row_name, f"alpha={alpha}",
-                        val, expected, diff])
+                failures += _reproduce_cell(
+                    writer, (f"logistic_{direction}", row_name), spec,
+                    row_data, direction, g,
+                    total_degree_dictionary(CHEBYSHEV, 1, alpha, box),
+                    total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, box),
+                    expected, domain)
     return failures
 
 
@@ -381,7 +375,7 @@ def _reproduce_lyapunov(writer):
     data = sample_snapshots(spec, "iid_uniform_box", 1.0, 10_000,
                             rng=make_rng(7), bounds=[(-2, 2), (-2, 2)])
     ops = fit_edmd(data, phi, psi)
-    res = find_lyapunov(ops.L, psi, phi, objective="l1",
+    res = find_lyapunov(ops.L, psi, phi,
                         posterior_lie=exact_lie_matrix(spec, phi, psi))
     ref = reference_values.LYAPUNOV_MAP2D
     writer(["lyapunov", "feasible", "", str(res.feasible), "True", ""])

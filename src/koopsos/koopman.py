@@ -61,26 +61,6 @@ class _KahanAccumulator:
         self.total = t
 
 
-def _accumulate(s: SnapshotSet, phi: Dictionary, psi: Dictionary):
-    """Streamed Grams: returns (B, A) where B = Psi Psi^T / n and A is
-    Phi(y) Psi^T / n for koopman data or Lambda Psi^T / n for generator data."""
-    m = psi.size
-    ell = phi.size
-    acc_b = _KahanAccumulator((m, m))
-    acc_a = _KahanAccumulator((ell, m))
-    for start in range(0, s.n, CHUNK_ROWS):
-        Xc = s.X[start:start + CHUNK_ROWS]
-        Yc = s.Y[start:start + CHUNK_ROWS]
-        Psi = evaluate(psi, Xc)
-        acc_b.add(Psi @ Psi.T)
-        if s.kind == KOOPMAN:
-            Phi = evaluate(phi, Yc)
-            acc_a.add(Phi @ Psi.T)
-        else:
-            acc_a.add(Yc.T @ Psi.T)
-    return acc_b.total / s.n, acc_a.total / s.n
-
-
 @dataclass(frozen=True)
 class EdmdOperators:
     """Fitted operator matrices over a (phi, psi) dictionary pair."""
@@ -107,16 +87,9 @@ class EdmdOperators:
         return json.dumps(payload)
 
 
-def _check_dictionaries(s: SnapshotSet, phi: Dictionary, psi: Dictionary):
-    theta = inclusion_matrix(phi, psi)
-    if phi.dimension != s.d:
-        raise ValueError("dictionary dimension does not match snapshot states")
-    return theta
-
-
-def _refined_ls(num: np.ndarray, B: np.ndarray, rel_tol: float) -> np.ndarray:
+def _refined_ls(num: np.ndarray, B: np.ndarray, rel_tol: float):
     """Solve X B = num in the least-squares sense, X = num B^+, with
-    iterative refinement.
+    iterative refinement; returns X and the SVD/rank report of B.
 
     The Gram system squares the conditioning of the feature matrix, so for
     long ill-conditioned trajectories a plain num @ pinv(B) loses enough
@@ -139,7 +112,10 @@ def _refined_ls(num: np.ndarray, B: np.ndarray, rel_tol: float) -> np.ndarray:
                        dtype=float)
         if np.linalg.norm(corr) <= 1e-15 * (1.0 + np.linalg.norm(X)):
             break
-    return X
+    svals = np.linalg.svd(B, compute_uv=False)
+    return X, {"singular_values": svals.tolist(),
+               "rank": _numerical_rank(svals, B.shape, rel_tol),
+               "rel_tol": rel_tol}
 
 
 def fit_edmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary,
@@ -148,15 +124,11 @@ def fit_edmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary,
     finite-difference Lie matrix L = (K - Theta) / tau."""
     if s.kind != KOOPMAN:
         raise ValueError("fit_edmd needs koopman-kind snapshots")
-    theta = _check_dictionaries(s, phi, psi)
-    B, A = _accumulate(s, phi, psi)
-    svals = np.linalg.svd(B, compute_uv=False)
-    K = _refined_ls(A, B, rel_tol)
-    L = (K - theta) / s.tau
-    report = {"singular_values": svals.tolist(),
-              "rank": _numerical_rank(svals, B.shape, rel_tol),
-              "rel_tol": rel_tol}
-    return EdmdOperators(phi, psi, theta, s.tau, K, L, None, report)
+    mm = moment_matrices(s, phi, psi)
+    K, report = _refined_ls(mm.A_tau, mm.B, rel_tol)
+    theta = inclusion_matrix(phi, psi)
+    return EdmdOperators(phi, psi, theta, s.tau, K, (K - theta) / s.tau, None,
+                         report)
 
 
 def fit_gedmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary,
@@ -165,16 +137,10 @@ def fit_gedmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary,
     derivative values."""
     if s.kind != GENERATOR:
         raise ValueError("fit_gedmd needs generator-kind snapshots")
-    theta = _check_dictionaries(s, phi, psi)
-    if s.q != phi.size:
-        raise ValueError("generator snapshot y-dimension must equal phi size")
-    B, C = _accumulate(s, phi, psi)
-    svals = np.linalg.svd(B, compute_uv=False)
-    G = _refined_ls(C, B, rel_tol)
-    report = {"singular_values": svals.tolist(),
-              "rank": _numerical_rank(svals, B.shape, rel_tol),
-              "rel_tol": rel_tol}
-    return EdmdOperators(phi, psi, theta, s.tau, None, None, G, report)
+    mm = moment_matrices(s, phi, psi)
+    G, report = _refined_ls(mm.C, mm.B, rel_tol)
+    return EdmdOperators(phi, psi, inclusion_matrix(phi, psi), s.tau, None,
+                         None, G, report)
 
 
 def apply_lie(ops: EdmdOperators, which: str, p: Poly) -> Poly:
@@ -205,15 +171,29 @@ class MomentMatrices:
 
 def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
                     ) -> MomentMatrices:
-    """Empirical moment matrices of the snapshot set.
+    """Empirical moment matrices of the snapshot set, streamed in one pass.
 
     B = avg psi(x) psi(x)^T always; koopman data adds A^tau = avg
     phi(y) psi(x)^T and D^tau = (A^tau - Theta B) / tau; generator data adds
     C = avg y psi(x)^T.
     """
-    theta = _check_dictionaries(s, phi, psi)
-    B, A = _accumulate(s, phi, psi)
-    if s.kind == KOOPMAN:
+    theta = inclusion_matrix(phi, psi)
+    if phi.dimension != s.d:
+        raise ValueError("dictionary dimension does not match snapshot states")
+    koopman = s.kind == KOOPMAN
+    if not koopman and s.q != phi.size:
+        raise ValueError("generator snapshot y-dimension must equal phi size")
+    acc_b = _KahanAccumulator((psi.size, psi.size))
+    acc_a = _KahanAccumulator((phi.size, psi.size))
+    for start in range(0, s.n, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        Psi = evaluate(psi, s.X[rows])
+        acc_b.add(Psi @ Psi.T)
+        # phi(y) stays a temporary so no chunk of it outlives its product
+        acc_a.add((evaluate(phi, s.Y[rows]) if koopman else s.Y[rows].T)
+                  @ Psi.T)
+    B, A = acc_b.total / s.n, acc_a.total / s.n
+    if koopman:
         D = (A - theta @ B) / s.tau
         return MomentMatrices(B=B, A_tau=A, C=None, D_tau=D, source="empirical")
     return MomentMatrices(B=B, A_tau=None, C=A, D_tau=None, source="empirical")

@@ -203,6 +203,19 @@ def poly_from_index(dictionary: Dictionary, idx: MultiIndex) -> Poly:
     return Poly(dictionary, c)
 
 
+def norm_squared(family: str, d: int,
+                 box: Sequence[Sequence[float]] | None = None) -> Poly:
+    """|x|^2 = x_1^2 + ... + x_d^2 over the degree-2 dictionary of the family."""
+    mono = total_degree_dictionary(MONOMIAL, d, 2)
+    c = np.zeros(mono.size)
+    for j in range(d):
+        c[mono.position(tuple(2 if k == j else 0 for k in range(d)))] = 1.0
+    p = Poly(mono, c)
+    if family == MONOMIAL:
+        return p
+    return monomial_to_cheb(p, total_degree_dictionary(family, d, 2, box))
+
+
 # -- sparse arithmetic in a fixed family --------------------------------------
 #
 # Intermediate results of products, compositions and Lie derivative formulas

@@ -37,6 +37,18 @@ def block_dim(kind: str, size: int) -> int:
     return size * (size + 1) // 2 if kind == PSD else size
 
 
+def block_layout(blocks) -> list:
+    """(kind, size, slice) of each (kind, size) block in the scalarized
+    variable vector, blocks laid out in order."""
+    out = []
+    offset = 0
+    for kind, size in blocks:
+        d = block_dim(kind, size)
+        out.append((kind, size, slice(offset, offset + d)))
+        offset += d
+    return out
+
+
 def svec(M: np.ndarray) -> np.ndarray:
     """Scalarize a symmetric matrix: lower triangle, off-diagonals * sqrt(2)."""
     s = M.shape[0]
@@ -102,15 +114,6 @@ class SdpProblem:
     def dim(self) -> int:
         return self.c.shape[0]
 
-    def block_slices(self):
-        out = []
-        offset = 0
-        for kind, size in self.blocks:
-            d = block_dim(kind, size)
-            out.append((kind, size, slice(offset, offset + d)))
-            offset += d
-        return out
-
     def to_json(self) -> str:
         rows, cols = np.nonzero(self.A)
         payload = {
@@ -161,15 +164,9 @@ class _Cone:
     """Layout and algebra of the nonnegative/PSD product cone."""
 
     def __init__(self, blocks):
-        self.blocks = []
-        offset = 0
-        self.degree = 0
-        for kind, size in blocks:
-            d = block_dim(kind, size)
-            self.blocks.append((kind, size, slice(offset, offset + d)))
-            offset += d
-            self.degree += size
-        self.dim = offset
+        self.blocks = block_layout(blocks)
+        self.degree = sum(size for _, size in blocks)
+        self.dim = sum(block_dim(kind, size) for kind, size in blocks)
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
@@ -289,7 +286,7 @@ def _eliminate_free(prob: SdpProblem):
     """Split off free columns; returns the reduced conic problem plus the
     data needed to recover full primal/dual points."""
     free_cols, cone_cols, cone_blocks = [], [], []
-    for kind, size, sl in prob.block_slices():
+    for kind, size, sl in block_layout(prob.blocks):
         idx = list(range(sl.start, sl.stop))
         if kind == FREE:
             free_cols += idx
@@ -406,15 +403,14 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
             break
         mu = (float(x @ s) + tau * kappa) / (cone.degree + 1)
 
-        WA = np.column_stack([scaling.apply_w2(A[i]) for i in range(p)]) \
-            if p else np.zeros((cone.dim, 0))
-        M = A @ WA if p else np.zeros((0, 0))
+        WA = np.empty((cone.dim, p))
+        for i in range(p):
+            WA[:, i] = scaling.apply_w2(A[i])
+        M = A @ WA
         Wc = scaling.apply_w2(c)
         g2_rhs = A @ Wc + b
 
         def factor_solve(rhs):
-            if p == 0:
-                return np.zeros(0)
             try:
                 return np.linalg.solve(M + 1e-14 * np.trace(M) / max(p, 1)
                                        * np.eye(p), rhs)
@@ -425,17 +421,15 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
 
         def newton(r1, r2, r3, r5, targets):
             wfd = scaling.w_comp_target(targets)
-            g1 = r1 - A @ (wfd + scaling.apply_w2(r2)) if p else np.zeros(0)
+            g1 = r1 - A @ (wfd + scaling.apply_w2(r2))
             dy1 = factor_solve(g1)
-            bAWc = b - A @ Wc if p else np.zeros(0)
-            denom = (float(bAWc @ dy2) if p else 0.0) \
-                + float(c @ Wc) + kappa / tau
+            bAWc = b - A @ Wc
+            denom = float(bAWc @ dy2) + float(c @ Wc) + kappa / tau
             rhs_tau = r3 + float(c @ (wfd + scaling.apply_w2(r2))) + r5 / tau
-            dtau = (rhs_tau - (float(bAWc @ dy1) if p else 0.0)) / denom
+            dtau = (rhs_tau - float(bAWc @ dy1)) / denom
             dy = dy1 + dtau * dy2
-            dx = wfd + scaling.apply_w2(r2 + (A.T @ dy if p else 0.0)) \
-                - Wc * dtau
-            ds = -(A.T @ dy if p else 0.0) + c * dtau - r2
+            dx = wfd + scaling.apply_w2(r2 + A.T @ dy) - Wc * dtau
+            ds = -(A.T @ dy) + c * dtau - r2
             dkappa = (r5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
@@ -539,10 +533,19 @@ def verify_kkt(prob: SdpProblem, z, y=None) -> tuple:
         z, y = z.z, z.y
     if not (np.isfinite(z).all() and np.isfinite(y).all()):
         return (np.inf, np.inf, np.inf)
-    primal_eq = np.linalg.norm(prob.A @ z - prob.b) / (1 + np.linalg.norm(prob.b))
-    s = prob.c - prob.A.T @ y
+    # finite but huge iterates overflow in the products below; that reads as
+    # an unverifiable point, not as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        primal_eq = (np.linalg.norm(prob.A @ z - prob.b)
+                     / (1 + np.linalg.norm(prob.b)))
+        s = prob.c - prob.A.T @ y
+        cx, by = float(prob.c @ z), float(prob.b @ y)
+        gap = abs(cx - by) / (1 + abs(cx) + abs(by))
+    if not (np.isfinite(primal_eq) and np.isfinite(s).all()
+            and np.isfinite(gap)):
+        return (np.inf, np.inf, np.inf)
     cone_viol = 0.0
-    for kind, size, sl in prob.block_slices():
+    for kind, size, sl in block_layout(prob.blocks):
         if kind == FREE:
             cone_viol = max(cone_viol, float(np.max(np.abs(s[sl]))))
         elif kind == NONNEG:
@@ -552,6 +555,4 @@ def verify_kkt(prob: SdpProblem, z, y=None) -> tuple:
             cone_viol = max(cone_viol,
                             max(0.0, -float(np.linalg.eigvalsh(smat(z[sl]))[0])),
                             max(0.0, -float(np.linalg.eigvalsh(smat(s[sl]))[0])))
-    cx, by = float(prob.c @ z), float(prob.b @ y)
-    gap = abs(cx - by) / (1 + abs(cx) + abs(by))
     return (float(primal_eq), float(cone_viol), float(gap))

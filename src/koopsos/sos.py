@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polybasis import (MONOMIAL, Dictionary, Poly, evaluate, monomial_to_cheb,
+from .polybasis import (Dictionary, Poly, evaluate, norm_squared,
                         sparse_product, sparse_to_poly, to_sparse,
                         total_degree_dictionary)
-from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution, smat,
-                  solve as sdp_solve, svec)
+from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution,
+                  block_dim, block_layout, smat, solve as sdp_solve)
 
 
 class BasisContainment(ValueError):
@@ -66,9 +66,6 @@ class InequalityConstraint:
     lie_matrix: np.ndarray | None = None
     lie_basis: Dictionary | None = None
     domain: SemialgebraicSet = field(default_factory=SemialgebraicSet)
-    u_basis: Dictionary | None = None
-    v_basis: Dictionary | None = None
-    w_bases: list | None = None
 
     def __post_init__(self):
         if self.b is not None and (self.lie_matrix is None
@@ -77,7 +74,7 @@ class InequalityConstraint:
 
 
 def auto_bases(con: InequalityConstraint):
-    """Default (u, v, w_j) dictionaries from the constraint degrees: u covers
+    """The (u, v, w_j) dictionaries from the constraint degrees: u covers
     the full constraint degree D, v has degree ceil(D/2), and each multiplier
     w_j has degree ceil((D - deg s_j) / 2)."""
     phi = con.phi
@@ -164,17 +161,7 @@ def compile(prog: SosProgram) -> CompiledSos:
     for con in prog.constraints:
         if con.phi != phi:
             raise ValueError("all constraints must use the program's phi")
-        u = con.u_basis
-        v = con.v_basis
-        ws = con.w_bases
-        if v is None or ws is None or u is None:
-            u_auto, v_auto, ws_auto = auto_bases(con)
-            u = u or u_auto
-            v = v or v_auto
-            ws = ws if ws is not None else ws_auto
-        if v.size == 0:
-            raise ValueError("empty v basis: constraint degenerates to "
-                             "equalities only")
+        u, v, ws = auto_bases(con)
         deg_E = max(u.max_degree, 2 * v.max_degree,
                     *[s.basis.max_degree + 2 * w.max_degree
                       for s, w in zip(con.domain.s_list, ws)] or [0])
@@ -253,13 +240,8 @@ def compile(prog: SosProgram) -> CompiledSos:
         slack_block = len(blocks)
         blocks.append((NONNEG, 2 * phi.size))
 
-    dims = []
-    offset = 0
-    for kind, size in blocks:
-        d = size * (size + 1) // 2 if kind == PSD else size
-        dims.append((offset, d))
-        offset += d
-    total = offset
+    layout = block_layout(blocks)
+    total = sum(block_dim(kind, size) for kind, size in blocks)
 
     A_rows = []
     b_vals = []
@@ -268,13 +250,12 @@ def compile(prog: SosProgram) -> CompiledSos:
         block_A = np.zeros((nE, total))
         block_A[:, 0:n_dec] = cc.dec_matrix
         for gm, bi in zip(cc.gram_cols, [cc.p_block] + cc.q_blocks):
-            off, dd = dims[bi]
-            block_A[:, off:off + dd] = -gm
+            block_A[:, layout[bi][2]] = -gm
         A_rows.append(block_A)
         b_vals.append(-cc.const)
     if l1:
-        t_off = dims[t_block][0]
-        s_off = dims[slack_block][0]
+        t_off = layout[t_block][2].start
+        s_off = layout[slack_block][2].start
         ell = phi.size
         rows = np.zeros((2 * ell, total))
         for j in range(ell):
@@ -295,7 +276,7 @@ def compile(prog: SosProgram) -> CompiledSos:
     cost = np.zeros(total)
     sense = 1.0
     if l1:
-        cost[dims[t_block][0]:dims[t_block][0] + phi.size] = 1.0
+        cost[layout[t_block][2]] = 1.0
     elif prog.objective[0] in ("min", "max"):
         sense = 1.0 if prog.objective[0] == "min" else -1.0
         for name, weight in prog.objective[1].items():
@@ -334,7 +315,7 @@ def solve(compiled: CompiledSos, tol: float = 1e-8, max_iter: int = 200
         scalar_values = {n: float(dec[ell + k])
                          for k, n in enumerate(prog.scalars)}
     grams = []
-    slices = compiled.problem.block_slices()
+    slices = block_layout(compiled.problem.blocks)
     for cc in compiled.per_constraint:
         P = smat(z[slices[cc.p_block][2]])
         Qs = [smat(z[slices[bi][2]]) for bi in cc.q_blocks]
@@ -380,17 +361,7 @@ def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
     """Re-check a Lyapunov candidate with a trusted Lie matrix: maximize eps
     subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed."""
     phi = V.basis
-    d = phi.dimension
-    norm_basis = total_degree_dictionary(phi.family, d, 2, phi.box)
-    mono2 = total_degree_dictionary(MONOMIAL, d, 2)
-    n2 = np.zeros(mono2.size)
-    for j in range(d):
-        idx = tuple(2 if k == j else 0 for k in range(d))
-        n2[mono2.position(idx)] = 1.0
-    n2_poly = Poly(mono2, n2)
-    if phi.family != MONOMIAL:
-        n2_poly = monomial_to_cheb(n2_poly, norm_basis)
-    neg_n2 = -1.0 * n2_poly
+    neg_n2 = -1.0 * norm_squared(phi.family, phi.dimension, phi.box)
 
     cons = [
         InequalityConstraint(phi=phi, a=_one(phi), c_scalars={"eps": neg_n2}),

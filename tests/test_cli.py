@@ -5,9 +5,11 @@ import json
 
 import pytest
 
-from koopsos import __version__
+from koopsos import SystemSpec, __version__, cli, sample_snapshots
+from koopsos.auxfn import BoundResult
 from koopsos.cli import (EXIT_CONFIG, EXIT_NONOPTIMAL, EXIT_OK, ConfigError,
                          config_hash, main, validate_config)
+from koopsos.polybasis import CHEBYSHEV, total_degree_dictionary
 
 
 def _write(tmp_path, name, payload):
@@ -183,3 +185,50 @@ def test_reproduce_lyapunov(tmp_path):
 def test_reproduce_unknown_table():
     with pytest.raises(SystemExit):  # argparse rejects bad choices
         main(["reproduce", "notatable"])
+
+
+def _logistic_cell(writer):
+    spec = SystemSpec("StochasticLogistic")
+    box = ((0.0, 1.0),)
+    return cli._reproduce_cell(
+        writer, ("logistic_upper", "exact"), spec, None, "upper",
+        cli._observable("state", spec, CHEBYSHEV, box),
+        total_degree_dictionary(CHEBYSHEV, 1, 2, box),
+        total_degree_dictionary(CHEBYSHEV, 1, 4, box), 0.375,
+        cli._domain("unit_interval", spec, CHEBYSHEV, box))
+
+
+def test_reproduce_cell_exact_logistic_alpha2():
+    rows = []
+    assert _logistic_cell(rows.append) is False
+    assert rows == [["logistic_upper", "exact", "alpha=2", "0.3750", 0.375,
+                     "+0.0000"]]
+
+
+def _never_optimal(calls):
+    def bound(direction, *args, tol=1e-8, lie_source="exact", **kwargs):
+        calls.append(tol)
+        return BoundResult(direction, None, None, lie_source, "MaxIter",
+                           (float("inf"),) * 3, "")
+    return bound
+
+
+def test_reproduce_cell_failure_is_reported_after_retry(monkeypatch):
+    calls, rows = [], []
+    monkeypatch.setattr(cli, "ergodic_bound", _never_optimal(calls))
+    assert _logistic_cell(rows.append) is True
+    assert calls == [1e-8, 1e-6]
+    assert rows == [["logistic_upper", "exact", "alpha=2", "failed", 0.375,
+                     ""]]
+
+
+def test_reproduce_vdp_counts_failed_cells(tmp_path, monkeypatch, capsys):
+    def short_sample(spec, mode, tau, n, **kwargs):
+        return sample_snapshots(spec, mode, tau, 2000, **kwargs)
+
+    monkeypatch.setattr(cli, "ergodic_bound", _never_optimal([]))
+    monkeypatch.setattr(cli, "sample_snapshots", short_sample)
+    out = tmp_path / "vdp.csv"
+    assert main(["reproduce", "vdp", "--out", str(out)]) == EXIT_NONOPTIMAL
+    assert out.read_text().count(",failed,") == 16
+    assert "(16 failed cells)" in capsys.readouterr().out

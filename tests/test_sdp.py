@@ -1,5 +1,7 @@
 """Tests for the interior-point conic solver and KKT verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,26 @@ def test_never_optimal_without_meeting_tolerance():
     sol = solve(prob, tol=1e-9, max_iter=3)
     if sol.status == "Optimal":
         assert max(verify_kkt(prob, sol)) <= 1e-8
+
+
+@pytest.mark.parametrize("blocks, c, A, b, z_opt", [
+    ([(NONNEG, 2)], [1.0, 2.0], np.zeros((0, 2)), [], [0.0, 0.0]),
+    ([(PSD, 2)], svec(np.eye(2)), np.zeros((0, 3)), [], [0.0, 0.0, 0.0]),
+    # the free column absorbs the only row, leaving no conic equality
+    ([(FREE, 1), (NONNEG, 1)], [0.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 0.0]),
+], ids=["nonneg", "psd", "free-eliminated"])
+def test_no_equality_rows_after_reduction(blocks, c, A, b, z_opt):
+    prob = SdpProblem(blocks, np.array(c), np.array(A), np.array(b))
+    sol = solve(prob)
+    assert sol.status == "Optimal"
+    np.testing.assert_allclose(sol.z, z_opt, atol=1e-7)
+    assert max(verify_kkt(prob, sol)) <= 1e-8
+
+
+def test_verify_kkt_huge_point_is_unverifiable_without_warnings():
+    prob = SdpProblem([(NONNEG, 2)], np.array([1.0, 2.0]),
+                      np.array([[1.0, 1.0]]), np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = verify_kkt(prob, np.full(2, 1e200), np.array([1e200]))
+    assert res == (np.inf, np.inf, np.inf)
