@@ -18,13 +18,15 @@ from .polybasis import (MONOMIAL, Dictionary, Poly, evaluate, inclusion_matrix)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 CHUNK_ROWS = 1 << 16
+# singular values below REL_TOL * sigma_max * max(rows, cols) count as zero
+REL_TOL = 1e-12
 
 
 class NonFiniteInput(ValueError):
     pass
 
 
-def pinv(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def pinv(M: np.ndarray, rel_tol: float = REL_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse, truncating singular values below
     rel_tol * sigma_max * max(rows, cols)."""
     M = np.asarray(M, dtype=float)
@@ -41,10 +43,10 @@ def pinv(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return (Vt.T * inv) @ U.T
 
 
-def _numerical_rank(s: np.ndarray, shape, rel_tol: float) -> int:
+def _numerical_rank(s: np.ndarray, shape) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s >= rel_tol * s[0] * max(shape)))
+    return int(np.sum(s >= REL_TOL * s[0] * max(shape)))
 
 
 class _KahanAccumulator:
@@ -87,7 +89,7 @@ class EdmdOperators:
         return json.dumps(payload)
 
 
-def _refined_ls(num: np.ndarray, B: np.ndarray, rel_tol: float):
+def _refined_ls(num: np.ndarray, B: np.ndarray):
     """Solve X B = num in the least-squares sense, X = num B^+, with
     iterative refinement; returns X and the SVD/rank report of B.
 
@@ -100,7 +102,7 @@ def _refined_ls(num: np.ndarray, B: np.ndarray, rel_tol: float):
     solution the residual lies in the kernel of B^+, so the corrections
     vanish instead of drifting.
     """
-    Bp = pinv(B, rel_tol)
+    Bp = pinv(B)
     X = num @ Bp
     num_ld = num.astype(np.longdouble)
     B_ld = B.astype(np.longdouble)
@@ -114,31 +116,31 @@ def _refined_ls(num: np.ndarray, B: np.ndarray, rel_tol: float):
             break
     svals = np.linalg.svd(B, compute_uv=False)
     return X, {"singular_values": svals.tolist(),
-               "rank": _numerical_rank(svals, B.shape, rel_tol),
-               "rel_tol": rel_tol}
+               "rank": _numerical_rank(svals, B.shape),
+               "rel_tol": REL_TOL}
 
 
-def fit_edmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary,
-             rel_tol: float = 1e-12) -> EdmdOperators:
+def fit_edmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary
+             ) -> EdmdOperators:
     """Least-squares Koopman matrix K = (Phi Psi^T)(Psi Psi^T)^+ and the
     finite-difference Lie matrix L = (K - Theta) / tau."""
     if s.kind != KOOPMAN:
         raise ValueError("fit_edmd needs koopman-kind snapshots")
     mm = moment_matrices(s, phi, psi)
-    K, report = _refined_ls(mm.A_tau, mm.B, rel_tol)
+    K, report = _refined_ls(mm.A_tau, mm.B)
     theta = inclusion_matrix(phi, psi)
     return EdmdOperators(phi, psi, theta, s.tau, K, (K - theta) / s.tau, None,
                          report)
 
 
-def fit_gedmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary,
-              rel_tol: float = 1e-12) -> EdmdOperators:
+def fit_gedmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary
+              ) -> EdmdOperators:
     """Generator matrix G = (Lambda Psi^T)(Psi Psi^T)^+ from sampled Lie
     derivative values."""
     if s.kind != GENERATOR:
         raise ValueError("fit_gedmd needs generator-kind snapshots")
     mm = moment_matrices(s, phi, psi)
-    G, report = _refined_ls(mm.C, mm.B, rel_tol)
+    G, report = _refined_ls(mm.C, mm.B)
     return EdmdOperators(phi, psi, inclusion_matrix(phi, psi), s.tau, None,
                          None, G, report)
 
@@ -228,16 +230,15 @@ def analytic_circle_moments(psi: Dictionary) -> MomentMatrices:
 
 
 def divergence_indicator(B: np.ndarray, theta: np.ndarray, p: Poly,
-                         psi: Dictionary, rel_tol: float = 1e-12) -> Poly:
+                         psi: Dictionary) -> Poly:
     """The polynomial c . Theta (B B^+ - I) psi; the finite-difference Lie
     approximation of p stays bounded as tau -> 0 exactly where it vanishes."""
-    proj = B @ pinv(B, rel_tol) - np.eye(B.shape[0])
+    proj = B @ pinv(B) - np.eye(B.shape[0])
     return Poly(psi, p.coeffs @ theta @ proj)
 
 
 def convergence_study(sample, phi: Dictionary, psi: Dictionary,
-                      n_grid, seeds, n_reference: int,
-                      rel_tol: float = 1e-12):
+                      n_grid, seeds, n_reference: int):
     """Frobenius distance of K_mn to a large-n reference fit.
 
     ``sample(n, seed)`` must return a koopman SnapshotSet.  The reference is
@@ -245,11 +246,11 @@ def convergence_study(sample, phi: Dictionary, psi: Dictionary,
     Returns (n_grid, mean distances over seeds, per-seed table).
     """
     ref_seed = max(seeds) + 1
-    K_ref = fit_edmd(sample(n_reference, ref_seed), phi, psi, rel_tol).K
+    K_ref = fit_edmd(sample(n_reference, ref_seed), phi, psi).K
     table = np.empty((len(seeds), len(n_grid)))
     for i, seed in enumerate(seeds):
         for j, n in enumerate(n_grid):
-            K = fit_edmd(sample(int(n), seed), phi, psi, rel_tol).K
+            K = fit_edmd(sample(int(n), seed), phi, psi).K
             table[i, j] = np.linalg.norm(K - K_ref)
     return np.asarray(n_grid, float), table.mean(axis=0), table
 

@@ -15,6 +15,7 @@ infeasibility and unboundedness certificates instead of a stalled iterate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,32 +50,31 @@ def block_layout(blocks) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_index(s: int):
+    """(i, j, scale) of each svec entry of an s-by-s matrix: the lower
+    triangle column by column, off-diagonal entries scaled by sqrt(2)."""
+    j, i = np.triu_indices(s)
+    scale = np.where(i == j, 1.0, _SQRT2)
+    for arr in (i, j, scale):
+        arr.flags.writeable = False
+    return i, j, scale
+
+
 def svec(M: np.ndarray) -> np.ndarray:
-    """Scalarize a symmetric matrix: lower triangle, off-diagonals * sqrt(2)."""
-    s = M.shape[0]
-    out = np.empty(s * (s + 1) // 2)
-    k = 0
-    for j in range(s):
-        out[k] = M[j, j]
-        k += 1
-        for i in range(j + 1, s):
-            out[k] = M[i, j] * _SQRT2
-            k += 1
-    return out
+    """Scalarize a symmetric matrix, or a stack (..., s, s) of them: lower
+    triangle, off-diagonals * sqrt(2)."""
+    i, j, scale = _svec_index(M.shape[-1])
+    return M[..., i, j] * scale
 
 
 def smat(v: np.ndarray) -> np.ndarray:
-    """Inverse of svec."""
-    n = v.shape[0]
+    """Inverse of svec; a stack (..., n) gives a stack (..., s, s)."""
+    n = v.shape[-1]
     s = int(round((math.sqrt(8 * n + 1) - 1) / 2))
-    M = np.empty((s, s))
-    k = 0
-    for j in range(s):
-        M[j, j] = v[k]
-        k += 1
-        for i in range(j + 1, s):
-            M[i, j] = M[j, i] = v[k] / _SQRT2
-            k += 1
+    i, j, scale = _svec_index(s)
+    M = np.empty(v.shape[:-1] + (s, s))
+    M[..., i, j] = M[..., j, i] = v / scale
     return M
 
 
@@ -208,21 +208,21 @@ class _Scaling:
                 U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
                 R = Lx @ Vt.T / np.sqrt(sig)
                 Rinv = np.linalg.inv(R)
-                self.data.append((kind, sl, (R, Rinv, sig)))
+                self.data.append((kind, sl, (R, Rinv, sig, R @ R.T)))
                 lam_parts.append(sig)
         self.lam_parts = lam_parts
 
     def apply_w2(self, u: np.ndarray) -> np.ndarray:
-        """The operator W(u) = T u T with T the NT scaling point."""
+        """The operator W(u) = T u T with T the NT scaling point, applied
+        along the last axis of u (a vector or a stack of row vectors)."""
         out = np.empty_like(u)
         for kind, sl, dat in self.data:
             if kind == NONNEG:
                 w2, _ = dat
-                out[sl] = w2 * w2 * u[sl]
+                out[..., sl] = w2 * w2 * u[..., sl]
             else:
-                R, _, _ = dat
-                T = R @ R.T
-                out[sl] = svec(T @ smat(u[sl]) @ T)
+                _, _, _, T = dat
+                out[..., sl] = svec(T @ smat(u[..., sl]) @ T)
         return out
 
     def w_comp_target(self, targets) -> np.ndarray:
@@ -234,7 +234,7 @@ class _Scaling:
                 # for scalars this collapses to d / s
                 out[sl] = w2 * D / lam
             else:
-                R, _, sig = dat
+                R, _, sig, _ = dat
                 M = 2.0 * D / (sig[:, None] + sig[None, :])
                 out[sl] = svec(R @ M @ R.T)
         return out
@@ -247,20 +247,18 @@ class _Scaling:
                 w2, _ = dat
                 out.append((dx[sl] / w2, w2 * ds[sl]))
             else:
-                R, Rinv, _ = dat
+                R, Rinv, _, _ = dat
                 out.append((Rinv @ smat(dx[sl]) @ Rinv.T,
                             R.T @ smat(ds[sl]) @ R))
         return out
 
-    def max_step(self, dx: np.ndarray, ds: np.ndarray) -> float:
-        """Largest alpha keeping x + alpha dx and s + alpha ds in the cone."""
-        # overflowing directions signal a numerically dead iterate; a zero
-        # step makes the caller stop instead of crashing in eigvalsh
-        if not (np.isfinite(dx).all() and np.isfinite(ds).all()):
-            return 0.0
+    def max_step(self, dirs) -> float:
+        """Largest alpha keeping x + alpha dx and s + alpha ds in the cone,
+        from the scaled directions dirs = scaled_dirs(dx, ds)."""
         alpha = np.inf
-        for (kind, sl, dat), (dxt, dst) in zip(self.data,
-                                               self.scaled_dirs(dx, ds)):
+        for (kind, _, dat), (dxt, dst) in zip(self.data, dirs):
+            # overflowing directions signal a numerically dead iterate; a
+            # zero step makes the caller stop instead of crashing in eigvalsh
             if not (np.isfinite(dxt).all() and np.isfinite(dst).all()):
                 return 0.0
             if kind == NONNEG:
@@ -270,7 +268,7 @@ class _Scaling:
                     if np.any(neg):
                         alpha = min(alpha, float(np.min(-lam[neg] / dv[neg])))
             else:
-                _, _, sig = dat
+                _, _, sig, _ = dat
                 scale = 1.0 / np.sqrt(sig)
                 for dv in (dxt, dst):
                     m = float(np.linalg.eigvalsh(
@@ -321,7 +319,7 @@ def _eliminate_free(prob: SdpProblem):
 
     # drop linearly dependent equality rows; detect outright inconsistency
     if A_red.shape[0]:
-        Ur, sr, _ = np.linalg.svd(A_red, full_matrices=True)
+        Ur, sr, _ = np.linalg.svd(A_red, full_matrices=False)
         rr = int(np.sum(sr > 1e-12 * (sr[0] if sr.size else 1.0)
                         * max(A_red.shape)))
         resid = b_red - Ur[:, :rr] @ (Ur[:, :rr].T @ b_red)
@@ -403,33 +401,32 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
             break
         mu = (float(x @ s) + tau * kappa) / (cone.degree + 1)
 
-        WA = np.empty((cone.dim, p))
-        for i in range(p):
-            WA[:, i] = scaling.apply_w2(A[i])
-        M = A @ WA
+        # Schur complement M = A W A^T; W A^T must be a contiguous (dim, p)
+        # array, as a transposed view changes the BLAS call and the bits
+        M = A @ np.ascontiguousarray(scaling.apply_w2(A).T)
+        M_reg = M + 1e-14 * np.trace(M) / max(p, 1) * np.eye(p)
         Wc = scaling.apply_w2(c)
-        g2_rhs = A @ Wc + b
 
         def factor_solve(rhs):
             try:
-                return np.linalg.solve(M + 1e-14 * np.trace(M) / max(p, 1)
-                                       * np.eye(p), rhs)
+                return np.linalg.solve(M_reg, rhs)
             except np.linalg.LinAlgError:
                 return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
-        dy2 = factor_solve(g2_rhs)
+        dy2 = factor_solve(A @ Wc + b)
+        bAWc = b - A @ Wc
+        denom = float(bAWc @ dy2) + float(c @ Wc) + kappa / tau
 
         def newton(r1, r2, r3, r5, targets):
             wfd = scaling.w_comp_target(targets)
-            g1 = r1 - A @ (wfd + scaling.apply_w2(r2))
-            dy1 = factor_solve(g1)
-            bAWc = b - A @ Wc
-            denom = float(bAWc @ dy2) + float(c @ Wc) + kappa / tau
-            rhs_tau = r3 + float(c @ (wfd + scaling.apply_w2(r2))) + r5 / tau
+            w_r2 = wfd + scaling.apply_w2(r2)
+            dy1 = factor_solve(r1 - A @ w_r2)
+            rhs_tau = r3 + float(c @ w_r2) + r5 / tau
             dtau = (rhs_tau - float(bAWc @ dy1)) / denom
             dy = dy1 + dtau * dy2
-            dx = wfd + scaling.apply_w2(r2 + A.T @ dy) - Wc * dtau
-            ds = -(A.T @ dy) + c * dtau - r2
+            ATdy = A.T @ dy
+            dx = wfd + scaling.apply_w2(r2 + ATdy) - Wc * dtau
+            ds = -ATdy + c * dtau - r2
             dkappa = (r5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
@@ -439,7 +436,8 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
                                                     scaling.lam_parts)]
         aff = newton(-r_p, -r_d, -r_g, -tau * kappa, aff_targets)
         dx_a, dy_a, ds_a, dtau_a, dkap_a = aff
-        alpha_aff = min(scaling.max_step(dx_a, ds_a),
+        dirs_a = scaling.scaled_dirs(dx_a, ds_a)
+        alpha_aff = min(scaling.max_step(dirs_a),
                         tau / -dtau_a if dtau_a < 0 else np.inf,
                         kappa / -dkap_a if dkap_a < 0 else np.inf, 1.0)
         sigma = max(min((1.0 - alpha_aff) ** 3, 1.0), 1e-10)
@@ -447,8 +445,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         # corrector with Mehrotra second-order terms
         targets = []
         for (kind, _, _), lam, (dxt, dst) in zip(scaling.data,
-                                                 scaling.lam_parts,
-                                                 scaling.scaled_dirs(dx_a, ds_a)):
+                                                 scaling.lam_parts, dirs_a):
             if kind == NONNEG:
                 targets.append(sigma * mu - lam * lam - dxt * dst)
             else:
@@ -460,7 +457,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         dx, dy, ds, dtau, dkappa = newton(-eta * r_p, -eta * r_d, -eta * r_g,
                                           r5, targets)
 
-        alpha = min(scaling.max_step(dx, ds),
+        alpha = min(scaling.max_step(scaling.scaled_dirs(dx, ds)),
                     tau / -dtau if dtau < 0 else np.inf,
                     kappa / -dkappa if dkappa < 0 else np.inf)
         alpha = min(0.99 * alpha, 1.0)

@@ -28,7 +28,8 @@ from .polybasis import (Dictionary, Poly, evaluate, norm_squared,
                         sparse_product, sparse_to_poly, to_sparse,
                         total_degree_dictionary)
 from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution,
-                  block_dim, block_layout, smat, solve as sdp_solve)
+                  block_dim, block_layout, smat, solve as sdp_solve,
+                  svec)
 
 
 class BasisContainment(ValueError):
@@ -199,18 +200,15 @@ def compile(prog: SosProgram) -> CompiledSos:
         # Gram columns: <P, v v^T> and s_j <Q_j, w_j w_j^T> in the E basis
         def gram_matrix(w: Dictionary, s_sp: dict | None) -> np.ndarray:
             nw = w.size
-            cols = np.zeros((nE, nw * (nw + 1) // 2))
-            k = 0
+            G = np.zeros((nE, nw, nw))      # svec reads the lower triangle
             for jj in range(nw):
                 for ii in range(jj, nw):
                     sp = sparse_product(fam, _unit_sparse(w, ii),
                                         _unit_sparse(w, jj))
                     if s_sp is not None:
                         sp = sparse_product(fam, s_sp, sp)
-                    col = _coeffs_in(sp, E)
-                    cols[:, k] = col if ii == jj else math.sqrt(2.0) * col
-                    k += 1
-            return cols
+                    G[:, ii, jj] = _coeffs_in(sp, E)
+            return svec(G)
 
         gram_cols = [gram_matrix(v, None)]
         s_sps = [to_sparse(s) for s in con.domain.s_list]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_lyapunov_then_verify(tmp_path):
         "output": {"path": result},
     })
     assert main(["lyapunov", cfg]) == EXIT_OK
-    payload = json.loads(open(result).read())
+    payload = json.loads(Path(result).read_text())
     assert payload["feasible"] is True
     assert payload["epsilon_posterior"] >= 0.99
     vcfg = _write(tmp_path, "verify.json", {
@@ -170,7 +171,7 @@ def test_lyapunov_then_verify(tmp_path):
 def test_reproduce_circle(tmp_path):
     out = str(tmp_path / "circle.csv")
     assert main(["reproduce", "circle", "--out", out]) == EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "table,row,cell,value,reference,diff"
     assert any("L_edmd" in line for line in lines)
 
@@ -178,7 +179,7 @@ def test_reproduce_circle(tmp_path):
 def test_reproduce_lyapunov(tmp_path):
     out = str(tmp_path / "lyap.csv")
     assert main(["reproduce", "lyapunov", "--out", out]) == EXIT_OK
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "posterior_epsilon" in text
 
 

@@ -1,12 +1,13 @@
 """Tests for the interior-point conic solver and KKT verification."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from koopsos.sdp import (FREE, NONNEG, PSD, SdpProblem, smat, solve, svec,
-                         verify_kkt)
+from koopsos.sdp import (FREE, NONNEG, PSD, SdpProblem, _Cone, _Scaling,
+                         smat, solve, svec, verify_kkt)
 
 
 def test_svec_round_trip_and_inner_product():
@@ -18,6 +19,71 @@ def test_svec_round_trip_and_inner_product():
         B = B + B.T
         np.testing.assert_allclose(smat(svec(A)), A, atol=1e-14)
         assert svec(A) @ svec(B) == pytest.approx(np.sum(A * B), abs=1e-10)
+
+
+def _svec_loop(M):
+    """Reference svec: lower triangle column by column, off-diagonals
+    times sqrt(2)."""
+    s = M.shape[0]
+    out = np.empty(s * (s + 1) // 2)
+    k = 0
+    for j in range(s):
+        out[k] = M[j, j]
+        k += 1
+        for i in range(j + 1, s):
+            out[k] = M[i, j] * math.sqrt(2.0)
+            k += 1
+    return out
+
+
+def _smat_loop(v):
+    """Reference inverse of _svec_loop."""
+    s = int(round((math.sqrt(8 * v.shape[0] + 1) - 1) / 2))
+    M = np.empty((s, s))
+    k = 0
+    for j in range(s):
+        M[j, j] = v[k]
+        k += 1
+        for i in range(j + 1, s):
+            M[i, j] = M[j, i] = v[k] / math.sqrt(2.0)
+            k += 1
+    return M
+
+
+def test_svec_smat_take_stacks():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((6, 5, 5))
+    stack = stack + stack.transpose(0, 2, 1)
+    V = svec(stack)
+    assert V.shape == (6, 15)
+    np.testing.assert_array_equal(V, [_svec_loop(M) for M in stack])
+    S = smat(V)
+    assert S.shape == (6, 5, 5)
+    np.testing.assert_array_equal(S, [_smat_loop(v) for v in V])
+    for M, v, back in zip(stack, V, S):
+        np.testing.assert_array_equal(svec(M), v)
+        np.testing.assert_array_equal(smat(svec(M)), back)
+        np.testing.assert_allclose(back, M, atol=1e-14)
+
+
+def test_apply_w2_on_rows_matches_row_by_row():
+    rng = np.random.default_rng(4)
+    blocks = [(PSD, 3), (NONNEG, 2), (PSD, 4)]
+    cone = _Cone(blocks)
+    point = []
+    for _ in range(2):
+        parts = []
+        for kind, size in blocks:
+            if kind == NONNEG:
+                parts.append(rng.uniform(0.5, 2.0, size))
+            else:
+                Q = rng.standard_normal((size, size))
+                parts.append(svec(Q @ Q.T + 0.5 * np.eye(size)))
+        point.append(np.concatenate(parts))
+    scaling = _Scaling(cone, *point)
+    U = rng.standard_normal((7, cone.dim))
+    np.testing.assert_array_equal(scaling.apply_w2(U),
+                                  [scaling.apply_w2(u) for u in U])
 
 
 def _random_feasible(rng, blocks, m):
