@@ -9,10 +9,11 @@ long-time averages, without ever identifying a dynamical model.
 __version__ = "0.1.0"
 
 from .polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, evaluate,
-                        inclusion_matrix, product_expand,
+                        inclusion_matrix, product_expand, product_tensor,
                         total_degree_dictionary)
 from .snapshots import SnapshotSet, empirical_average, load_csv, save_csv
-from .systems import (SystemSpec, exact_lie_apply, integrate_ode, make_rng,
+from .systems import (SystemSpec, exact_lie_apply, exact_lie_matrix,
+                      integrate_ode, lie_image_degree, make_rng,
                       sample_snapshots, step_map, step_stochastic)
 from .koopman import (EdmdOperators, MomentMatrices, analytic_circle_moments,
                       apply_lie, divergence_indicator, fit_edmd, fit_gedmd,
@@ -22,4 +23,4 @@ from .sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
                   auto_bases, compile as sos_compile, posterior_verify,
                   solve as sos_solve)
 from .auxfn import (BoundResult, LyapunovResult, circular_orbit_casestudy,
-                    ergodic_bound, exact_lie_matrix, find_lyapunov)
+                    ergodic_bound, find_lyapunov)

@@ -20,23 +20,15 @@ from . import sos
 from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
 from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
-                        poly_from_index, total_degree_dictionary)
+                        total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN
-from .systems import CIRCULAR_ORBIT, SystemSpec, exact_lie_apply, sample_snapshots
+# exact_lie_matrix lives in systems and is re-exported here
+from .systems import (CIRCULAR_ORBIT, SystemSpec, exact_lie_apply,
+                      exact_lie_matrix, sample_snapshots)
 
 DATA_VALIDITY_NOTE = ("bound certified against the approximate Lie derivative; "
                       "it applies to trajectories on which the approximation "
                       "matches the exact Lie derivative")
-
-
-def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
-                     ) -> np.ndarray:
-    """Matrix of the exact generator restricted to span(phi), over psi."""
-    rows = np.zeros((phi.size, psi.size))
-    for j in range(phi.size):
-        rows[j] = exact_lie_apply(spec, poly_from_index(phi, phi.indices[j]),
-                                  psi).coeffs
-    return rows
 
 
 @dataclass

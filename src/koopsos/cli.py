@@ -20,15 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reference_values
-from .auxfn import (circular_orbit_casestudy, ergodic_bound, exact_lie_matrix,
-                    find_lyapunov)
+from .auxfn import circular_orbit_casestudy, ergodic_bound, find_lyapunov
 from .koopman import convergence_study, fit_edmd, fit_gedmd, loglog_slope
-from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                        norm_squared, poly_from_index, total_degree_dictionary)
+from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
+                        monomial_to_cheb, norm_squared, poly_from_index,
+                        total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
 from .sos import SemialgebraicSet, posterior_verify
 from .systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
-                      SystemSpec, make_rng, sample_snapshots)
+                      SystemSpec, exact_lie_matrix, lie_image_degree,
+                      make_rng, sample_snapshots)
 
 EXIT_OK = 0
 EXIT_NONOPTIMAL = 1
@@ -107,8 +108,7 @@ def _dictionaries(cfg, spec: SystemSpec):
     if family not in (MONOMIAL, CHEBYSHEV):
         raise ConfigError(f"unknown dictionary family {family!r}")
     alpha = int(sec.get("alpha", 4))
-    default_beta = 2 * alpha if spec.id == STOCHASTIC_LOGISTIC else alpha + 2
-    beta = int(sec.get("beta", default_beta))
+    beta = int(sec.get("beta", lie_image_degree(spec, alpha)))
     box = sec.get("box")
     if box is None and family == CHEBYSHEV:
         box = [[0.0, 1.0]] * spec.dimension
@@ -308,7 +308,8 @@ def _reproduce_vdp(writer):
             failures += _reproduce_cell(
                 writer, ("vdp", row_name), spec, data, "upper", g,
                 total_degree_dictionary(MONOMIAL, 2, alpha),
-                total_degree_dictionary(MONOMIAL, 2, alpha + 2), expected)
+                total_degree_dictionary(
+                    MONOMIAL, 2, lie_image_degree(spec, alpha)), expected)
     return failures
 
 
@@ -328,7 +329,8 @@ def _reproduce_logistic(writer):
                     writer, (f"logistic_{direction}", row_name), spec,
                     row_data, direction, g,
                     total_degree_dictionary(CHEBYSHEV, 1, alpha, box),
-                    total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, box),
+                    total_degree_dictionary(
+                        CHEBYSHEV, 1, lie_image_degree(spec, alpha), box),
                     expected, domain)
     return failures
 
@@ -337,7 +339,7 @@ def _reproduce_logistic_rate(writer):
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     box = ((0.0, 1.0),)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4, box)
-    psi = total_degree_dictionary(CHEBYSHEV, 1, 8, box)
+    psi = total_degree_dictionary(CHEBYSHEV, 1, lie_image_degree(spec, 4), box)
 
     def sample(n, seed):
         return sample_snapshots(spec, "trajectory", 1.0, n,
@@ -371,7 +373,7 @@ def _reproduce_circle(writer):
 def _reproduce_lyapunov(writer):
     spec = SystemSpec(MAP_LYAP_2D)
     phi = total_degree_dictionary(MONOMIAL, 2, 4)
-    psi = total_degree_dictionary(MONOMIAL, 2, 8)
+    psi = total_degree_dictionary(MONOMIAL, 2, lie_image_degree(spec, 4))
     data = sample_snapshots(spec, "iid_uniform_box", 1.0, 10_000,
                             rng=make_rng(7), bounds=[(-2, 2), (-2, 2)])
     ops = fit_edmd(data, phi, psi)
@@ -452,6 +454,10 @@ def main(argv=None) -> int:
         return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except TargetTooSmall as exc:  # the default beta is never too small
+        print(f"config error: dictionaries.beta is below the Lie image "
+              f"degree: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

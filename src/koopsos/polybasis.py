@@ -149,12 +149,19 @@ def evaluate(dictionary: Dictionary, x: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
+def _check_same_space(first: Dictionary, *others: Dictionary) -> None:
+    """Dictionaries combined coefficient-wise must describe the same space."""
+    for other in others:
+        if (other.family, other.dimension) != (first.family, first.dimension):
+            raise DimensionMismatch(
+                "dictionaries must share family and dimension")
+        if other.box != first.box:
+            raise DimensionMismatch("dictionaries must share the rescaling box")
+
+
 def inclusion_matrix(small: Dictionary, big: Dictionary) -> np.ndarray:
     """0/1 selection matrix Theta with small(x) = Theta @ big(x) for all x."""
-    if small.family != big.family or small.dimension != big.dimension:
-        raise DimensionMismatch("dictionaries must share family and dimension")
-    if small.box != big.box:
-        raise DimensionMismatch("dictionaries must share the rescaling box")
+    _check_same_space(small, big)
     theta = np.zeros((small.size, big.size))
     lookup = {idx: j for j, idx in enumerate(big.indices)}
     for i, idx in enumerate(small.indices):
@@ -216,21 +223,67 @@ def norm_squared(family: str, d: int,
     return monomial_to_cheb(p, total_degree_dictionary(family, d, 2, box))
 
 
-# -- sparse arithmetic in a fixed family --------------------------------------
+# -- product structure constants -----------------------------------------------
+
+def product_tensor(u: Dictionary, w: Dictionary, target: Dictionary
+                   ) -> np.ndarray:
+    """T[e, i, j]: coefficient of target[e] in u_i * w_j.
+
+    Monomials multiply as x^a x^b = x^(a+b).  Chebyshev polynomials multiply
+    per coordinate as T_a T_b = (T_{a+b} + T_{|a-b|}) / 2, so a product
+    expands into the 2^d sign patterns |a +- b|, each of weight 2^-d; where a
+    coordinate is 0 both signs give the same index and add up to weight 1.
+    """
+    _check_same_space(u, w, target)
+    d = u.dimension
+    U = np.array(u.indices, dtype=np.int64).reshape(u.size, 1, 1, d)
+    W = np.array(w.indices, dtype=np.int64).reshape(1, w.size, 1, d)
+    if u.family == MONOMIAL:
+        signs, weight = np.ones((1, d), dtype=np.int64), 1.0
+    else:
+        signs = np.array(list(iter_product((1, -1), repeat=d)), dtype=np.int64)
+        weight = 0.5 ** d
+    # (|u|, |w|, patterns, d) product indices, looked up once per distinct one
+    prod = np.abs(U + signs * W)
+    distinct, inverse = np.unique(prod.reshape(-1, d), axis=0,
+                                  return_inverse=True)
+    lookup = {idx: e for e, idx in enumerate(target.indices)}
+    keys = [tuple(row) for row in distinct.tolist()]
+    missing = [k for k in keys if k not in lookup]
+    if missing:
+        raise TargetTooSmall(missing)
+    pos = np.array([lookup[k] for k in keys], dtype=np.int64)[inverse.ravel()]
+    pair = np.repeat(np.arange(u.size * w.size), len(signs))
+    T = np.bincount(pos * (u.size * w.size) + pair,
+                    weights=np.full(pos.size, weight),
+                    minlength=target.size * u.size * w.size)
+    return T.reshape(target.size, u.size, w.size)
+
+
+def product_expand(p: Poly, q: Poly, target: Dictionary) -> Poly:
+    """Coefficients of p*q in target; only its nonzero ones must fit."""
+    _check_same_space(p.basis, q.basis, target)
+    full = total_degree_dictionary(
+        p.basis.family, p.basis.dimension,
+        p.basis.max_degree + q.basis.max_degree, p.basis.box)
+    coeffs = product_tensor(p.basis, q.basis, full) @ q.coeffs @ p.coeffs
+    return sparse_to_poly(dict(zip(full.indices, coeffs)), target)
+
+
+# -- sparse monomial arithmetic ------------------------------------------------
 #
-# Intermediate results of products, compositions and Lie derivative formulas
-# are held as {multi-index: coefficient} maps and only projected onto a target
-# Dictionary at the end (raising TargetTooSmall when it cannot hold them).
+# Intermediate results of compositions and Lie derivative formulas are held as
+# {multi-index: coefficient} maps and only projected onto a target Dictionary
+# at the end (raising TargetTooSmall when it cannot hold them).
 
 def to_sparse(p: Poly) -> dict[MultiIndex, float]:
     return {idx: c for idx, c in zip(p.basis.indices, p.coeffs) if c != 0.0}
 
 
-def sparse_to_poly(sp: dict[MultiIndex, float], target: Dictionary,
-                   tol: float = 0.0) -> Poly:
+def sparse_to_poly(sp: dict[MultiIndex, float], target: Dictionary) -> Poly:
     lookup = {idx: j for j, idx in enumerate(target.indices)}
     coeffs = np.zeros(target.size)
-    missing = [idx for idx, c in sp.items() if abs(c) > tol and idx not in lookup]
+    missing = [idx for idx, c in sp.items() if c != 0.0 and idx not in lookup]
     if missing:
         raise TargetTooSmall(missing)
     for idx, c in sp.items():
@@ -239,59 +292,21 @@ def sparse_to_poly(sp: dict[MultiIndex, float], target: Dictionary,
     return Poly(target, coeffs)
 
 
-def _sparse_add(a: dict, b: dict, scale: float = 1.0) -> dict:
+def sparse_add(a: dict, b: dict, scale: float = 1.0) -> dict:
     out = dict(a)
     for idx, c in b.items():
         out[idx] = out.get(idx, 0.0) + scale * c
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _pair_product(family: str, a: MultiIndex, b: MultiIndex
-                  ) -> dict[MultiIndex, float]:
-    """Expansion of basis_a * basis_b in the same family."""
-    if family == MONOMIAL:
-        return {tuple(ai + bi for ai, bi in zip(a, b)): 1.0}
-    # Chebyshev: T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, per coordinate.
-    terms: dict[MultiIndex, float] = {(): 1.0}
-    for ai, bi in zip(a, b):
-        new: dict[MultiIndex, float] = {}
-        for prefix, coef in terms.items():
-            if ai == 0 or bi == 0:
-                k = ai + bi
-                new[prefix + (k,)] = new.get(prefix + (k,), 0.0) + coef
-            else:
-                for k in (ai + bi, abs(ai - bi)):
-                    key = prefix + (k,)
-                    new[key] = new.get(key, 0.0) + 0.5 * coef
-        terms = new
-    return terms
-
-
-def sparse_product(family: str, a: dict, b: dict) -> dict:
+def sparse_product(a: dict, b: dict) -> dict:
+    """Product of two sparse monomial polynomials."""
     out: dict[MultiIndex, float] = {}
     for ia, ca in a.items():
         for ib, cb in b.items():
-            for idx, w in _pair_product(family, ia, ib).items():
-                out[idx] = out.get(idx, 0.0) + ca * cb * w
+            idx = tuple(x + y for x, y in zip(ia, ib))
+            out[idx] = out.get(idx, 0.0) + ca * cb
     return {k: v for k, v in out.items() if v != 0.0}
-
-
-def product_expand(p: Poly, q: Poly, target: Dictionary) -> Poly:
-    """Exact coefficients of p*q in the target dictionary."""
-    for other in (q.basis, target):
-        if other.family != p.basis.family or other.dimension != p.basis.dimension:
-            raise DimensionMismatch("family/dimension mismatch in product_expand")
-        if other.box != p.basis.box:
-            raise DimensionMismatch("rescaling box mismatch in product_expand")
-    sp = sparse_product(p.basis.family, to_sparse(p), to_sparse(q))
-    return sparse_to_poly(sp, target)
-
-
-def pair_product_in(dictionary_family: str, a: MultiIndex, b: MultiIndex,
-                    target: Dictionary) -> np.ndarray:
-    """Coefficient vector of basis_a * basis_b in the target dictionary."""
-    sp = _pair_product(dictionary_family, a, b)
-    return sparse_to_poly(sp, target).coeffs
 
 
 # -- monomial calculus helpers -------------------------------------------------
@@ -319,7 +334,7 @@ def sparse_compose(sp: dict[MultiIndex, float],
         if k == 0:
             return one
         if k not in pow_cache[j]:
-            pow_cache[j][k] = sparse_product(MONOMIAL, comp_power(j, k - 1),
+            pow_cache[j][k] = sparse_product(comp_power(j, k - 1),
                                              components[j])
         return pow_cache[j][k]
 
@@ -328,8 +343,8 @@ def sparse_compose(sp: dict[MultiIndex, float],
         term = one
         for j, e in enumerate(idx):
             if e:
-                term = sparse_product(MONOMIAL, term, comp_power(j, e))
-        out = _sparse_add(out, term, c)
+                term = sparse_product(term, comp_power(j, e))
+        out = sparse_add(out, term, c)
     return out
 
 
@@ -363,46 +378,45 @@ def _affine_power_matrix(deg: int, a: float, b: float) -> np.ndarray:
     return S
 
 
-def cheb_to_monomial(p: Poly, target: Dictionary) -> Poly:
-    """Express a Chebyshev-basis polynomial in monomials of the raw state."""
-    if p.basis.family != CHEBYSHEV or target.family != MONOMIAL:
-        raise DimensionMismatch("expects chebyshev source and monomial target")
+def _change_basis(p: Poly, target: Dictionary, box, axis_matrix) -> Poly:
+    """Apply the per-coordinate matrix axis_matrix(deg, lo, hi), which maps
+    degree-k coefficients of one family to the other, to every axis of the
+    coefficient tensor of p."""
     d = p.basis.dimension
-    box = p.basis.box or tuple((-1.0, 1.0) for _ in range(d))
+    box = box or tuple((-1.0, 1.0) for _ in range(d))
     degs = [max(i[j] for i in p.basis.indices) for j in range(d)]
     tensor = np.zeros([dg + 1 for dg in degs])
     for idx, c in zip(p.basis.indices, p.coeffs):
         tensor[idx] += c
     for axis in range(d):
-        lo, hi = box[axis]
-        # T_k(z) in powers of z, then z = (2x - lo - hi) / (hi - lo) in powers of x
-        M = _cheb_to_mono_matrix(degs[axis])
-        S = _affine_power_matrix(degs[axis], 2.0 / (hi - lo), -(lo + hi) / (hi - lo))
-        tensor = np.moveaxis(
-            np.tensordot(tensor, M @ S, axes=([axis], [0])), -1, axis)
+        tensor = np.moveaxis(np.tensordot(
+            tensor, axis_matrix(degs[axis], *box[axis]), axes=([axis], [0])),
+            -1, axis)
     sp = {idx: float(tensor[idx]) for idx in np.ndindex(*tensor.shape)
           if tensor[idx] != 0.0}
     return sparse_to_poly(sp, target)
+
+
+def cheb_to_monomial(p: Poly, target: Dictionary) -> Poly:
+    """Express a Chebyshev-basis polynomial in monomials of the raw state."""
+    if p.basis.family != CHEBYSHEV or target.family != MONOMIAL:
+        raise DimensionMismatch("expects chebyshev source and monomial target")
+
+    def axis_matrix(deg, lo, hi):
+        # T_k(z) in powers of z, then z = (2x - lo - hi) / (hi - lo) in powers of x
+        return _cheb_to_mono_matrix(deg) @ _affine_power_matrix(
+            deg, 2.0 / (hi - lo), -(lo + hi) / (hi - lo))
+    return _change_basis(p, target, p.basis.box, axis_matrix)
 
 
 def monomial_to_cheb(p: Poly, target: Dictionary) -> Poly:
     """Express a monomial-basis polynomial in a Chebyshev target dictionary."""
     if p.basis.family != MONOMIAL or target.family != CHEBYSHEV:
         raise DimensionMismatch("expects monomial source and chebyshev target")
-    d = p.basis.dimension
-    box = target.box or tuple((-1.0, 1.0) for _ in range(d))
-    degs = [max(i[j] for i in p.basis.indices) for j in range(d)]
-    tensor = np.zeros([dg + 1 for dg in degs])
-    for idx, c in zip(p.basis.indices, p.coeffs):
-        tensor[idx] += c
-    for axis in range(d):
-        lo, hi = box[axis]
+
+    def axis_matrix(deg, lo, hi):
         # x = ((hi - lo) z + lo + hi) / 2 in powers of z, then z-powers to T_k
-        S = _affine_power_matrix(degs[axis], (hi - lo) / 2.0, (lo + hi) / 2.0)
-        Minv = np.linalg.solve(_cheb_to_mono_matrix(degs[axis]).T,
-                               np.eye(degs[axis] + 1))
-        tensor = np.moveaxis(
-            np.tensordot(tensor, S @ Minv.T, axes=([axis], [0])), -1, axis)
-    sp = {idx: float(tensor[idx]) for idx in np.ndindex(*tensor.shape)
-          if tensor[idx] != 0.0}
-    return sparse_to_poly(sp, target)
+        S = _affine_power_matrix(deg, (hi - lo) / 2.0, (lo + hi) / 2.0)
+        Minv = np.linalg.solve(_cheb_to_mono_matrix(deg).T, np.eye(deg + 1))
+        return S @ Minv.T
+    return _change_basis(p, target, target.box, axis_matrix)

@@ -65,7 +65,9 @@ def svec(M: np.ndarray) -> np.ndarray:
     """Scalarize a symmetric matrix, or a stack (..., s, s) of them: lower
     triangle, off-diagonals * sqrt(2)."""
     i, j, scale = _svec_index(M.shape[-1])
-    return M[..., i, j] * scale
+    out = M[..., i, j]      # a fresh copy, scaled in place: no second one
+    out *= scale
+    return out
 
 
 def smat(v: np.ndarray) -> np.ndarray:

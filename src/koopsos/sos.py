@@ -24,16 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polybasis import (Dictionary, Poly, evaluate, norm_squared,
-                        sparse_product, sparse_to_poly, to_sparse,
-                        total_degree_dictionary)
+from .polybasis import (Dictionary, Poly, evaluate, inclusion_matrix,
+                        norm_squared, product_tensor, total_degree_dictionary)
 from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution,
                   block_dim, block_layout, smat, solve as sdp_solve,
                   svec)
-
-
-class BasisContainment(ValueError):
-    """A product index falls outside the coefficient-matching basis."""
 
 
 @dataclass(frozen=True)
@@ -111,17 +106,6 @@ class SosProgram:
     c_fixed: np.ndarray | None = None
 
 
-def _unit_sparse(basis: Dictionary, j: int) -> dict:
-    return {basis.indices[j]: 1.0}
-
-
-def _coeffs_in(sp: dict, E: Dictionary) -> np.ndarray:
-    try:
-        return sparse_to_poly(sp, E, tol=0.0).coeffs
-    except Exception as exc:
-        raise BasisContainment(str(exc)) from exc
-
-
 @dataclass
 class _CompiledConstraint:
     E: Dictionary
@@ -130,7 +114,6 @@ class _CompiledConstraint:
     s_polys: list
     dec_matrix: np.ndarray       # (|E|, n_dec)
     const: np.ndarray            # (|E|,)
-    gram_cols: list              # [(block_kind_index_in_z, matrix |E| x svecdim)]
     p_block: int                 # index into problem block list
     q_blocks: list
 
@@ -145,75 +128,69 @@ class CompiledSos:
     dec_slice: slice
 
 
+def _times(p: Poly, u: Dictionary, E: Dictionary) -> np.ndarray:
+    """(|E|, |u|) coefficients of p * u_i over E."""
+    return np.tensordot(p.coeffs, product_tensor(p.basis, u, E),
+                        axes=([0], [1]))
+
+
+def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
+    """Coefficient-matching columns of one constraint over the E basis that
+    spans all of its products: the decision-variable columns, the constant
+    column and, per PSD block, the Gram columns of <P, v v^T> and
+    s_j <Q_j, w_j w_j^T>."""
+    phi = con.phi
+    u, v, ws = auto_bases(con)
+    deg_E = max(u.max_degree, 2 * v.max_degree,
+                *[s.basis.max_degree + 2 * w.max_degree
+                  for s, w in zip(con.domain.s_list, ws)] or [0])
+    E = total_degree_dictionary(phi.family, phi.dimension, deg_E, phi.box)
+    nE = E.size
+
+    phi_cols = np.zeros((nE, phi.size))
+    if con.a is not None:
+        phi_cols += _times(con.a, phi, E)
+    if con.b is not None:
+        bpsi = _times(con.b, con.lie_basis, E).T
+        phi_cols += (con.lie_matrix @ bpsi).T
+    const = np.zeros(nE)
+    if con.c_const is not None:
+        const += con.c_const.coeffs @ inclusion_matrix(con.c_const.basis, E)
+    if prog.c_fixed is not None:
+        const += phi_cols @ prog.c_fixed
+    scalar_cols = np.zeros((nE, len(prog.scalars)))
+    for k, name in enumerate(prog.scalars):
+        if name in con.c_scalars:
+            c = con.c_scalars[name]
+            scalar_cols[:, k] += c.coeffs @ inclusion_matrix(c.basis, E)
+    dec_matrix = (scalar_cols if prog.c_fixed is not None
+                  else np.hstack([phi_cols, scalar_cols]))
+
+    gram_cols = [svec(product_tensor(v, v, E))]
+    for w, s in zip(ws, con.domain.s_list):
+        ww = total_degree_dictionary(w.family, w.dimension,
+                                     2 * w.max_degree, w.box)
+        gram_cols.append(svec(np.tensordot(
+            _times(s, ww, E), product_tensor(w, w, ww), axes=([1], [0]))))
+    return E, v, ws, dec_matrix, const, gram_cols
+
+
 def compile(prog: SosProgram) -> CompiledSos:
     """Lower the program to an SdpProblem plus an index map back to Grams."""
     phi = prog.phi
-    fam = phi.family
     fixed = prog.c_fixed
     dec_names = ([] if fixed is not None
                  else [f"c_{j}" for j in range(phi.size)]) + list(prog.scalars)
     n_dec = len(dec_names)
 
-    per_con = []
+    per_con, gram_cols_per_con = [], []
     blocks = [(FREE, n_dec)] if n_dec else []
-    col_offset = n_dec
-    rows_A, rows_b = [], []
 
     for con in prog.constraints:
         if con.phi != phi:
             raise ValueError("all constraints must use the program's phi")
-        u, v, ws = auto_bases(con)
-        deg_E = max(u.max_degree, 2 * v.max_degree,
-                    *[s.basis.max_degree + 2 * w.max_degree
-                      for s, w in zip(con.domain.s_list, ws)] or [0])
-        E = total_degree_dictionary(fam, phi.dimension, deg_E, phi.box)
-        nE = E.size
-
-        # decision-variable contributions to the constraint polynomial
-        phi_cols = np.zeros((nE, phi.size))
-        if con.a is not None:
-            a_sp = to_sparse(con.a)
-            for j in range(phi.size):
-                phi_cols[:, j] += _coeffs_in(
-                    sparse_product(fam, a_sp, _unit_sparse(phi, j)), E)
-        if con.b is not None:
-            b_sp = to_sparse(con.b)
-            bpsi = np.zeros((con.lie_basis.size, nE))
-            for mdx in range(con.lie_basis.size):
-                bpsi[mdx] = _coeffs_in(
-                    sparse_product(fam, b_sp, _unit_sparse(con.lie_basis, mdx)),
-                    E)
-            phi_cols += (con.lie_matrix @ bpsi).T
-        const = np.zeros(nE)
-        if con.c_const is not None:
-            const += _coeffs_in(to_sparse(con.c_const), E)
-        if fixed is not None:
-            const += phi_cols @ fixed
-        scalar_cols = np.zeros((nE, len(prog.scalars)))
-        for k, name in enumerate(prog.scalars):
-            if name in con.c_scalars:
-                scalar_cols[:, k] = _coeffs_in(
-                    to_sparse(con.c_scalars[name]), E)
-        dec_matrix = (scalar_cols if fixed is not None
-                      else np.hstack([phi_cols, scalar_cols]))
-
-        # Gram columns: <P, v v^T> and s_j <Q_j, w_j w_j^T> in the E basis
-        def gram_matrix(w: Dictionary, s_sp: dict | None) -> np.ndarray:
-            nw = w.size
-            G = np.zeros((nE, nw, nw))      # svec reads the lower triangle
-            for jj in range(nw):
-                for ii in range(jj, nw):
-                    sp = sparse_product(fam, _unit_sparse(w, ii),
-                                        _unit_sparse(w, jj))
-                    if s_sp is not None:
-                        sp = sparse_product(fam, s_sp, sp)
-                    G[:, ii, jj] = _coeffs_in(sp, E)
-            return svec(G)
-
-        gram_cols = [gram_matrix(v, None)]
-        s_sps = [to_sparse(s) for s in con.domain.s_list]
-        for w, s_sp in zip(ws, s_sps):
-            gram_cols.append(gram_matrix(w, s_sp))
+        E, v, ws, dec_matrix, const, gram_cols = _match_coefficients(
+            con, prog)
 
         p_block = len(blocks)
         blocks.append((PSD, v.size))
@@ -224,8 +201,9 @@ def compile(prog: SosProgram) -> CompiledSos:
 
         per_con.append(_CompiledConstraint(
             E=E, v=v, ws=list(ws), s_polys=list(con.domain.s_list),
-            dec_matrix=dec_matrix, const=const, gram_cols=gram_cols,
+            dec_matrix=dec_matrix, const=const,
             p_block=p_block, q_blocks=q_blocks))
+        gram_cols_per_con.append(gram_cols)
 
     # optional l1 objective on the phi coefficients: free t_j with nonneg
     # slacks t_j - c_j >= 0 and t_j + c_j >= 0, minimize sum t_j
@@ -241,21 +219,23 @@ def compile(prog: SosProgram) -> CompiledSos:
     layout = block_layout(blocks)
     total = sum(block_dim(kind, size) for kind, size in blocks)
 
-    A_rows = []
-    b_vals = []
-    for cc in per_con:
-        nE = cc.E.size
-        block_A = np.zeros((nE, total))
-        block_A[:, 0:n_dec] = cc.dec_matrix
-        for gm, bi in zip(cc.gram_cols, [cc.p_block] + cc.q_blocks):
-            block_A[:, layout[bi][2]] = -gm
-        A_rows.append(block_A)
-        b_vals.append(-cc.const)
+    # the Gram columns are written into A and not kept: A is their one copy
+    A = np.zeros((sum(cc.E.size for cc in per_con)
+                  + (2 * phi.size if l1 else 0), total))
+    b = np.zeros(A.shape[0])
+    start = 0
+    for cc, gram_cols in zip(per_con, gram_cols_per_con):
+        rows = slice(start, start + cc.E.size)
+        A[rows, 0:n_dec] = cc.dec_matrix
+        for gm, bi in zip(gram_cols, [cc.p_block] + cc.q_blocks):
+            np.negative(gm, out=A[rows, layout[bi][2]])
+        b[rows] = -cc.const
+        start = rows.stop
     if l1:
         t_off = layout[t_block][2].start
         s_off = layout[slack_block][2].start
         ell = phi.size
-        rows = np.zeros((2 * ell, total))
+        rows = A[start:]
         for j in range(ell):
             # t_j - c_j - slack_minus_j = 0
             rows[j, t_off + j] = 1.0
@@ -265,11 +245,6 @@ def compile(prog: SosProgram) -> CompiledSos:
             rows[ell + j, t_off + j] = 1.0
             rows[ell + j, j] = 1.0
             rows[ell + j, s_off + ell + j] = -1.0
-        A_rows.append(rows)
-        b_vals.append(np.zeros(2 * ell))
-
-    A = np.vstack(A_rows) if A_rows else np.zeros((0, total))
-    b = np.concatenate(b_vals) if b_vals else np.zeros(0)
 
     cost = np.zeros(total)
     sense = 1.0

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import _kernels
 from .polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, TargetTooSmall,
-                        cheb_to_monomial, monomial_to_cheb, poly_from_index,
-                        sparse_compose, sparse_gradient, sparse_product,
-                        sparse_to_poly, to_sparse, total_degree_dictionary)
+                        cheb_to_monomial, evaluate, monomial_to_cheb,
+                        poly_from_index, sparse_add, sparse_compose,
+                        sparse_gradient, sparse_product, sparse_to_poly,
+                        to_sparse, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 MAP_LYAP_2D = "MapLyap2D"
@@ -45,6 +46,7 @@ _DIMENSION = {
     STOCHASTIC_LOGISTIC: 1,
     CIRCULAR_ORBIT: 2,
 }
+_LIE_VALUE_CHUNK = 1 << 16      # rows per evaluation in exact_lie_values
 
 
 class WrongSystemKind(ValueError):
@@ -146,15 +148,11 @@ def _lie_sparse(spec: SystemSpec, sp: dict) -> dict:
         f = _vector_field_sparse(spec)
         out: dict = {}
         for j in range(spec.dimension):
-            term = sparse_product(MONOMIAL, f[j], sparse_gradient(sp, j))
-            for idx, c in term.items():
-                out[idx] = out.get(idx, 0.0) + c
-        return {k: v for k, v in out.items() if v != 0.0}
+            out = sparse_add(out, sparse_product(f[j], sparse_gradient(sp, j)))
+        return out
     if spec.id == MAP_LYAP_2D:
-        composed = sparse_compose(sp, _map_components_sparse(spec))
-        for idx, c in sp.items():
-            composed[idx] = composed.get(idx, 0.0) - c
-        return {k: v for k, v in composed.items() if v != 0.0}
+        return sparse_add(sparse_compose(sp, _map_components_sparse(spec)),
+                          sp, -1.0)
     # stochastic logistic: E[p(lam x (1-x))] - p(x) with E[lam^k] = 4^k/(k+1)
     base = {(1,): 1.0, (2,): -1.0}
     out = {}
@@ -168,7 +166,7 @@ def _lie_sparse(spec: SystemSpec, sp: dict) -> dict:
                 out[idx] = out.get(idx, 0.0) + c * moment * w
             out[(k,)] = out.get((k,), 0.0) - c
         if k < max_deg:
-            power = sparse_product(MONOMIAL, power, base)
+            power = sparse_product(power, base)
     return {k: v for k, v in out.items() if v != 0.0}
 
 
@@ -232,26 +230,36 @@ def exact_lie_apply(spec: SystemSpec, p: Poly, target: Dictionary) -> Poly:
     return monomial_to_cheb(sparse_to_poly(out, mono), target)
 
 
+def lie_image_degree(spec: SystemSpec, deg: int) -> int:
+    """Degree of the Lie image of a degree-deg polynomial: deg + 2 under the
+    cubic vector fields, 2 deg under the quadratic maps."""
+    return deg + 2 if spec.time_kind == CONTINUOUS else 2 * deg
+
+
+def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
+                     ) -> np.ndarray:
+    """Matrix of the exact generator restricted to span(phi), over psi."""
+    rows = np.zeros((phi.size, psi.size))
+    for j in range(phi.size):
+        rows[j] = exact_lie_apply(spec, poly_from_index(phi, phi.indices[j]),
+                                  psi).coeffs
+    return rows
+
+
 def exact_lie_values(spec: SystemSpec, phi: Dictionary, X: np.ndarray
                      ) -> np.ndarray:
     """Exact Lie derivative of every element of phi evaluated at rows of X;
     returns shape (n, phi.size)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    cols = []
-    for j in range(phi.size):
-        lie = _lie_sparse(spec, to_sparse(
-            cheb_to_monomial(
-                poly_from_index(phi, phi.indices[j]),
-                total_degree_dictionary(MONOMIAL, phi.dimension,
-                                        phi.max_degree))
-            if phi.family == CHEBYSHEV else poly_from_index(phi, phi.indices[j])))
-        if lie:
-            expo = np.array(list(lie.keys()), dtype=np.int64)
-            coeffs = np.array(list(lie.values()))
-            cols.append(coeffs @ _kernels.monomial_eval(X, expo))
-        else:
-            cols.append(np.zeros(X.shape[0]))
-    return np.column_stack(cols)
+    psi = total_degree_dictionary(phi.family, phi.dimension,
+                                  lie_image_degree(spec, phi.max_degree),
+                                  phi.box)
+    lie = exact_lie_matrix(spec, phi, psi)
+    out = np.empty((X.shape[0], phi.size))
+    for start in range(0, X.shape[0], _LIE_VALUE_CHUNK):
+        rows = slice(start, start + _LIE_VALUE_CHUNK)
+        out[rows] = (lie @ evaluate(psi, X[rows])).T
+    return out
 
 
 # -- snapshot sampling ---------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from koopsos.auxfn import (circle_dictionaries, circular_orbit_casestudy,
                            ergodic_bound, exact_lie_matrix, find_lyapunov)
 from koopsos.koopman import fit_edmd, fit_gedmd
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                               poly_from_index, total_degree_dictionary)
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
+                               monomial_to_cheb, poly_from_index,
+                               total_degree_dictionary)
 from koopsos.snapshots import GENERATOR, SnapshotSet, empirical_average
 from koopsos.sos import SemialgebraicSet
 from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
@@ -76,6 +77,19 @@ def test_constant_observable_bounds():
     lo = ergodic_bound("lower", five, lie, psi, phi, domain=domain)
     assert up.bound == pytest.approx(5.0, abs=1e-6)
     assert lo.bound == pytest.approx(5.0, abs=1e-6)
+
+
+def test_observable_box_must_match_phi_box():
+    # g = x written over the box (0, 2) is a different polynomial over (0, 1);
+    # matching its coefficients index by index would bound 2x instead of x
+    spec, phi, psi, _, domain = _logistic_setup(4)
+    box2 = ((0.0, 2.0),)
+    g = monomial_to_cheb(
+        Poly(total_degree_dictionary(MONOMIAL, 1, 2), np.array([0.0, 1.0, 0.0])),
+        total_degree_dictionary(CHEBYSHEV, 1, 2, box2))
+    with pytest.raises(DimensionMismatch):
+        ergodic_bound("upper", g, exact_lie_matrix(spec, phi, psi), psi, phi,
+                      domain=domain)
 
 
 def test_upper_bounds_decrease_with_dictionary_degree():

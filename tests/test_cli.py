@@ -168,6 +168,32 @@ def test_lyapunov_then_verify(tmp_path):
     assert main(["verify", vcfg]) == EXIT_OK
 
 
+def test_lyapunov_map_default_beta(tmp_path):
+    # without a beta the Lie image dictionary has degree 2 * alpha for a map
+    result = str(tmp_path / "lyap.json.out")
+    cfg = _write(tmp_path, "lyap.json", {
+        "system": "MapLyap2D",
+        "sampling": {"mode": "iid_uniform_box", "n": 2000, "seed": 7,
+                     "bounds": [[-2, 2], [-2, 2]]},
+        "dictionaries": {"alpha": 4},
+        "output": {"path": result},
+    })
+    assert main(["lyapunov", cfg]) == EXIT_OK
+    assert json.loads(Path(result).read_text())["epsilon_posterior"] >= 0.99
+
+
+def test_too_small_beta_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "bound.json", {
+        "system": "VanDerPol",
+        "lie_source": "exact",
+        "dictionaries": {"alpha": 4, "beta": 5},
+        "output": {"path": str(tmp_path / "bound.json.out")},
+    })
+    assert main(["bound", cfg]) == EXIT_CONFIG
+    assert "dictionaries.beta" in capsys.readouterr().err
+    assert not (tmp_path / "bound.json.out").exists()
+
+
 def test_reproduce_circle(tmp_path):
     out = str(tmp_path / "circle.csv")
     assert main(["reproduce", "circle", "--out", out]) == EXIT_OK

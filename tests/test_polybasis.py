@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly,
-                               SmallNotContained, TargetTooSmall,
-                               cheb_to_monomial, evaluate, inclusion_matrix,
-                               monomial_to_cheb, pair_product_in,
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
+                               DimensionMismatch, Poly, SmallNotContained,
+                               TargetTooSmall, cheb_to_monomial, evaluate,
+                               inclusion_matrix, monomial_to_cheb,
                                poly_from_index, product_expand,
-                               total_degree_dictionary)
+                               product_tensor, total_degree_dictionary)
 
 BOX1 = ((-1.0, 1.0),)
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
@@ -85,8 +85,39 @@ def test_inclusion_matrix_rejects_missing():
 def test_chebyshev_pair_product_identity():
     # T_1 T_1 = 1/2 T_0 + 1/2 T_2
     dic = total_degree_dictionary(CHEBYSHEV, 1, 2, BOX1)
-    coeffs = pair_product_in(CHEBYSHEV, (1,), (1,), dic)
-    np.testing.assert_allclose(coeffs, [0.5, 0.0, 0.5], atol=1e-15)
+    target = total_degree_dictionary(CHEBYSHEV, 1, 4, BOX1)
+    T = product_tensor(dic, dic, target)
+    np.testing.assert_array_equal(T[:, 1, 1], [0.5, 0.0, 0.5, 0.0, 0.0])
+    # T_0 is the identity of the product
+    np.testing.assert_array_equal(T[:, 0, :], np.eye(5, 3))
+
+
+def test_chebyshev_product_tensor_2d_sign_patterns():
+    dic = total_degree_dictionary(CHEBYSHEV, 2, 2, BOX2)
+    target = total_degree_dictionary(CHEBYSHEV, 2, 4, BOX2)
+    T = product_tensor(dic, dic, target)
+    i, j, k = dic.position((1, 0)), dic.position((0, 1)), dic.position((1, 1))
+    # a zero coordinate adds both sign patterns up to weight 1
+    expected = np.zeros(target.size)
+    expected[target.position((1, 1))] = 1.0
+    np.testing.assert_array_equal(T[:, i, j], expected)
+    # T_(1,1)^2 = (T_(2,2) + T_(2,0) + T_(0,2) + T_(0,0)) / 4
+    expected = np.zeros(target.size)
+    for idx in ((2, 2), (2, 0), (0, 2), (0, 0)):
+        expected[target.position(idx)] = 0.25
+    np.testing.assert_array_equal(T[:, k, k], expected)
+
+
+def test_product_tensor_checks_target_and_spaces():
+    mono = total_degree_dictionary(MONOMIAL, 1, 2)
+    with pytest.raises(TargetTooSmall):
+        product_tensor(mono, mono, mono)
+    cheb = total_degree_dictionary(CHEBYSHEV, 1, 2, BOX1)
+    other_box = total_degree_dictionary(CHEBYSHEV, 1, 4, ((0.0, 2.0),))
+    with pytest.raises(DimensionMismatch):
+        product_tensor(cheb, cheb, other_box)
+    with pytest.raises(DimensionMismatch):
+        product_tensor(cheb, mono, total_degree_dictionary(CHEBYSHEV, 1, 4))
 
 
 def test_product_one_minus_x_squared():
@@ -105,12 +136,24 @@ def test_product_target_too_small():
         product_expand(x, sq, dic)
 
 
+def test_product_expand_ignores_zero_terms_outside_target():
+    # x^2 is in the basis of both factors, but with coefficient 0
+    dic = total_degree_dictionary(MONOMIAL, 1, 2)
+    one = poly_from_index(dic, (0,))
+    x = poly_from_index(dic, (1,))
+    np.testing.assert_array_equal(product_expand(x, one, dic).coeffs,
+                                  x.coeffs)
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_product_evaluation_property(data):
     family = data.draw(st.sampled_from([MONOMIAL, CHEBYSHEV]))
     d = data.draw(st.integers(1, 2))
-    box = ((-1.0, 1.0),) * d if family == CHEBYSHEV else None
+    box = None
+    if family == CHEBYSHEV:
+        box = data.draw(st.sampled_from([((-1.0, 1.0),) * d,
+                                         ((0.0, 2.0), (-3.0, 0.5))[:d]]))
     deg = data.draw(st.integers(0, 3))
     dic = total_degree_dictionary(family, d, deg, box)
     target = total_degree_dictionary(family, d, 2 * deg, box)
@@ -120,7 +163,8 @@ def test_product_evaluation_property(data):
         st.floats(-2, 2), min_size=dic.size, max_size=dic.size)))
     p, q = Poly(dic, cp), Poly(dic, cq)
     prod = product_expand(p, q, target)
-    X = np.random.default_rng(0).uniform(-1, 1, size=(25, d))
+    lo, hi = np.array(box or ((-1.0, 1.0),) * d).T
+    X = np.random.default_rng(0).uniform(lo, hi, size=(25, d))
     np.testing.assert_allclose(prod(X), p(X) * q(X), atol=1e-10, rtol=1e-10)
 
 

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, poly_from_index,
-                               total_degree_dictionary)
+from koopsos import sos
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
+                               norm_squared, poly_from_index, sparse_to_poly,
+                               to_sparse, total_degree_dictionary)
+from koopsos.sdp import svec
 from koopsos.sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
                          _one, auto_bases, certificate_values, compile,
                          gram_values, posterior_verify, solve)
+from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
+                             SystemSpec, exact_lie_matrix)
 
 BOX = ((0.0, 1.0),)
 
@@ -59,7 +64,6 @@ def test_auto_bases_degrees():
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 8, BOX)
     mono = total_degree_dictionary(MONOMIAL, 1, 2)
-    from koopsos.polybasis import monomial_to_cheb
     s = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, -1.0])),
                          total_degree_dictionary(CHEBYSHEV, 1, 2, BOX))
     con = InequalityConstraint(
@@ -80,10 +84,11 @@ def test_auto_bases_degree_zero():
 
 
 def _bound_program(direction="upper"):
+    return compile(_logistic_program(direction))
+
+
+def _logistic_program(direction="upper"):
     """Upper/lower bound program for x over the stochastic-logistic system."""
-    from koopsos.auxfn import exact_lie_matrix
-    from koopsos.polybasis import monomial_to_cheb
-    from koopsos.systems import STOCHASTIC_LOGISTIC, SystemSpec
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 8, BOX)
@@ -98,8 +103,134 @@ def _bound_program(direction="upper"):
         c_const=sign * g, c_scalars={"bound": -sign * _one(phi)},
         domain=SemialgebraicSet((s,)))
     sense = "min" if direction == "upper" else "max"
-    return compile(SosProgram(phi=phi, scalars=("bound",), constraints=[con],
-                              objective=(sense, {"bound": 1.0})))
+    return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
+                      objective=(sense, {"bound": 1.0}))
+
+
+def _vdp_exact_program():
+    """Upper bound on the mean of |x|^2 for Van der Pol, exact Lie, alpha=6."""
+    spec = SystemSpec(VAN_DER_POL)
+    phi = total_degree_dictionary(MONOMIAL, 2, 6)
+    psi = total_degree_dictionary(MONOMIAL, 2, 8)
+    con = InequalityConstraint(
+        phi=phi, b=-1.0 * _one(phi), lie_matrix=exact_lie_matrix(spec, phi, psi),
+        lie_basis=psi, c_const=-1.0 * norm_squared(MONOMIAL, 2),
+        c_scalars={"bound": _one(phi)})
+    return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
+                      objective=("min", {"bound": 1.0}))
+
+
+def _lyapunov_program():
+    """The l1-minimal Lyapunov program of the 2D map, exact Lie, alpha=4."""
+    spec = SystemSpec(MAP_LYAP_2D)
+    phi = total_degree_dictionary(MONOMIAL, 2, 4)
+    psi = total_degree_dictionary(MONOMIAL, 2, 8)
+    neg_n2 = -1.0 * norm_squared(MONOMIAL, 2)
+    cons = [
+        InequalityConstraint(phi=phi, a=_one(phi), c_const=neg_n2),
+        InequalityConstraint(phi=phi, b=-1.0 * _one(phi),
+                             lie_matrix=exact_lie_matrix(spec, phi, psi),
+                             lie_basis=psi, c_const=neg_n2),
+    ]
+    return SosProgram(phi=phi, constraints=cons, objective=("l1_phi",))
+
+
+# -- reference: coefficient matching one basis pair at a time in dicts --------
+
+def _pair_product(family, a, b):
+    """{index: weight} expansion of basis_a * basis_b."""
+    if family == MONOMIAL:
+        return {tuple(x + y for x, y in zip(a, b)): 1.0}
+    # Chebyshev: T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, per coordinate.
+    terms = {(): 1.0}
+    for ai, bi in zip(a, b):
+        new = {}
+        for prefix, coef in terms.items():
+            if ai == 0 or bi == 0:
+                key = prefix + (ai + bi,)
+                new[key] = new.get(key, 0.0) + coef
+            else:
+                for k in (ai + bi, abs(ai - bi)):
+                    key = prefix + (k,)
+                    new[key] = new.get(key, 0.0) + 0.5 * coef
+        terms = new
+    return terms
+
+
+def _dict_product(family, a, b):
+    out = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            for idx, w in _pair_product(family, ia, ib).items():
+                out[idx] = out.get(idx, 0.0) + ca * cb * w
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
+def _dict_match_coefficients(con, prog):
+    """Stand-in for sos._match_coefficients built from dict products."""
+    phi, fam = con.phi, con.phi.family
+    u, v, ws = auto_bases(con)
+    deg_E = max(u.max_degree, 2 * v.max_degree,
+                *[s.basis.max_degree + 2 * w.max_degree
+                  for s, w in zip(con.domain.s_list, ws)] or [0])
+    E = total_degree_dictionary(fam, phi.dimension, deg_E, phi.box)
+
+    def unit(basis, j):
+        return {basis.indices[j]: 1.0}
+
+    def in_E(sp):
+        return sparse_to_poly(sp, E).coeffs
+
+    phi_cols = np.zeros((E.size, phi.size))
+    if con.a is not None:
+        for j in range(phi.size):
+            phi_cols[:, j] += in_E(_dict_product(fam, to_sparse(con.a),
+                                                 unit(phi, j)))
+    if con.b is not None:
+        bpsi = np.array([in_E(_dict_product(fam, to_sparse(con.b),
+                                            unit(con.lie_basis, m)))
+                         for m in range(con.lie_basis.size)])
+        phi_cols += (con.lie_matrix @ bpsi).T
+    const = np.zeros(E.size)
+    if con.c_const is not None:
+        const += in_E(to_sparse(con.c_const))
+    if prog.c_fixed is not None:
+        const += phi_cols @ prog.c_fixed
+    scalar_cols = np.zeros((E.size, len(prog.scalars)))
+    for k, name in enumerate(prog.scalars):
+        if name in con.c_scalars:
+            scalar_cols[:, k] = in_E(to_sparse(con.c_scalars[name]))
+    dec_matrix = (scalar_cols if prog.c_fixed is not None
+                  else np.hstack([phi_cols, scalar_cols]))
+
+    def gram(w, s_sp):
+        G = np.zeros((E.size, w.size, w.size))
+        for jj in range(w.size):
+            for ii in range(jj, w.size):
+                sp = _dict_product(fam, unit(w, ii), unit(w, jj))
+                if s_sp is not None:
+                    sp = _dict_product(fam, s_sp, sp)
+                G[:, ii, jj] = in_E(sp)
+        return svec(G)
+
+    gram_cols = [gram(v, None)] + [gram(w, to_sparse(s)) for w, s
+                                   in zip(ws, con.domain.s_list)]
+    return E, v, ws, dec_matrix, const, gram_cols
+
+
+@pytest.mark.parametrize("make", [_vdp_exact_program, _logistic_program,
+                                  _lyapunov_program],
+                         ids=["vdp_exact_alpha6", "logistic_alpha4",
+                              "lyapunov_l1"])
+def test_compile_matches_dict_reference(make, monkeypatch):
+    prog = make()
+    got = compile(prog).problem
+    monkeypatch.setattr(sos, "_match_coefficients", _dict_match_coefficients)
+    ref = compile(prog).problem
+    assert got.blocks == ref.blocks
+    np.testing.assert_array_equal(got.A, ref.A)
+    np.testing.assert_array_equal(got.b, ref.b)
+    np.testing.assert_array_equal(got.c, ref.c)
 
 
 def test_bound_program_optimum():
@@ -130,8 +261,6 @@ def test_certificate_soundness_on_domain():
 
 def test_constraint_order_stability():
     # the same pair of constraints in either order yields the same optimum
-    from koopsos.auxfn import exact_lie_matrix
-    from koopsos.systems import MAP_LYAP_2D, SystemSpec
     spec = SystemSpec(MAP_LYAP_2D)
     phi = total_degree_dictionary(MONOMIAL, 2, 4)
     psi = total_degree_dictionary(MONOMIAL, 2, 8)
@@ -153,8 +282,6 @@ def test_constraint_order_stability():
 
 def test_posterior_verify_zero_candidate_gets_no_margin():
     # V = 0 satisfies V - eps |x|^2 >= 0 only for eps <= 0
-    from koopsos.auxfn import exact_lie_matrix
-    from koopsos.systems import MAP_LYAP_2D, SystemSpec
     spec = SystemSpec(MAP_LYAP_2D)
     phi = total_degree_dictionary(MONOMIAL, 2, 4)
     psi = total_degree_dictionary(MONOMIAL, 2, 8)

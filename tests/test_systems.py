@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from koopsos import _kernels
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, poly_from_index,
+from koopsos import _kernels, systems
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
+                               evaluate, poly_from_index,
                                total_degree_dictionary)
 from koopsos.snapshots import GENERATOR
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              VAN_DER_POL, StateOutOfDomain, SystemSpec,
                              WrongSystemKind, exact_lie_apply,
-                             exact_lie_values, integrate_ode, make_rng,
+                             exact_lie_matrix, exact_lie_values,
+                             integrate_ode, lie_image_degree, make_rng,
                              sample_snapshots, step_map, step_stochastic)
 
 BOX = ((0.0, 1.0),)
@@ -189,6 +191,46 @@ def test_generator_snapshots_hold_lie_values():
                          snapshot_kind=GENERATOR, phi=phi)
     np.testing.assert_allclose(s.Y, exact_lie_values(spec, phi, s.X),
                                atol=1e-12)
+
+
+def test_logistic_chebyshev_lie_values_quadrature_alpha14():
+    # generator snapshots of the Chebyshev logistic dictionary against a
+    # pointwise Gauss-Legendre quadrature of E[p(lam x (1-x))] - p(x)
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    phi = total_degree_dictionary(CHEBYSHEV, 1, 14, BOX)
+    xs = np.linspace(0.0, 1.0, 257)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    u = 0.5 * (nodes + 1.0)
+    images = (4.0 * np.outer(xs * (1.0 - xs), u)).reshape(-1, 1)
+    vals = evaluate(phi, images).reshape(phi.size, xs.size, u.size)
+    ref = (vals @ (0.5 * weights) - evaluate(phi, xs[:, None])).T
+    got = exact_lie_values(spec, phi, xs[:, None])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+
+
+def test_exact_lie_values_chunks_rows(monkeypatch):
+    spec = SystemSpec(VAN_DER_POL)
+    phi = total_degree_dictionary(MONOMIAL, 2, 3)
+    X = np.random.default_rng(5).uniform(-2, 2, size=(23, 2))
+    whole = exact_lie_values(spec, phi, X)
+    monkeypatch.setattr(systems, "_LIE_VALUE_CHUNK", 5)
+    np.testing.assert_allclose(exact_lie_values(spec, phi, X), whole,
+                               rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("system,family,box", [
+    (VAN_DER_POL, MONOMIAL, None), (CIRCULAR_ORBIT, MONOMIAL, None),
+    (MAP_LYAP_2D, MONOMIAL, None), (STOCHASTIC_LOGISTIC, CHEBYSHEV, BOX)])
+def test_lie_image_degree_is_tight(system, family, box):
+    spec = SystemSpec(system)
+    phi = total_degree_dictionary(family, spec.dimension, 4, box)
+    deg = lie_image_degree(spec, 4)
+    assert deg == (6 if spec.time_kind == "continuous" else 8)
+    exact_lie_matrix(spec, phi, total_degree_dictionary(
+        family, spec.dimension, deg, box))
+    with pytest.raises(TargetTooSmall):
+        exact_lie_matrix(spec, phi, total_degree_dictionary(
+            family, spec.dimension, deg - 1, box))
 
 
 def test_empirical_logistic_mean_between_certified_bounds():
