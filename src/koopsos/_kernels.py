@@ -5,8 +5,15 @@ Python that numba compiles.  When numba is installed, that same source is
 jit-compiled (``njit(cache=True)``); setting the environment variable
 ``KOOPSOS_NO_NUMBA=1`` before import turns the jit off, and the loops then run
 as plain Python.  Either way the floating-point operations are the same, so the
-trajectories are bit-identical.  The dictionary evaluation kernels are
-vectorized numpy and run the same way whether or not numba is present.
+trajectories are bit-identical.
+
+The dictionary evaluation kernels are vectorized numpy and run the same way
+whether or not numba is present.  Each fills one table of shape
+``(max_deg + 1, d, n)`` in place (``np.multiply``/``np.subtract`` with
+``out=``): row ``[k, j]`` holds ``x_j ** k`` or ``T_k(z_j)`` for all n points,
+contiguous.  The output starts as the gather of the first coordinate's rows, a
+fresh C-contiguous ``(n_basis, n)`` array, and the other coordinates' gathers
+are multiplied into it in place.
 """
 
 from __future__ import annotations
@@ -89,20 +96,28 @@ def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
     return _rk4_trajectory(int(kind), x0, float(tau), int(n_steps), float(mu))
 
 
+def _table_product(table: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """prod_j table[expo[:, j], j] as a fresh C-contiguous (n_basis, n) array."""
+    out = table[expo[:, 0], 0]
+    for j in range(1, expo.shape[1]):
+        out *= table[expo[:, j], j]
+    return out
+
+
 def monomial_eval(X: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """Evaluate monomials x^expo at rows of X; returns (n_basis, n_points)."""
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     expo = np.ascontiguousarray(expo, dtype=np.int64)
     n, d = X.shape
     max_deg = int(expo.max()) if expo.size else 0
-    # powers[k][j] = X[:, j] ** k, built once per coordinate
-    pows = np.ones((max_deg + 1, n, d))
-    for k in range(1, max_deg + 1):
-        pows[k] = pows[k - 1] * X
-    out = np.ones((expo.shape[0], n))
-    for j in range(d):
-        out *= pows[expo[:, j], :, j]
-    return out
+    # table[k, j] = X[:, j] ** k, one contiguous row per power and coordinate
+    table = np.empty((max_deg + 1, d, n))
+    table[0] = 1.0
+    if max_deg >= 1:
+        table[1] = X.T
+    for k in range(2, max_deg + 1):
+        np.multiply(table[k - 1], table[1], out=table[k])
+    return _table_product(table, expo)
 
 
 def chebyshev_eval(Z: np.ndarray, expo: np.ndarray) -> np.ndarray:
@@ -111,12 +126,13 @@ def chebyshev_eval(Z: np.ndarray, expo: np.ndarray) -> np.ndarray:
     expo = np.ascontiguousarray(expo, dtype=np.int64)
     n, d = Z.shape
     max_deg = int(expo.max()) if expo.size else 0
-    T = np.ones((max_deg + 1, n, d))
+    # table[k, j] = T_k(Z[:, j]) by T_k = (2 z) T_{k-1} - T_{k-2}
+    table = np.empty((max_deg + 1, d, n))
+    table[0] = 1.0
     if max_deg >= 1:
-        T[1] = Z
+        table[1] = Z.T
+        two_z = 2.0 * table[1]
     for k in range(2, max_deg + 1):
-        T[k] = 2.0 * Z * T[k - 1] - T[k - 2]
-    out = np.ones((expo.shape[0], n))
-    for j in range(d):
-        out *= T[expo[:, j], :, j]
-    return out
+        np.multiply(two_z, table[k - 1], out=table[k])
+        np.subtract(table[k], table[k - 2], out=table[k])
+    return _table_product(table, expo)

@@ -109,6 +109,9 @@ def _dictionaries(cfg, spec: SystemSpec):
         raise ConfigError(f"unknown dictionary family {family!r}")
     alpha = int(sec.get("alpha", 4))
     beta = int(sec.get("beta", lie_image_degree(spec, alpha)))
+    if beta < alpha:
+        raise ConfigError(f"dictionaries.beta ({beta}) is below "
+                          f"dictionaries.alpha ({alpha})")
     box = sec.get("box")
     if box is None and family == CHEBYSHEV:
         box = [[0.0, 1.0]] * spec.dimension

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polybasis import (MONOMIAL, Dictionary, Poly, evaluate, inclusion_matrix)
+from .polybasis import (CHUNK_ROWS, MONOMIAL, Dictionary, Poly, evaluate,
+                        inclusion_matrix)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
-CHUNK_ROWS = 1 << 16
 # singular values below REL_TOL * sigma_max * max(rows, cols) count as zero
 REL_TOL = 1e-12
 

@@ -127,6 +127,11 @@ def total_degree_dictionary(family: str, d: int, deg: int,
     return Dictionary(family, d, tuple(indices), boxed)
 
 
+# Rows per evaluate() call in every streaming pass.  The chunk size sets the
+# grouping of the Kahan-compensated Gram sums, so it is part of the results.
+CHUNK_ROWS = 1 << 16
+
+
 def evaluate(dictionary: Dictionary, x: np.ndarray) -> np.ndarray:
     """Evaluate every basis function at the state(s) x.
 

@@ -347,7 +347,7 @@ def _recover_full(prob: SdpProblem, recover, z_cone, y_red):
     if z_cone is not None:
         z[recover["cone_cols"]] = z_cone
     if recover["free_cols"]:
-        rhs = prob.b - recover["A_k"] @ (z_cone if z_cone is not None else 0.0)
+        rhs = prob.b if z_cone is None else prob.b - recover["A_k"] @ z_cone
         z[recover["free_cols"]] = np.linalg.lstsq(
             recover["A_f"], rhs, rcond=None)[0]
     if y_red is None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polybasis import Poly, evaluate
+from .polybasis import CHUNK_ROWS, Poly, evaluate
 
 KOOPMAN = "koopman"
 GENERATOR = "generator"
@@ -82,9 +82,8 @@ def empirical_average(s: SnapshotSet, g: Poly) -> float:
     if g.basis.dimension != s.d:
         raise SnapshotFormatError("observable dimension does not match states")
     total = 0.0
-    chunk = 1 << 16
-    for start in range(0, s.n, chunk):
-        vals = g.coeffs @ evaluate(g.basis, s.X[start:start + chunk])
+    for start in range(0, s.n, CHUNK_ROWS):
+        vals = g.coeffs @ evaluate(g.basis, s.X[start:start + CHUNK_ROWS])
         total += float(np.sum(vals))
     return total / s.n
 

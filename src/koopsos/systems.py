@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, TargetTooSmall,
-                        cheb_to_monomial, evaluate, monomial_to_cheb,
-                        poly_from_index, sparse_add, sparse_compose,
-                        sparse_gradient, sparse_product, sparse_to_poly,
-                        to_sparse, total_degree_dictionary)
+from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary, Poly,
+                        TargetTooSmall, cheb_to_monomial, evaluate,
+                        monomial_to_cheb, poly_from_index, sparse_add,
+                        sparse_compose, sparse_gradient, sparse_product,
+                        sparse_to_poly, to_sparse, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 MAP_LYAP_2D = "MapLyap2D"
@@ -46,7 +46,6 @@ _DIMENSION = {
     STOCHASTIC_LOGISTIC: 1,
     CIRCULAR_ORBIT: 2,
 }
-_LIE_VALUE_CHUNK = 1 << 16      # rows per evaluation in exact_lie_values
 
 
 class WrongSystemKind(ValueError):
@@ -256,8 +255,8 @@ def exact_lie_values(spec: SystemSpec, phi: Dictionary, X: np.ndarray
                                   phi.box)
     lie = exact_lie_matrix(spec, phi, psi)
     out = np.empty((X.shape[0], phi.size))
-    for start in range(0, X.shape[0], _LIE_VALUE_CHUNK):
-        rows = slice(start, start + _LIE_VALUE_CHUNK)
+    for start in range(0, X.shape[0], CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
         out[rows] = (lie @ evaluate(psi, X[rows])).T
     return out
 

@@ -194,6 +194,18 @@ def test_too_small_beta_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "bound.json.out").exists()
 
 
+def test_beta_below_alpha_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "bound.json", {
+        "system": "VanDerPol",
+        "sampling": {"n": 2000},
+        "dictionaries": {"alpha": 4, "beta": 3},
+        "output": {"path": str(tmp_path / "bound.json.out")},
+    })
+    assert main(["bound", cfg]) == EXIT_CONFIG
+    assert "dictionaries.beta" in capsys.readouterr().err
+    assert not (tmp_path / "bound.json.out").exists()
+
+
 def test_reproduce_circle(tmp_path):
     out = str(tmp_path / "circle.csv")
     assert main(["reproduce", "circle", "--out", out]) == EXIT_OK

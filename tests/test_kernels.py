@@ -1,4 +1,5 @@
-"""Tests that the trajectory kernels match their numpy references."""
+"""Tests that the trajectory and dictionary kernels match their numpy
+references."""
 
 import os
 import subprocess
@@ -41,6 +42,66 @@ def _reference_rk4(kind, x0, tau, n_steps, mu):
         s = s + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = s
     return out
+
+
+# References: the dictionary evaluation kernels as one-shot vectorized numpy,
+# a power or recurrence table of shape (max_deg + 1, n, d) multiplied into a
+# block of ones.  The in-place kernels do the same floating-point operations in
+# the same order, so they must match bit for bit.
+
+def _reference_monomial(X, expo):
+    n, d = X.shape
+    max_deg = int(expo.max()) if expo.size else 0
+    pows = np.ones((max_deg + 1, n, d))
+    for k in range(1, max_deg + 1):
+        pows[k] = pows[k - 1] * X
+    out = np.ones((expo.shape[0], n))
+    for j in range(d):
+        out *= pows[expo[:, j], :, j]
+    return out
+
+
+def _reference_chebyshev(Z, expo):
+    n, d = Z.shape
+    max_deg = int(expo.max()) if expo.size else 0
+    T = np.ones((max_deg + 1, n, d))
+    if max_deg >= 1:
+        T[1] = Z
+    for k in range(2, max_deg + 1):
+        T[k] = 2.0 * Z * T[k - 1] - T[k - 2]
+    out = np.ones((expo.shape[0], n))
+    for j in range(d):
+        out *= T[expo[:, j], :, j]
+    return out
+
+
+def _eval_cases():
+    """(points, exponents) pairs: d in {1, 2, 3}, rows out of order and
+    repeated, max_deg 0, 1, 2 and 9, and a single point."""
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        for max_deg in (0, 1, 2, 9):
+            expo = rng.integers(0, max_deg + 1, size=(12, d))
+            expo[-1] = expo[0]          # a repeated row
+            expo[0, 0] = max_deg        # the top degree is always present
+            for n in (1, 257):
+                yield rng.uniform(-1.0, 1.0, size=(n, d)), expo
+
+
+def _check_against_reference(kernel, reference):
+    for X, expo in _eval_cases():
+        got = kernel(X, expo)
+        np.testing.assert_array_equal(got, reference(X, expo))
+        assert got.shape == (expo.shape[0], X.shape[0])
+        assert got.flags.c_contiguous
+
+
+def test_monomial_eval_matches_reference():
+    _check_against_reference(_kernels.monomial_eval, _reference_monomial)
+
+
+def test_chebyshev_eval_matches_reference():
+    _check_against_reference(_kernels.chebyshev_eval, _reference_chebyshev)
 
 
 def test_logistic_trajectory_matches_reference():

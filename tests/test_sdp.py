@@ -256,7 +256,9 @@ def test_never_optimal_without_meeting_tolerance():
     ([(PSD, 2)], svec(np.eye(2)), np.zeros((0, 3)), [], [0.0, 0.0, 0.0]),
     # the free column absorbs the only row, leaving no conic equality
     ([(FREE, 1), (NONNEG, 1)], [0.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 0.0]),
-], ids=["nonneg", "psd", "free-eliminated"])
+    # no conic block at all: the least-norm free point is returned
+    ([(FREE, 2)], [0.0, 0.0], [[1.0, 1.0]], [1.0], [0.5, 0.5]),
+], ids=["nonneg", "psd", "free-eliminated", "free-only"])
 def test_no_equality_rows_after_reduction(blocks, c, A, b, z_opt):
     prob = SdpProblem(blocks, np.array(c), np.array(A), np.array(b))
     sol = solve(prob)

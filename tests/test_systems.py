@@ -213,7 +213,7 @@ def test_exact_lie_values_chunks_rows(monkeypatch):
     phi = total_degree_dictionary(MONOMIAL, 2, 3)
     X = np.random.default_rng(5).uniform(-2, 2, size=(23, 2))
     whole = exact_lie_values(spec, phi, X)
-    monkeypatch.setattr(systems, "_LIE_VALUE_CHUNK", 5)
+    monkeypatch.setattr(systems, "CHUNK_ROWS", 5)
     np.testing.assert_allclose(exact_lie_values(spec, phi, X), whole,
                                rtol=1e-14, atol=1e-14)
 
