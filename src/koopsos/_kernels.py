@@ -13,7 +13,10 @@ whether or not numba is present.  Each fills one table of shape
 ``out=``): row ``[k, j]`` holds ``x_j ** k`` or ``T_k(z_j)`` for all n points,
 contiguous.  The output starts as the gather of the first coordinate's rows, a
 fresh C-contiguous ``(n_basis, n)`` array, and the other coordinates' gathers
-are multiplied into it in place.
+are multiplied into it in place.  When d = 1 and the exponents are 0..max_deg
+in order (every 1-D total-degree dictionary), that gather would copy the table
+row for row, so the table itself, which is fresh and C-contiguous at d = 1, is
+returned instead.
 """
 
 from __future__ import annotations
@@ -98,6 +101,10 @@ def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
 
 def _table_product(table: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """prod_j table[expo[:, j], j] as a fresh C-contiguous (n_basis, n) array."""
+    if expo.shape[1] == 1 and np.array_equal(expo[:, 0],
+                                             np.arange(table.shape[0])):
+        # d = 1 with exponents 0..max_deg in order: the table is the output
+        return table[:, 0]
     out = table[expo[:, 0], 0]
     for j in range(1, expo.shape[1]):
         out *= table[expo[:, j], j]

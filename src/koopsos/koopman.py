@@ -4,7 +4,12 @@ Operators are built in normal-equations form, K = (Phi Psi^T)(Psi Psi^T)^+,
 so only m-by-m Gram matrices are held in memory regardless of the number of
 snapshots.  Gram accumulation streams over fixed-size row chunks with Kahan
 compensated summation, which keeps results reproducible and accurate for runs
-with up to 1e7 rows.
+with up to 1e7 rows.  Only one chunk's dictionary values are alive at a time.
+
+Snapshots sampled along one trajectory have y_i bitwise equal to x_{i+1}.
+``moment_matrices`` checks that property of the data and then evaluates each
+state once: phi(y) is read from the psi values of the next state, since phi
+is contained in psi.  The results are bit-identical to evaluating phi at y.
 """
 
 from __future__ import annotations
@@ -178,6 +183,14 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     B = avg psi(x) psi(x)^T always; koopman data adds A^tau = avg
     phi(y) psi(x)^T and D^tau = (A^tau - Theta B) / tau; generator data adds
     C = avg y psi(x)^T.
+
+    When the koopman snapshots are one trajectory (y_i is bitwise x_{i+1}),
+    each row is evaluated once: psi is evaluated on a chunk's rows plus the
+    next state, and phi(y) is read from the phi rows of that table shifted by
+    one column (phi is contained in psi, so its values there are the same
+    bits).  Other data evaluate psi at x and phi at y.  Only one chunk's
+    values are alive at a time: they are released before the next chunk is
+    evaluated.
     """
     theta = inclusion_matrix(phi, psi)
     if phi.dimension != s.d:
@@ -185,15 +198,33 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     koopman = s.kind == KOOPMAN
     if not koopman and s.q != phi.size:
         raise ValueError("generator snapshot y-dimension must equal phi size")
+    # one trajectory: y_i is bitwise x_{i+1}, compared as int64 bit patterns
+    # because a float compare would take -0.0 for +0.0
+    trajectory = koopman and np.array_equal(s.Y[:-1].view(np.int64),
+                                            s.X[1:].view(np.int64))
+    if trajectory:
+        # positions of phi's elements in psi: a slice when phi is a prefix
+        at = theta.argmax(axis=1)
+        if np.array_equal(at, np.arange(phi.size)):
+            at = slice(0, phi.size)
     acc_b = _KahanAccumulator((psi.size, psi.size))
     acc_a = _KahanAccumulator((phi.size, psi.size))
     for start in range(0, s.n, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        Psi = evaluate(psi, s.X[rows])
+        stop = min(start + CHUNK_ROWS, s.n)
+        if trajectory:
+            # x_start .. x_stop, where x_n is y_{n-1}
+            Psi = evaluate(psi, s.X[start:stop + 1] if stop < s.n
+                           else np.concatenate((s.X[start:], s.Y[-1:])))
+            Phi = Psi[at, 1:]
+            Psi = Psi[:, :-1]
+        else:
+            Psi = evaluate(psi, s.X[start:stop])
+            Phi = (evaluate(phi, s.Y[start:stop]) if koopman
+                   else s.Y[start:stop].T)
         acc_b.add(Psi @ Psi.T)
-        # phi(y) stays a temporary so no chunk of it outlives its product
-        acc_a.add((evaluate(phi, s.Y[rows]) if koopman else s.Y[rows].T)
-                  @ Psi.T)
+        acc_a.add(Phi @ Psi.T)
+        # free this chunk before the next evaluate allocates its own
+        del Psi, Phi
     B, A = acc_b.total / s.n, acc_a.total / s.n
     if koopman:
         D = (A - theta @ B) / s.tau

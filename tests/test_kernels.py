@@ -77,15 +77,19 @@ def _reference_chebyshev(Z, expo):
 
 def _eval_cases():
     """(points, exponents) pairs: d in {1, 2, 3}, rows out of order and
-    repeated, max_deg 0, 1, 2 and 9, and a single point."""
+    repeated, max_deg 0, 1, 2 and 9, and a single point; at d = 1 also the
+    exponents 0..max_deg in order, which return the power table itself."""
     rng = np.random.default_rng(3)
     for d in (1, 2, 3):
         for max_deg in (0, 1, 2, 9):
             expo = rng.integers(0, max_deg + 1, size=(12, d))
             expo[-1] = expo[0]          # a repeated row
             expo[0, 0] = max_deg        # the top degree is always present
+            in_order = np.arange(max_deg + 1)[:, None]
             for n in (1, 257):
                 yield rng.uniform(-1.0, 1.0, size=(n, d)), expo
+                if d == 1:
+                    yield rng.uniform(-1.0, 1.0, size=(n, d)), in_order
 
 
 def _check_against_reference(kernel, reference):
@@ -94,6 +98,7 @@ def _check_against_reference(kernel, reference):
         np.testing.assert_array_equal(got, reference(X, expo))
         assert got.shape == (expo.shape[0], X.shape[0])
         assert got.flags.c_contiguous
+        assert not np.shares_memory(got, X)
 
 
 def test_monomial_eval_matches_reference():

@@ -5,15 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from koopsos import koopman
 from koopsos.koopman import (analytic_circle_moments, apply_lie,
                              circle_moment, convergence_study,
                              divergence_indicator, fit_edmd, fit_gedmd,
                              loglog_slope, moment_matrices, pinv)
-from koopsos.polybasis import (MONOMIAL, Poly, evaluate, inclusion_matrix,
-                               total_degree_dictionary)
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, evaluate,
+                               inclusion_matrix, total_degree_dictionary)
 from koopsos.snapshots import GENERATOR, KOOPMAN, SnapshotSet
-from koopsos.systems import (CIRCULAR_ORBIT, STOCHASTIC_LOGISTIC, VAN_DER_POL,
-                             SystemSpec, exact_lie_values, make_rng,
+from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
+                             VAN_DER_POL, SystemSpec, exact_lie_values, make_rng,
                              sample_snapshots)
 from koopsos.auxfn import exact_lie_matrix
 
@@ -160,6 +161,107 @@ def test_fit_invariant_under_row_reorder_and_duplication():
 
 
 # -- circle moments ------------------------------------------------------------
+
+# -- trajectory moments ---------------------------------------------------------
+
+def _reference_moments(s, phi, psi):
+    """The two-evaluation moment pass: psi at every x and phi at every y,
+    chunked by koopman.CHUNK_ROWS and Kahan-summed like moment_matrices."""
+    theta = inclusion_matrix(phi, psi)
+    acc_b = koopman._KahanAccumulator((psi.size, psi.size))
+    acc_a = koopman._KahanAccumulator((phi.size, psi.size))
+    for start in range(0, s.n, koopman.CHUNK_ROWS):
+        rows = slice(start, start + koopman.CHUNK_ROWS)
+        Psi = evaluate(psi, s.X[rows])
+        acc_b.add(Psi @ Psi.T)
+        acc_a.add(evaluate(phi, s.Y[rows]) @ Psi.T)
+    B, A = acc_b.total / s.n, acc_a.total / s.n
+    return B, A, (A - theta @ B) / s.tau
+
+
+def _trajectory_cases(n):
+    """(snapshots, phi, psi): logistic Chebyshev (d=1), Van der Pol monomial
+    (d=2), MapLyap2D, and a phi contained in psi but not a prefix of it."""
+    box = ((0.0, 1.0),)
+    logistic = sample_snapshots(SystemSpec(STOCHASTIC_LOGISTIC), "trajectory",
+                                1.0, n, rng=make_rng(0))
+    yield (logistic, total_degree_dictionary(CHEBYSHEV, 1, 3, box),
+           total_degree_dictionary(CHEBYSHEV, 1, 6, box))
+    vdp = sample_snapshots(SystemSpec(VAN_DER_POL), "trajectory", 1e-2, n,
+                           x0=(0.1, 0.2))
+    mono2, mono4 = (total_degree_dictionary(MONOMIAL, 2, a) for a in (2, 4))
+    yield vdp, mono2, mono4
+    yield (sample_snapshots(SystemSpec(MAP_LYAP_2D), "trajectory", 1.0, n),
+           mono2, mono4)
+    gaps = Dictionary(MONOMIAL, 2, tuple(mono4.indices[i] for i in (0, 2, 5, 9)))
+    yield vdp, gaps, mono4
+
+
+def _edited(s, edit):
+    """A copy of s whose X and Y arrays ``edit(X, Y)`` has changed in place."""
+    X, Y = s.X.copy(), s.Y.copy()
+    edit(X, Y)
+    return SnapshotSet(t=s.t, X=X, Y=Y, tau=s.tau, kind=s.kind)
+
+
+def _ulp_up(row):
+    """Move y_row up by 1 ulp, off the trajectory."""
+    def edit(X, Y):
+        Y[row, 0] = np.nextafter(Y[row, 0], np.inf)
+    return edit
+
+
+def _signed_zero(row):
+    """x_{row+1} = +0.0 and y_row = -0.0: equal as floats, not as bits."""
+    def edit(X, Y):
+        X[row + 1, 0], Y[row, 0] = 0.0, -0.0
+    return edit
+
+
+def _evaluated(monkeypatch):
+    """Record every dictionary that moment_matrices evaluates."""
+    seen = []
+    inner = koopman.evaluate
+
+    def spy(dictionary, x):
+        seen.append(dictionary)
+        return inner(dictionary, x)
+    monkeypatch.setattr(koopman, "evaluate", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 50])
+def test_trajectory_moments_match_reference(monkeypatch, n):
+    # chunks of 7 rows: n=7 is an exact multiple, n=8 leaves a 1-row last
+    # chunk and n=1 is a single row
+    monkeypatch.setattr(koopman, "CHUNK_ROWS", 7)
+    for s, phi, psi in _trajectory_cases(n):
+        variants = [s]
+        if n > 1:
+            variants += [_edited(s, _ulp_up(n // 2)),
+                         _edited(s, _signed_zero(n // 2))]
+        for data in variants:
+            mm = moment_matrices(data, phi, psi)
+            B, A, D = _reference_moments(data, phi, psi)
+            np.testing.assert_array_equal(mm.B, B)
+            np.testing.assert_array_equal(mm.A_tau, A)
+            np.testing.assert_array_equal(mm.D_tau, D)
+
+
+def test_trajectory_moments_never_evaluate_phi(monkeypatch):
+    monkeypatch.setattr(koopman, "CHUNK_ROWS", 7)
+    seen = _evaluated(monkeypatch)
+    for s, phi, psi in _trajectory_cases(30):
+        seen.clear()
+        fit_edmd(s, phi, psi)
+        assert seen and all(d == psi for d in seen)
+        # off the trajectory by 1 ulp or by the sign of a zero: phi is
+        # evaluated at y again
+        for edit in (_ulp_up(3), _signed_zero(3)):
+            seen.clear()
+            fit_edmd(_edited(s, edit), phi, psi)
+            assert phi in seen
+
 
 def test_circle_moment_wallis_vs_quadrature():
     thetas = np.linspace(0.0, 2 * np.pi, 20001)[:-1]
