@@ -11,12 +11,14 @@ The dictionary evaluation kernels are vectorized numpy and run the same way
 whether or not numba is present.  Each fills one table of shape
 ``(max_deg + 1, d, n)`` in place (``np.multiply``/``np.subtract`` with
 ``out=``): row ``[k, j]`` holds ``x_j ** k`` or ``T_k(z_j)`` for all n points,
-contiguous.  The output starts as the gather of the first coordinate's rows, a
-fresh C-contiguous ``(n_basis, n)`` array, and the other coordinates' gathers
-are multiplied into it in place.  When d = 1 and the exponents are 0..max_deg
-in order (every 1-D total-degree dictionary), that gather would copy the table
-row for row, so the table itself, which is fresh and C-contiguous at d = 1, is
-returned instead.
+contiguous.  For d >= 2 the output is one fresh C-contiguous ``(n_basis, n)``
+array, filled row by row: each basis row is the product of its first two
+coordinates' table rows (``np.multiply`` with ``out=``), and the rows of any
+further coordinates are multiplied into it in place, so no ``(n_basis, n)``
+gather or temporary is made.  For d = 1 the output is the gather of the
+table's rows; when the exponents are 0..max_deg in order (every 1-D
+total-degree dictionary), that gather would copy the table row for row, so the
+table itself, which is fresh and C-contiguous at d = 1, is returned instead.
 """
 
 from __future__ import annotations
@@ -101,13 +103,17 @@ def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
 
 def _table_product(table: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """prod_j table[expo[:, j], j] as a fresh C-contiguous (n_basis, n) array."""
-    if expo.shape[1] == 1 and np.array_equal(expo[:, 0],
-                                             np.arange(table.shape[0])):
-        # d = 1 with exponents 0..max_deg in order: the table is the output
-        return table[:, 0]
-    out = table[expo[:, 0], 0]
-    for j in range(1, expo.shape[1]):
-        out *= table[expo[:, j], j]
+    n_basis, d = expo.shape
+    if d == 1:
+        if np.array_equal(expo[:, 0], np.arange(table.shape[0])):
+            # exponents 0..max_deg in order: the table is the output
+            return table[:, 0]
+        return table[expo[:, 0], 0]
+    out = np.empty((n_basis, table.shape[2]))
+    for row, e in zip(out, expo.tolist()):
+        np.multiply(table[e[0], 0], table[e[1], 1], out=row)
+        for j in range(2, d):
+            row *= table[e[j], j]
     return out
 
 

@@ -127,9 +127,12 @@ def _sample(cfg, spec: SystemSpec, kind: str = KOOPMAN, phi=None):
     tau = float(sec.get("tau", 1.0 if spec.time_kind == "discrete" else 1e-3))
     n = int(sec.get("n", 10_000))
     seed = int(sec.get("seed", 0))
-    return sample_snapshots(spec, mode, tau, n, rng=make_rng(seed),
-                            snapshot_kind=kind, x0=sec.get("x0"),
-                            bounds=sec.get("bounds"), phi=phi, seed=seed)
+    try:
+        return sample_snapshots(spec, mode, tau, n, rng=make_rng(seed),
+                                snapshot_kind=kind, x0=sec.get("x0"),
+                                bounds=sec.get("bounds"), phi=phi, seed=seed)
+    except ValueError as exc:  # SnapshotFormatError is a ValueError
+        raise ConfigError(f"sampling: {exc}") from None
 
 
 def _observable(name: str, spec: SystemSpec, family, box) -> Poly:
@@ -256,9 +259,18 @@ def cmd_verify(cfg) -> int:
     if result_path is None:
         raise ConfigError("verify requires output.path pointing at a "
                           "lyapunov result JSON")
-    data = json.loads(Path(result_path).read_text())
+    try:
+        data = json.loads(Path(result_path).read_text())
+    except json.JSONDecodeError:
+        data = None
     phi, psi = _dictionaries(cfg, spec)
-    coeffs = np.array(data["V_coeffs"], dtype=float)
+    coeffs = data.get("V_coeffs") if isinstance(data, dict) else None
+    if coeffs is not None:
+        coeffs = np.array(coeffs, dtype=float)
+    if coeffs is None or coeffs.shape != (phi.size,):
+        raise ConfigError(f"output.path {result_path} holds no V_coeffs of "
+                          f"length {phi.size}, the size of the config's phi "
+                          f"dictionary")
     report = posterior_verify(Poly(phi, coeffs),
                               exact_lie_matrix(spec, phi, psi), psi)
     eps = report.get("epsilon")

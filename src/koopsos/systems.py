@@ -273,7 +273,8 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
     Modes: ``trajectory`` (iterate from x0), ``iid_uniform_box`` (x_i uniform
     in bounds), ``limit_cycle`` (x_i on the unit circle at angles i*tau,
     CircularOrbit only).  For ``generator`` kind the y rows hold exact Lie
-    derivative values of each element of phi at x_i.
+    derivative values of each element of phi at x_i.  A given x0 must hold
+    ``spec.dimension`` numbers; a wrong one raises ``ValueError``.
     """
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
@@ -281,6 +282,10 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
         raise ValueError(f"unknown snapshot kind {snapshot_kind!r}")
     if snapshot_kind == GENERATOR and phi is None:
         raise ValueError("generator snapshots require a phi dictionary")
+    start = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    if start is not None and start.shape != (spec.dimension,):
+        raise ValueError(f"x0 must hold {spec.dimension} numbers for "
+                         f"{spec.id}, got {x0!r}")
 
     if mode == "limit_cycle":
         if spec.id != CIRCULAR_ORBIT:
@@ -291,19 +296,19 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
         Y = np.column_stack([np.cos(angles + tau), np.sin(angles + tau)])
     elif mode == "trajectory":
         if spec.id == STOCHASTIC_LOGISTIC:
-            start = 0.51 if x0 is None else float(x0)
+            start = 0.51 if start is None else float(start[0])
             states = _kernels.logistic_trajectory(start, rng.uniform(0.0, 4.0, n))
             t = np.arange(n, dtype=float)
             X = states[:n, None]
             Y = states[1:, None]
         elif spec.time_kind == CONTINUOUS:
-            start = np.array([0.1, 0.2]) if x0 is None else np.asarray(x0, float)
+            start = np.array([0.1, 0.2]) if start is None else start
             states = integrate_ode(spec, start, tau, n)
             t = tau * np.arange(n)
             X = states[:n]
             Y = states[1:]
         else:
-            start = np.array([1.0, 0.0]) if x0 is None else np.asarray(x0, float)
+            start = np.array([1.0, 0.0]) if start is None else start
             X = np.empty((n, 2))
             Y = np.empty((n, 2))
             s = start

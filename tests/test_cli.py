@@ -168,6 +168,48 @@ def test_lyapunov_then_verify(tmp_path):
     assert main(["verify", vcfg]) == EXIT_OK
 
 
+@pytest.mark.parametrize("sampling, message", [
+    ({"mode": "foo"}, "unknown sampling mode"),
+    ({"n": 0}, "nonempty"),
+    ({"tau": -1}, "tau must be positive"),
+    ({"mode": "iid_uniform_box"}, "requires bounds"),
+    ({"x0": [1, 2, 3]}, "x0 must hold 2 numbers"),
+    ({"x0": [1]}, "x0 must hold 2 numbers"),
+], ids=["mode", "n", "tau", "bounds", "x0-long", "x0-short"])
+def test_sampling_error_is_config_error(tmp_path, capsys, sampling, message):
+    cfg = _write(tmp_path, "bound.json", {
+        "system": "VanDerPol",
+        "sampling": {"n": 200, **sampling},
+        "dictionaries": {"alpha": 2},
+        "lie_source": "edmd",
+        "output": {"path": str(tmp_path / "bound.json.out")},
+    })
+    assert main(["bound", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: sampling:" in err and message in err
+    assert not (tmp_path / "bound.json.out").exists()
+
+
+@pytest.mark.parametrize("result", [
+    {"feasible": False, "V_coeffs": None},   # what an infeasible run writes
+    {"feasible": True},
+    {"feasible": True, "V_coeffs": [1.0] * 14},
+    "not json",
+], ids=["null", "missing", "wrong-length", "not-json"])
+def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
+    path = str(tmp_path / "lyap.json.out")
+    Path(path).write_text(result if isinstance(result, str)
+                          else json.dumps(result))
+    vcfg = _write(tmp_path, "verify.json", {
+        "system": "MapLyap2D",
+        "dictionaries": {"alpha": 4, "beta": 8},
+        "output": {"path": path},
+    })
+    assert main(["verify", vcfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"output.path {path}" in err and "length 15" in err
+
+
 def test_lyapunov_map_default_beta(tmp_path):
     # without a beta the Lie image dictionary has degree 2 * alpha for a map
     result = str(tmp_path / "lyap.json.out")

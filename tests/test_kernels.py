@@ -4,11 +4,13 @@ references."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from koopsos import _kernels
+from koopsos.polybasis import MONOMIAL, total_degree_dictionary
 
 
 # References: the vectorized RK4 step and the logistic recurrence, written with
@@ -107,6 +109,30 @@ def test_monomial_eval_matches_reference():
 
 def test_chebyshev_eval_matches_reference():
     _check_against_reference(_kernels.chebyshev_eval, _reference_chebyshev)
+
+
+@pytest.mark.parametrize("kernel, reference",
+                         [(_kernels.monomial_eval, _reference_monomial),
+                          (_kernels.chebyshev_eval, _reference_chebyshev)],
+                         ids=["monomial", "chebyshev"])
+def test_product_kernel_allocates_only_output_and_table(kernel, reference):
+    # the full grlex total-degree-12 dictionary in d = 2 (91 rows), the psi of
+    # the largest Van der Pol fit: the traced peak may hold the output and the
+    # power table, but no second (n_basis, n) array
+    max_deg, n = 12, 4096
+    dictionary = total_degree_dictionary(MONOMIAL, 2, max_deg)
+    expo = np.array(dictionary.indices, dtype=np.int64)
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+    tracemalloc.start()
+    try:
+        got = kernel(X, expo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, reference(X, expo))
+    assert got.shape == (91, n)
+    table_bytes = (max_deg + 1) * 2 * n * X.itemsize
+    assert peak <= 1.1 * (got.nbytes + table_bytes)
 
 
 def test_logistic_trajectory_matches_reference():

@@ -89,6 +89,25 @@ def test_sample_snapshots_deterministic():
     assert s1 == s2
 
 
+@pytest.mark.parametrize("system, x0", [
+    (VAN_DER_POL, (1.0, 2.0, 3.0)),     # used to be cut to (1, 2) silently
+    (VAN_DER_POL, (1.0,)),              # used to die inside the RK4 kernel
+    (MAP_LYAP_2D, (1.0,)),
+    (STOCHASTIC_LOGISTIC, (0.5, 0.5)),
+])
+def test_sample_snapshots_rejects_wrong_length_x0(system, x0):
+    with pytest.raises(ValueError, match="x0 must hold"):
+        sample_snapshots(SystemSpec(system), "trajectory", 1e-3, 10, x0=x0)
+
+
+def test_sample_snapshots_logistic_x0_scalar_or_one_entry():
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    runs = [sample_snapshots(spec, "trajectory", 1.0, 50, rng=make_rng(2),
+                             x0=x0) for x0 in (0.3, [0.3])]
+    assert runs[0] == runs[1]
+    assert runs[0].X[0, 0] == 0.3
+
+
 def test_sample_iid_box_bounds():
     spec = SystemSpec(MAP_LYAP_2D)
     s = sample_snapshots(spec, "iid_uniform_box", 1.0, 200, rng=make_rng(1),
