@@ -5,7 +5,9 @@ Every command is driven by a JSON config file validated against a strict
 schema (unknown keys are rejected), and every JSON output embeds the config
 hash and library version so results are traceable to their inputs.
 
-Exit codes: 0 success, 1 solver did not reach Optimal, 2 config error.
+Exit codes: 0 success, 1 solver did not reach Optimal, 2 config error: a bad
+file, key, name, number, degree, box or sampling setting, or a verify result
+without usable V_coeffs; numbers, degrees and boxes fail before sampling.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +30,8 @@ from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
                         total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
 from .sos import SemialgebraicSet, posterior_verify
-from .systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
-                      SystemSpec, exact_lie_matrix, lie_image_degree,
-                      make_rng, sample_snapshots)
+from .systems import (STOCHASTIC_LOGISTIC, SystemSpec, exact_lie_matrix,
+                      lie_image_degree, make_rng, sample_snapshots)
 
 EXIT_OK = 0
 EXIT_NONOPTIMAL = 1
@@ -94,6 +96,17 @@ def _load_config(path: str, overrides) -> dict:
     return cfg
 
 
+def _number(cfg, key: str, default, kind):
+    """Parse config value ``key`` (``section.name``) with ``kind``."""
+    section, name = key.split(".")
+    value = cfg.get(section, {}).get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {kind.__name__}, "
+                          f"got {value!r}") from None
+
+
 def _system(cfg) -> SystemSpec:
     try:
         return SystemSpec(cfg["system"])
@@ -107,26 +120,30 @@ def _dictionaries(cfg, spec: SystemSpec):
                      CHEBYSHEV if spec.id == STOCHASTIC_LOGISTIC else MONOMIAL)
     if family not in (MONOMIAL, CHEBYSHEV):
         raise ConfigError(f"unknown dictionary family {family!r}")
-    alpha = int(sec.get("alpha", 4))
-    beta = int(sec.get("beta", lie_image_degree(spec, alpha)))
+    alpha = _number(cfg, "dictionaries.alpha", 4, int)
+    beta = _number(cfg, "dictionaries.beta", lie_image_degree(spec, alpha), int)
     if beta < alpha:
         raise ConfigError(f"dictionaries.beta ({beta}) is below "
                           f"dictionaries.alpha ({alpha})")
     box = sec.get("box")
     if box is None and family == CHEBYSHEV:
         box = [[0.0, 1.0]] * spec.dimension
-    box = tuple(tuple(map(float, b)) for b in box) if box else None
-    phi = total_degree_dictionary(family, spec.dimension, alpha, box)
-    psi = total_degree_dictionary(family, spec.dimension, beta, box)
+    try:  # a negative degree or a bad box
+        phi = total_degree_dictionary(family, spec.dimension, alpha,
+                                      box or None)
+        psi = total_degree_dictionary(family, spec.dimension, beta, box or None)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dictionaries: {exc}") from None
     return phi, psi
 
 
 def _sample(cfg, spec: SystemSpec, kind: str = KOOPMAN, phi=None):
     sec = cfg.get("sampling", {})
     mode = sec.get("mode", "trajectory")
-    tau = float(sec.get("tau", 1.0 if spec.time_kind == "discrete" else 1e-3))
-    n = int(sec.get("n", 10_000))
-    seed = int(sec.get("seed", 0))
+    tau = _number(cfg, "sampling.tau",
+                  1.0 if spec.time_kind == "discrete" else 1e-3, float)
+    n = _number(cfg, "sampling.n", 10_000, int)
+    seed = _number(cfg, "sampling.seed", 0, int)
     try:
         return sample_snapshots(spec, mode, tau, n, rng=make_rng(seed),
                                 snapshot_kind=kind, x0=sec.get("x0"),
@@ -188,23 +205,47 @@ def cmd_simulate(cfg) -> int:
     return EXIT_OK
 
 
-def _fit_data(cfg, spec, source: str, phi, psi):
-    """Sample snapshots for a data-driven lie source and fit its operators."""
+def _fit_data(cfg, spec, source: str, phi, psi, data):
+    """Fit a data-driven lie source to ``data``, or to snapshots sampled here
+    when None; gEDMD snapshots depend on phi and are always sampled here."""
     if source == "gedmd":
         return fit_gedmd(_sample(cfg, spec, kind=GENERATOR, phi=phi), phi, psi)
-    return fit_edmd(_sample(cfg, spec), phi, psi)
+    return fit_edmd(_sample(cfg, spec) if data is None else data, phi, psi)
 
 
-def _fit_operators(cfg, spec):
+def _fit_operators(cfg, spec, data):
+    """phi, psi, the Lie matrix, its source and the solver options of a
+    config, all parsed before any sampling; ``data`` as in ``_fit_data``."""
     phi, psi = _dictionaries(cfg, spec)
     source = cfg.get("lie_source", "edmd")
-    tol = float(cfg.get("solver", {}).get("tol", 1e-8))
+    solver = {"tol": _number(cfg, "solver.tol", 1e-8, float),
+              "max_iter": _number(cfg, "solver.max_iter", 200, int)}
     if source == "exact":
-        return phi, psi, exact_lie_matrix(spec, phi, psi), source, tol
+        return phi, psi, exact_lie_matrix(spec, phi, psi), source, solver
     if source not in _DATA_SOURCES:
         raise ConfigError(f"unknown lie_source {cfg['lie_source']!r}")
-    ops = _fit_data(cfg, spec, source, phi, psi)
-    return phi, psi, ops.G if source == "gedmd" else ops.L, source, tol
+    ops = _fit_data(cfg, spec, source, phi, psi, data)
+    return phi, psi, ops.G if source == "gedmd" else ops.L, source, solver
+
+
+def _bound_problem(cfg, spec, phi):
+    """The observable g and the domain of a bound config."""
+    default_obs = "state" if spec.dimension == 1 else "energy"
+    default_dom = ("unit_interval" if spec.id == STOCHASTIC_LOGISTIC
+                   else "none")
+    g = _observable(cfg.get("observable", default_obs), spec, phi.family,
+                    phi.box)
+    domain = _domain(cfg.get("domain", default_dom), spec, phi.family, phi.box)
+    return g, domain
+
+
+def _lyapunov(cfg):
+    """phi and the exact-checked Lyapunov search of a config."""
+    spec = _system(cfg)
+    phi, psi, lie, _, solver = _fit_operators(cfg, spec, None)
+    posterior = exact_lie_matrix(spec, phi, psi)
+    return phi, find_lyapunov(lie, psi, phi, posterior_lie=posterior,
+                              tol=solver["tol"])
 
 
 def cmd_fit(cfg) -> int:
@@ -213,7 +254,7 @@ def cmd_fit(cfg) -> int:
     source = cfg.get("lie_source", "edmd")
     if source not in _DATA_SOURCES:
         raise ConfigError("fit requires lie_source edmd or gedmd")
-    ops = _fit_data(cfg, spec, source, phi, psi)
+    ops = _fit_data(cfg, spec, source, phi, psi, None)
     path = _write_json(cfg, json.loads(ops.to_json()), "operators.json")
     print(f"wrote fitted operators to {path}")
     return EXIT_OK
@@ -224,26 +265,17 @@ def cmd_bound(cfg) -> int:
     task = cfg.get("task", "upper")
     if task not in ("upper", "lower"):
         raise ConfigError("bound requires task 'upper' or 'lower'")
-    phi, psi, lie, source, tol = _fit_operators(cfg, spec)
-    default_obs = "state" if spec.dimension == 1 else "energy"
-    default_dom = ("unit_interval" if spec.id == STOCHASTIC_LOGISTIC
-                   else "none")
-    g = _observable(cfg.get("observable", default_obs), spec, phi.family,
-                    phi.box)
-    domain = _domain(cfg.get("domain", default_dom), spec, phi.family, phi.box)
+    phi, psi, lie, source, solver = _fit_operators(cfg, spec, None)
+    g, domain = _bound_problem(cfg, spec, phi)
     res = ergodic_bound(task, g, lie, psi, phi, domain=domain,
-                        lie_source=source, tol=tol,
-                        max_iter=int(cfg.get("solver", {}).get("max_iter", 200)))
+                        lie_source=source, **solver)
     path = _write_json(cfg, json.loads(res.to_json()), "bound.json")
     print(f"{task} bound: {res.bound} ({res.status}); wrote {path}")
     return EXIT_OK if res.status == "Optimal" else EXIT_NONOPTIMAL
 
 
 def cmd_lyapunov(cfg) -> int:
-    spec = _system(cfg)
-    phi, psi, lie, source, tol = _fit_operators(cfg, spec)
-    posterior = exact_lie_matrix(spec, phi, psi)
-    res = find_lyapunov(lie, psi, phi, posterior_lie=posterior, tol=tol)
+    phi, res = _lyapunov(cfg)
     payload = json.loads(res.to_json())
     payload["phi"] = json.loads(phi.to_json())
     path = _write_json(cfg, payload, "lyapunov.json")
@@ -287,66 +319,39 @@ def _retry_bound(*args, tol=1e-8, **kwargs):
     return res
 
 
-def _reproduce_cell(writer, label, spec, data, direction, g, phi, psi,
-                    expected, domain=None) -> bool:
-    """Bound one table cell, with the exact Lie matrix when ``data`` is None
-    and an EDMD fit to it otherwise; writes the cell's row and returns
-    whether the cell failed."""
-    if data is None:
-        lie, source = exact_lie_matrix(spec, phi, psi), "exact"
-    else:
-        lie, source = fit_edmd(data, phi, psi).L, "edmd"
-    res = _retry_bound(direction, g, lie, psi, phi, domain=domain,
-                       lie_source=source)
-    val = "failed" if res.bound is None else f"{res.bound:.4f}"
-    diff = "" if res.bound is None else f"{res.bound - expected:+.4f}"
-    writer([*label, f"alpha={phi.max_degree}", val, expected, diff])
-    return res.status != "Optimal"
-
-
-def _reproduce_vdp(writer):
-    spec = SystemSpec(VAN_DER_POL)
-    ref = reference_values.VDP_TABLE
-    g = _observable("energy", spec, MONOMIAL, None)
-    rows = [("exact", None), ("T=1e2", 100_000), ("T=1e2.5", 316_228),
-            ("T=1e3", 1_000_000)]
+def _reproduce_bounds(table, writer) -> int:
+    """Bound every cell of a ``reference_values`` table: sample each row's
+    config once and bound every direction with each (row, alpha) Lie matrix.
+    Writes label by label, a row's empirical average first; returns the
+    failed cells."""
+    lines = {label: [] for label in table["directions"]}
     failures = 0
-    for row_name, n in rows:
-        data = (None if n is None else
-                sample_snapshots(spec, "trajectory", 1e-3, n, x0=(0.1, 0.2)))
-        if data is not None:
-            emp = empirical_average(data, g)
-            writer(["vdp", row_name, "empirical", f"{emp:.4f}",
-                    ref["rows"][row_name]["empirical"],
-                    f"{emp - ref['rows'][row_name]['empirical']:+.4f}"])
-        for alpha, expected in zip(ref["alphas"], ref["rows"][row_name]["bounds"]):
-            failures += _reproduce_cell(
-                writer, ("vdp", row_name), spec, data, "upper", g,
-                total_degree_dictionary(MONOMIAL, 2, alpha),
-                total_degree_dictionary(
-                    MONOMIAL, 2, lie_image_degree(spec, alpha)), expected)
-    return failures
-
-
-def _reproduce_logistic(writer):
-    spec = SystemSpec(STOCHASTIC_LOGISTIC)
-    box = ((0.0, 1.0),)
-    ref = reference_values.LOGISTIC_TABLE
-    g = _observable("state", spec, CHEBYSHEV, box)
-    domain = _domain("unit_interval", spec, CHEBYSHEV, box)
-    data = sample_snapshots(spec, "trajectory", 1.0, 10_000_000,
-                            rng=make_rng(12345))
-    failures = 0
-    for direction in ("upper", "lower"):
-        for row_name, row_data in (("exact", None), ("n=1e7", data)):
-            for alpha, expected in zip(ref["alphas"], ref[direction][row_name]):
-                failures += _reproduce_cell(
-                    writer, (f"logistic_{direction}", row_name), spec,
-                    row_data, direction, g,
-                    total_degree_dictionary(CHEBYSHEV, 1, alpha, box),
-                    total_degree_dictionary(
-                        CHEBYSHEV, 1, lie_image_degree(spec, alpha), box),
-                    expected, domain)
+    for row_name, row in table["rows"].items():
+        cfg = row["config"]
+        spec = _system(cfg)
+        data = None if cfg["lie_source"] == "exact" else _sample(cfg, spec)
+        for i, alpha in enumerate(table["alphas"]):
+            cell = {**cfg, "dictionaries": {**cfg.get("dictionaries", {}),
+                                            "alpha": alpha}}
+            phi, psi, lie, source, solver = _fit_operators(cell, spec, data)
+            g, domain = _bound_problem(cell, spec, phi)
+            if i == 0 and row.get("empirical") is not None:
+                emp, ref = empirical_average(data, g), row["empirical"]
+                first = next(iter(lines))
+                lines[first].append([first, row_name, "empirical",
+                                     f"{emp:.4f}", ref, f"{emp - ref:+.4f}"])
+            for label, (direction, key) in table["directions"].items():
+                res = _retry_bound(direction, g, lie, psi, phi, domain=domain,
+                                   lie_source=source, **solver)
+                expected = row[key][i]
+                val = "failed" if res.bound is None else f"{res.bound:.4f}"
+                diff = ("" if res.bound is None
+                        else f"{res.bound - expected:+.4f}")
+                lines[label].append([label, row_name, f"alpha={alpha}", val,
+                                     expected, diff])
+                failures += res.status != "Optimal"
+    for line in sum(lines.values(), []):
+        writer(line)
     return failures
 
 
@@ -386,15 +391,8 @@ def _reproduce_circle(writer):
 
 
 def _reproduce_lyapunov(writer):
-    spec = SystemSpec(MAP_LYAP_2D)
-    phi = total_degree_dictionary(MONOMIAL, 2, 4)
-    psi = total_degree_dictionary(MONOMIAL, 2, lie_image_degree(spec, 4))
-    data = sample_snapshots(spec, "iid_uniform_box", 1.0, 10_000,
-                            rng=make_rng(7), bounds=[(-2, 2), (-2, 2)])
-    ops = fit_edmd(data, phi, psi)
-    res = find_lyapunov(ops.L, psi, phi,
-                        posterior_lie=exact_lie_matrix(spec, phi, psi))
     ref = reference_values.LYAPUNOV_MAP2D
+    phi, res = _lyapunov(ref["config"])
     writer(["lyapunov", "feasible", "", str(res.feasible), "True", ""])
     eps = res.epsilon_posterior
     writer(["lyapunov", "posterior_epsilon", "",
@@ -411,8 +409,8 @@ def _reproduce_lyapunov(writer):
 
 
 _TABLES = {
-    "vdp": _reproduce_vdp,
-    "logistic": _reproduce_logistic,
+    "vdp": partial(_reproduce_bounds, reference_values.VDP_TABLE),
+    "logistic": partial(_reproduce_bounds, reference_values.LOGISTIC_TABLE),
     "logistic_rate": _reproduce_logistic_rate,
     "circle": _reproduce_circle,
     "lyapunov": _reproduce_lyapunov,

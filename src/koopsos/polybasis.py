@@ -69,8 +69,11 @@ class Dictionary:
         for idx in self.indices:
             if len(idx) != self.dimension or any(e < 0 for e in idx):
                 raise ValueError(f"bad multi-index {idx}")
-        if self.box is not None and len(self.box) != self.dimension:
-            raise ValueError("box must have one (lo, hi) pair per coordinate")
+        if self.box is not None and (
+                len(self.box) != self.dimension
+                or not all(len(b) == 2 and b[0] < b[1] for b in self.box)):
+            raise ValueError("box must have one (lo, hi) pair with lo < hi "
+                             "per coordinate")
 
     @property
     def size(self) -> int:

@@ -9,35 +9,66 @@ programming for the bound problems, quadrature for moments) where the two
 disagree beyond the rounding in the published tables.
 """
 
+# A bound table is one ``koopsos bound`` config per data row; a cell adds
+# ``dictionaries.alpha`` and a direction.  ``directions`` maps each CSV label
+# to its bound direction and to the row key of its expected values.
+
+_VDP = {"system": "VanDerPol", "dictionaries": {"family": "monomial"},
+        "observable": "energy", "domain": "none"}
+_VDP_TRAJECTORY = {"mode": "trajectory", "tau": 1e-3, "x0": [0.1, 0.2]}
+
 VDP_TABLE = {
     "alphas": [4, 6, 8, 10],
+    "directions": {"vdp": ("upper", "bounds")},
     "rows": {
-        "T=1e2": {"bounds": [6.1716, 4.0100, 4.0013, 4.0011],
-                  "empirical": 2.2322, "tag": "published"},
-        "T=1e2.5": {"bounds": [5.6799, 4.0100, 4.0013, 4.0013],
-                    "empirical": 3.4418, "tag": "published"},
-        "T=1e3": {"bounds": [5.3644, 4.0100, 4.0013, 4.0010],
-                  "empirical": 3.8244, "tag": "published"},
-        "exact": {"bounds": [6.6751, 4.0100, 4.0013, 4.0012],
+        "exact": {"config": {**_VDP, "lie_source": "exact"},
+                  "bounds": [6.6751, 4.0100, 4.0013, 4.0012],
                   "empirical": None, "tag": "published"},
+        "T=1e2": {"config": {**_VDP, "lie_source": "edmd", "sampling":
+                             {**_VDP_TRAJECTORY, "n": 100_000}},
+                  "bounds": [6.1716, 4.0100, 4.0013, 4.0011],
+                  "empirical": 2.2322, "tag": "published"},
+        "T=1e2.5": {"config": {**_VDP, "lie_source": "edmd", "sampling":
+                               {**_VDP_TRAJECTORY, "n": 316_228}},
+                    "bounds": [5.6799, 4.0100, 4.0013, 4.0013],
+                    "empirical": 3.4418, "tag": "published"},
+        "T=1e3": {"config": {**_VDP, "lie_source": "edmd", "sampling":
+                             {**_VDP_TRAJECTORY, "n": 1_000_000}},
+                  "bounds": [5.3644, 4.0100, 4.0013, 4.0010],
+                  "empirical": 3.8244, "tag": "published"},
     },
     # the alpha=4 exact cell admits the better certificate 6.6661; the
     # published 6.6751 is a valid but suboptimal upper bound
     "derived_exact_alpha4": 6.6661,
 }
 
+_LOGISTIC = {"system": "StochasticLogistic",
+             "dictionaries": {"family": "chebyshev", "box": [[0.0, 1.0]]},
+             "observable": "state", "domain": "unit_interval"}
+
 LOGISTIC_TABLE = {
     "alphas": [2, 4, 6, 8, 10, 12, 14],
-    "upper": {
+    "directions": {"logistic_upper": ("upper", "upper"),
+                   "logistic_lower": ("lower", "lower")},
+    "rows": {
+        "exact": {
+            "config": {**_LOGISTIC, "lie_source": "exact"},
+            "upper": [0.3750, 0.3125, 0.3069, 0.2829, 0.2816, 0.2765, 0.2736],
+            "lower": [0.0000, 0.0000, 0.0000, 0.0000, 0.0000, 0.0000, 0.0000],
+        },
+        "n=1e7": {
+            "config": {**_LOGISTIC, "lie_source": "edmd",
+                       "sampling": {"mode": "trajectory", "tau": 1.0,
+                                    "n": 10_000_000, "seed": 12345}},
+            "upper": [0.3751, 0.3126, 0.3070, 0.2830, 0.2817, 0.2766, 0.2737],
+            "lower": [0.0001, 0.0001, 0.0003, 0.0011, 0.0010, 0.0016, 0.0019],
+        },
+    },
+    # published upper bounds of data rows that are not reproduced
+    "upper_other_rows": {
         "n=1e4": [0.3765, 0.3162, 0.3186, 0.2844, 0.2851, 0.2858, 0.2856],
         "n=1e5": [0.3751, 0.3126, 0.3086, 0.2835, 0.2814, 0.2775, 0.2757],
         "n=1e6": [0.3749, 0.3124, 0.3072, 0.2832, 0.2821, 0.2758, 0.2730],
-        "n=1e7": [0.3751, 0.3126, 0.3070, 0.2830, 0.2817, 0.2766, 0.2737],
-        "exact": [0.3750, 0.3125, 0.3069, 0.2829, 0.2816, 0.2765, 0.2736],
-    },
-    "lower": {
-        "n=1e7": [0.0001, 0.0001, 0.0003, 0.0011, 0.0010, 0.0016, 0.0019],
-        "exact": [0.0000, 0.0000, 0.0000, 0.0000, 0.0000, 0.0000, 0.0000],
     },
     "tag": "published",
     # dense-grid LP and the SOS dual bracket the alpha=6 exact optimum at
@@ -58,6 +89,10 @@ CIRCLE_CASESTUDY = {
 }
 
 LYAPUNOV_MAP2D = {
+    "config": {"system": "MapLyap2D", "lie_source": "edmd",
+               "sampling": {"mode": "iid_uniform_box", "n": 10_000, "seed": 7,
+                            "bounds": [[-2, 2], [-2, 2]]},
+               "dictionaries": {"alpha": 4}},
     "posterior_epsilon_min": 0.99,
     "V_reported": {
         (2, 0): 3.0815, (1, 1): -1.5686, (0, 2): 1.3333,

@@ -2,15 +2,22 @@
 
 import hashlib
 import json
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from koopsos import SystemSpec, __version__, cli, sample_snapshots
+from koopsos import (SystemSpec, __version__, cli, reference_values,
+                     sample_snapshots)
 from koopsos.auxfn import BoundResult
 from koopsos.cli import (EXIT_CONFIG, EXIT_NONOPTIMAL, EXIT_OK, ConfigError,
                          config_hash, main, validate_config)
-from koopsos.polybasis import CHEBYSHEV, total_degree_dictionary
+from koopsos.polybasis import CHEBYSHEV, MONOMIAL, total_degree_dictionary
+from koopsos.snapshots import empirical_average
+from koopsos.sos import SemialgebraicSet
+from koopsos.systems import (STOCHASTIC_LOGISTIC, VAN_DER_POL,
+                             lie_image_degree, make_rng)
 
 
 def _write(tmp_path, name, payload):
@@ -210,6 +217,31 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     assert f"output.path {path}" in err and "length 15" in err
 
 
+@pytest.mark.parametrize("section, entry, key", [
+    ("dictionaries", {"alpha": "four"}, "dictionaries.alpha"),
+    ("dictionaries", {"alpha": -1}, "dictionaries"),
+    ("dictionaries", {"box": [[0]]}, "dictionaries"),
+    ("dictionaries", {"box": [[1, 0], [0, 1]]}, "dictionaries"),
+    ("sampling", {"n": "many"}, "sampling.n"),
+    ("solver", {"tol": "tight"}, "solver.tol"),
+    ("solver", {"max_iter": "x"}, "solver.max_iter"),
+], ids=["alpha", "alpha-negative", "box-short", "box-reversed", "n", "tol",
+        "max_iter"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                          section, entry, key):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(cli, "sample_snapshots", no_sampling)
+    config = {"system": "VanDerPol", "lie_source": "edmd",
+              "sampling": {"n": 200}, "dictionaries": {"alpha": 2},
+              "output": {"path": str(tmp_path / "bound.json.out")}}
+    config[section] = {**config.get(section, {}), **entry}
+    assert main(["bound", _write(tmp_path, "bound.json", config)]) == EXIT_CONFIG
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "bound.json.out").exists()
+
+
 def test_lyapunov_map_default_beta(tmp_path):
     # without a beta the Lie image dictionary has degree 2 * alpha for a map
     result = str(tmp_path / "lyap.json.out")
@@ -269,19 +301,18 @@ def test_reproduce_unknown_table():
 
 
 def _logistic_cell(writer):
-    spec = SystemSpec("StochasticLogistic")
-    box = ((0.0, 1.0),)
-    return cli._reproduce_cell(
-        writer, ("logistic_upper", "exact"), spec, None, "upper",
-        cli._observable("state", spec, CHEBYSHEV, box),
-        total_degree_dictionary(CHEBYSHEV, 1, 2, box),
-        total_degree_dictionary(CHEBYSHEV, 1, 4, box), 0.375,
-        cli._domain("unit_interval", spec, CHEBYSHEV, box))
+    """The table runner on one cell: the exact logistic upper bound at
+    alpha=2."""
+    row = reference_values.LOGISTIC_TABLE["rows"]["exact"]
+    table = {"alphas": [2],
+             "directions": {"logistic_upper": ("upper", "upper")},
+             "rows": {"exact": {"config": row["config"], "upper": [0.375]}}}
+    return cli._reproduce_bounds(table, writer)
 
 
 def test_reproduce_cell_exact_logistic_alpha2():
     rows = []
-    assert _logistic_cell(rows.append) is False
+    assert _logistic_cell(rows.append) == 0
     assert rows == [["logistic_upper", "exact", "alpha=2", "0.3750", 0.375,
                      "+0.0000"]]
 
@@ -297,7 +328,7 @@ def _never_optimal(calls):
 def test_reproduce_cell_failure_is_reported_after_retry(monkeypatch):
     calls, rows = [], []
     monkeypatch.setattr(cli, "ergodic_bound", _never_optimal(calls))
-    assert _logistic_cell(rows.append) is True
+    assert _logistic_cell(rows.append) == 1
     assert calls == [1e-8, 1e-6]
     assert rows == [["logistic_upper", "exact", "alpha=2", "failed", 0.375,
                      ""]]
@@ -313,3 +344,131 @@ def test_reproduce_vdp_counts_failed_cells(tmp_path, monkeypatch, capsys):
     assert main(["reproduce", "vdp", "--out", str(out)]) == EXIT_NONOPTIMAL
     assert out.read_text().count(",failed,") == 16
     assert "(16 failed cells)" in capsys.readouterr().out
+
+
+def _short_sample(spec, mode, tau, n, **kwargs):
+    return sample_snapshots(spec, mode, tau, n // 100, **kwargs)
+
+
+def test_reproduce_logistic_fits_each_dataset_and_alpha_once(tmp_path,
+                                                              monkeypatch):
+    counts = {"fit_edmd": 0, "exact_lie_matrix": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(cli, "sample_snapshots", _short_sample)
+    monkeypatch.setattr(cli, "ergodic_bound", _never_optimal([]))
+    out = tmp_path / "logistic.csv"
+    assert main(["reproduce", "logistic", "--out", str(out)]) == EXIT_NONOPTIMAL
+    assert out.read_text().count(",failed,") == 28
+    assert counts == {"fit_edmd": 7, "exact_lie_matrix": 7}
+
+
+# The per-table pipelines the runner replaced, kept as references.  They call
+# the sampler, the fits and the bound through ``cli`` so that the test's
+# stand-ins reach them; the only edit is that logistic expected values are
+# read from the table's rows.
+
+def _reference_cell(writer, label, spec, data, direction, g, phi, psi,
+                    expected, domain=None) -> bool:
+    if data is None:
+        lie, source = cli.exact_lie_matrix(spec, phi, psi), "exact"
+    else:
+        lie, source = cli.fit_edmd(data, phi, psi).L, "edmd"
+    res = cli._retry_bound(direction, g, lie, psi, phi, domain=domain,
+                           lie_source=source)
+    val = "failed" if res.bound is None else f"{res.bound:.4f}"
+    diff = "" if res.bound is None else f"{res.bound - expected:+.4f}"
+    writer([*label, f"alpha={phi.max_degree}", val, expected, diff])
+    return res.status != "Optimal"
+
+
+def _reference_vdp(writer):
+    spec = SystemSpec(VAN_DER_POL)
+    ref = reference_values.VDP_TABLE
+    g = cli._observable("energy", spec, MONOMIAL, None)
+    rows = [("exact", None), ("T=1e2", 100_000), ("T=1e2.5", 316_228),
+            ("T=1e3", 1_000_000)]
+    failures = 0
+    for row_name, n in rows:
+        data = (None if n is None else cli.sample_snapshots(
+            spec, "trajectory", 1e-3, n, x0=(0.1, 0.2)))
+        if data is not None:
+            emp = empirical_average(data, g)
+            writer(["vdp", row_name, "empirical", f"{emp:.4f}",
+                    ref["rows"][row_name]["empirical"],
+                    f"{emp - ref['rows'][row_name]['empirical']:+.4f}"])
+        for alpha, expected in zip(ref["alphas"],
+                                   ref["rows"][row_name]["bounds"]):
+            failures += _reference_cell(
+                writer, ("vdp", row_name), spec, data, "upper", g,
+                total_degree_dictionary(MONOMIAL, 2, alpha),
+                total_degree_dictionary(
+                    MONOMIAL, 2, lie_image_degree(spec, alpha)), expected)
+    return failures
+
+
+def _reference_logistic(writer):
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    box = ((0.0, 1.0),)
+    ref = reference_values.LOGISTIC_TABLE
+    g = cli._observable("state", spec, CHEBYSHEV, box)
+    domain = cli._domain("unit_interval", spec, CHEBYSHEV, box)
+    data = cli.sample_snapshots(spec, "trajectory", 1.0, 10_000_000,
+                                rng=make_rng(12345))
+    failures = 0
+    for direction in ("upper", "lower"):
+        for row_name, row_data in (("exact", None), ("n=1e7", data)):
+            for alpha, expected in zip(ref["alphas"],
+                                       ref["rows"][row_name][direction]):
+                failures += _reference_cell(
+                    writer, (f"logistic_{direction}", row_name), spec,
+                    row_data, direction, g,
+                    total_degree_dictionary(CHEBYSHEV, 1, alpha, box),
+                    total_degree_dictionary(
+                        CHEBYSHEV, 1, lie_image_degree(spec, alpha), box),
+                    expected, domain)
+    return failures
+
+
+def _digest(a) -> int:
+    return zlib.crc32(np.ascontiguousarray(a, dtype=float).tobytes())
+
+
+def _fake_bound(calls):
+    """A deterministic ergodic_bound: the bound is read off the Lie matrix,
+    and by alpha and direction a cell is Optimal at the first tolerance,
+    only after the retry, or never.  Each call's inputs are recorded."""
+    def bound(direction, g, lie, psi, phi, domain=None, tol=1e-8,
+              lie_source="exact", **kwargs):
+        domain = domain or SemialgebraicSet()
+        calls.append((direction, phi, psi, tol, lie_source, _digest(lie),
+                      _digest(g.coeffs),
+                      tuple(_digest(s.coeffs) for s in domain.s_list)))
+        k = (phi.max_degree // 2 + (direction == "lower")) % 3
+        if k == 2 or (k == 1 and tol < 1e-6):
+            return BoundResult(direction, None, None, lie_source, "MaxIter",
+                               (float("inf"),) * 3, "")
+        value = float(np.abs(lie).sum()) + float(g.coeffs.sum())
+        return BoundResult(direction, value, None, lie_source, "Optimal",
+                           (0.0,) * 3, "")
+    return bound
+
+
+@pytest.mark.parametrize("table, reference", [
+    ("vdp", _reference_vdp), ("logistic", _reference_logistic)])
+def test_reproduce_rows_match_reference_pipelines(monkeypatch, table,
+                                                  reference):
+    monkeypatch.setattr(cli, "sample_snapshots", _short_sample)
+    ref_calls, ref_rows, calls, rows = [], [], [], []
+    monkeypatch.setattr(cli, "ergodic_bound", _fake_bound(ref_calls))
+    ref_failures = reference(ref_rows.append)
+    monkeypatch.setattr(cli, "ergodic_bound", _fake_bound(calls))
+    failures = cli._TABLES[table](rows.append)
+    assert rows == ref_rows
+    assert failures == ref_failures
+    assert 0 < failures < sum(row[2].startswith("alpha=") for row in rows)
+    assert {tol for _, _, _, tol, *_ in calls} == {1e-8, 1e-6}
+    assert sorted(calls, key=repr) == sorted(ref_calls, key=repr)
