@@ -51,7 +51,7 @@ class LyapunovResult:
 
 def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
                   phi: Dictionary, posterior_lie: np.ndarray | None = None,
-                  tol: float = 1e-8) -> LyapunovResult:
+                  tol: float = 1e-8, max_iter: int = 200) -> LyapunovResult:
     """Search for the l1-minimal V in span(phi) with V - |x|^2 >= 0 and
     -LV - |x|^2 >= 0.
 
@@ -67,7 +67,7 @@ def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
                                  lie_basis=lie_basis, c_const=neg_n2),
     ]
     prog = sos.SosProgram(phi=phi, constraints=cons, objective=("l1_phi",))
-    solution = sos.solve(sos.compile(prog), tol=tol)
+    solution = sos.solve(sos.compile(prog), tol=tol, max_iter=max_iter)
     if solution.status != "Optimal":
         return LyapunovResult(False, None, None, solution.status, solution,
                               None)
@@ -75,7 +75,8 @@ def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
     posterior = None
     eps = None
     if posterior_lie is not None:
-        posterior = sos.posterior_verify(V, posterior_lie, lie_basis, tol=tol)
+        posterior = sos.posterior_verify(V, posterior_lie, lie_basis, tol=tol,
+                                         max_iter=max_iter)
         eps = posterior.get("epsilon")
     return LyapunovResult(True, V, eps, solution.status, solution, posterior)
 

@@ -7,7 +7,8 @@ hash and library version so results are traceable to their inputs.
 
 Exit codes: 0 success, 1 solver did not reach Optimal, 2 config error: a bad
 file, key, name, number, degree, box or sampling setting, or a verify result
-without usable V_coeffs; numbers, degrees and boxes fail before sampling.
+without usable V_coeffs; numbers, degrees, boxes and the observable and domain
+names of ``bound`` fail before sampling.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ def _dictionaries(cfg, spec: SystemSpec):
     if family not in (MONOMIAL, CHEBYSHEV):
         raise ConfigError(f"unknown dictionary family {family!r}")
     alpha = _number(cfg, "dictionaries.alpha", 4, int)
+    if alpha < 0:  # before the default beta, which is computed from it
+        raise ConfigError(f"dictionaries.alpha must be >= 0, got {alpha}")
     beta = _number(cfg, "dictionaries.beta", lie_image_degree(spec, alpha), int)
     if beta < alpha:
         raise ConfigError(f"dictionaries.beta ({beta}) is below "
@@ -213,19 +216,18 @@ def _fit_data(cfg, spec, source: str, phi, psi, data):
     return fit_edmd(_sample(cfg, spec) if data is None else data, phi, psi)
 
 
-def _fit_operators(cfg, spec, data):
-    """phi, psi, the Lie matrix, its source and the solver options of a
+def _fit_operators(cfg, spec, phi, psi, data):
+    """The Lie matrix over (phi, psi), its source and the solver options of a
     config, all parsed before any sampling; ``data`` as in ``_fit_data``."""
-    phi, psi = _dictionaries(cfg, spec)
     source = cfg.get("lie_source", "edmd")
     solver = {"tol": _number(cfg, "solver.tol", 1e-8, float),
               "max_iter": _number(cfg, "solver.max_iter", 200, int)}
     if source == "exact":
-        return phi, psi, exact_lie_matrix(spec, phi, psi), source, solver
+        return exact_lie_matrix(spec, phi, psi), source, solver
     if source not in _DATA_SOURCES:
         raise ConfigError(f"unknown lie_source {cfg['lie_source']!r}")
     ops = _fit_data(cfg, spec, source, phi, psi, data)
-    return phi, psi, ops.G if source == "gedmd" else ops.L, source, solver
+    return ops.G if source == "gedmd" else ops.L, source, solver
 
 
 def _bound_problem(cfg, spec, phi):
@@ -242,10 +244,11 @@ def _bound_problem(cfg, spec, phi):
 def _lyapunov(cfg):
     """phi and the exact-checked Lyapunov search of a config."""
     spec = _system(cfg)
-    phi, psi, lie, _, solver = _fit_operators(cfg, spec, None)
+    phi, psi = _dictionaries(cfg, spec)
+    lie, _, solver = _fit_operators(cfg, spec, phi, psi, None)
     posterior = exact_lie_matrix(spec, phi, psi)
     return phi, find_lyapunov(lie, psi, phi, posterior_lie=posterior,
-                              tol=solver["tol"])
+                              **solver)
 
 
 def cmd_fit(cfg) -> int:
@@ -265,8 +268,9 @@ def cmd_bound(cfg) -> int:
     task = cfg.get("task", "upper")
     if task not in ("upper", "lower"):
         raise ConfigError("bound requires task 'upper' or 'lower'")
-    phi, psi, lie, source, solver = _fit_operators(cfg, spec, None)
-    g, domain = _bound_problem(cfg, spec, phi)
+    phi, psi = _dictionaries(cfg, spec)
+    g, domain = _bound_problem(cfg, spec, phi)  # names fail before sampling
+    lie, source, solver = _fit_operators(cfg, spec, phi, psi, None)
     res = ergodic_bound(task, g, lie, psi, phi, domain=domain,
                         lie_source=source, **solver)
     path = _write_json(cfg, json.loads(res.to_json()), "bound.json")
@@ -333,8 +337,9 @@ def _reproduce_bounds(table, writer) -> int:
         for i, alpha in enumerate(table["alphas"]):
             cell = {**cfg, "dictionaries": {**cfg.get("dictionaries", {}),
                                             "alpha": alpha}}
-            phi, psi, lie, source, solver = _fit_operators(cell, spec, data)
+            phi, psi = _dictionaries(cell, spec)
             g, domain = _bound_problem(cell, spec, phi)
+            lie, source, solver = _fit_operators(cell, spec, phi, psi, data)
             if i == 0 and row.get("empirical") is not None:
                 emp, ref = empirical_average(data, g), row["empirical"]
                 first = next(iter(lines))

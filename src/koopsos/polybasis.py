@@ -363,7 +363,7 @@ def _component_dim(components) -> int:
     return 1
 
 
-# -- Chebyshev <-> monomial conversion -----------------------------------------
+# -- monomial to Chebyshev conversion ------------------------------------------
 
 def _cheb_to_mono_matrix(deg: int) -> np.ndarray:
     """M[k, j]: coefficient of z^j in T_k(z)."""
@@ -386,45 +386,25 @@ def _affine_power_matrix(deg: int, a: float, b: float) -> np.ndarray:
     return S
 
 
-def _change_basis(p: Poly, target: Dictionary, box, axis_matrix) -> Poly:
-    """Apply the per-coordinate matrix axis_matrix(deg, lo, hi), which maps
-    degree-k coefficients of one family to the other, to every axis of the
-    coefficient tensor of p."""
+def monomial_to_cheb(p: Poly, target: Dictionary) -> Poly:
+    """Express a monomial-basis polynomial in a Chebyshev target dictionary.
+
+    Per axis of the coefficient tensor of p, x = ((hi - lo) z + lo + hi) / 2
+    goes to powers of z, and the powers of z go to T_k.
+    """
+    if p.basis.family != MONOMIAL or target.family != CHEBYSHEV:
+        raise DimensionMismatch("expects monomial source and chebyshev target")
     d = p.basis.dimension
-    box = box or tuple((-1.0, 1.0) for _ in range(d))
+    box = target.box or tuple((-1.0, 1.0) for _ in range(d))
     degs = [max(i[j] for i in p.basis.indices) for j in range(d)]
     tensor = np.zeros([dg + 1 for dg in degs])
     for idx, c in zip(p.basis.indices, p.coeffs):
         tensor[idx] += c
-    for axis in range(d):
+    for axis, (deg, (lo, hi)) in enumerate(zip(degs, box)):
+        S = _affine_power_matrix(deg, (hi - lo) / 2.0, (lo + hi) / 2.0)
+        Minv = np.linalg.solve(_cheb_to_mono_matrix(deg).T, np.eye(deg + 1))
         tensor = np.moveaxis(np.tensordot(
-            tensor, axis_matrix(degs[axis], *box[axis]), axes=([axis], [0])),
-            -1, axis)
+            tensor, S @ Minv.T, axes=([axis], [0])), -1, axis)
     sp = {idx: float(tensor[idx]) for idx in np.ndindex(*tensor.shape)
           if tensor[idx] != 0.0}
     return sparse_to_poly(sp, target)
-
-
-def cheb_to_monomial(p: Poly, target: Dictionary) -> Poly:
-    """Express a Chebyshev-basis polynomial in monomials of the raw state."""
-    if p.basis.family != CHEBYSHEV or target.family != MONOMIAL:
-        raise DimensionMismatch("expects chebyshev source and monomial target")
-
-    def axis_matrix(deg, lo, hi):
-        # T_k(z) in powers of z, then z = (2x - lo - hi) / (hi - lo) in powers of x
-        return _cheb_to_mono_matrix(deg) @ _affine_power_matrix(
-            deg, 2.0 / (hi - lo), -(lo + hi) / (hi - lo))
-    return _change_basis(p, target, p.basis.box, axis_matrix)
-
-
-def monomial_to_cheb(p: Poly, target: Dictionary) -> Poly:
-    """Express a monomial-basis polynomial in a Chebyshev target dictionary."""
-    if p.basis.family != MONOMIAL or target.family != CHEBYSHEV:
-        raise DimensionMismatch("expects monomial source and chebyshev target")
-
-    def axis_matrix(deg, lo, hi):
-        # x = ((hi - lo) z + lo + hi) / 2 in powers of z, then z-powers to T_k
-        S = _affine_power_matrix(deg, (hi - lo) / 2.0, (lo + hi) / 2.0)
-        Minv = np.linalg.solve(_cheb_to_mono_matrix(deg).T, np.eye(deg + 1))
-        return S @ Minv.T
-    return _change_basis(p, target, target.box, axis_matrix)

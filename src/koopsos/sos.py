@@ -330,7 +330,7 @@ def gram_values(compiled: CompiledSos, solution: SosSolution, index: int,
 
 
 def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
-                     tol: float = 1e-8) -> dict:
+                     tol: float = 1e-8, max_iter: int = 200) -> dict:
     """Re-check a Lyapunov candidate with a trusted Lie matrix: maximize eps
     subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed."""
     phi = V.basis
@@ -344,7 +344,7 @@ def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
     ]
     prog = SosProgram(phi=phi, scalars=("eps",), constraints=cons,
                       objective=("max", {"eps": 1.0}), c_fixed=V.coeffs)
-    sol = solve(compile(prog), tol=tol)
+    sol = solve(compile(prog), tol=tol, max_iter=max_iter)
     return {"status": sol.status,
             "epsilon": sol.scalar_values.get("eps"),
             "objective": sol.objective,

@@ -7,8 +7,10 @@ Four systems are provided:
 * ``StochasticLogistic``: x -> lam x (1 - x) with lam ~ Uniform[0, 4].
 * ``CircularOrbit``: dx1/dt = -x2 + x1 (1 - r^2), dx2/dt = x1 + x2 (1 - r^2).
 
-Exact Lie derivatives use f . grad for ODEs, p o f - p for deterministic maps,
-and the closed-form moments E[lam^k] = 4^k / (k + 1) for the stochastic map.
+Exact Lie derivatives are f . grad p for ODEs, p o F - p for the map and
+E[p(lam x (1 - x))] - p(x) for the stochastic map.  Monomial polynomials get
+them by exact sparse arithmetic (with E[lam^k] = 4^k / (k + 1)), Chebyshev
+ones by interpolating their values on a tensor Chebyshev grid.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary, Poly,
-                        TargetTooSmall, cheb_to_monomial, evaluate,
-                        monomial_to_cheb, poly_from_index, sparse_add,
-                        sparse_compose, sparse_gradient, sparse_product,
-                        sparse_to_poly, to_sparse, total_degree_dictionary)
+from .polybasis import (CHEBYSHEV, CHUNK_ROWS, Dictionary, Poly,
+                        _check_same_space, evaluate, poly_from_index,
+                        sparse_add, sparse_compose, sparse_gradient,
+                        sparse_product, sparse_to_poly, to_sparse,
+                        total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 MAP_LYAP_2D = "MapLyap2D"
@@ -169,64 +171,63 @@ def _lie_sparse(spec: SystemSpec, sp: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _logistic_cheb_lie(p: Poly, target: Dictionary) -> Poly:
-    """Exact logistic Lie derivative of a Chebyshev polynomial, built by
-    Chebyshev interpolation of quadrature-exact point values.
+def _cheb_lie(spec: SystemSpec, p: Poly, target: Dictionary) -> Poly:
+    """Exact Lie derivative of a Chebyshev polynomial by tensor interpolation.
 
-    Going through the monomial basis loses all accuracy above degree ten or
-    so (the conversion coefficients grow like 4^deg and cancel), while every
-    quantity here is evaluated where it is O(1).  The u-integrand is a
-    polynomial of degree deg(p) in u, so Gauss-Legendre quadrature with
-    deg(p)//2 + 1 nodes is exact, and the result is a polynomial of degree
-    2 deg(p) recovered exactly from its values at Chebyshev points.
+    The image has degree N = lie_image_degree(deg p), so its values on the
+    tensor Chebyshev-Lobatto grid of N + 1 points per axis of p's box fix it
+    exactly (Trefethen, Approximation Theory and Approximation Practice,
+    2013), and they are O(1) there, where monomial coefficients grow like
+    4^deg and cancel.  The logistic expectation is a Gauss-Legendre
+    quadrature in lam with deg(p)//2 + 1 nodes, exact at degree deg(p).
     """
-    degp = p.basis.max_degree
-    N = max(2 * degp, 1)
+    cheb = np.polynomial.chebyshev  # loaded on first use, not at import
+    d, degp = spec.dimension, p.basis.max_degree
+    N = max(lie_image_degree(spec, degp), 1)
     zs = np.cos(np.pi * np.arange(N + 1) / N)
-    lo, hi = (p.basis.box or ((0.0, 1.0),))[0]
-    xs = lo + (zs + 1.0) * (hi - lo) / 2.0
-    nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
-    u = (nodes + 1.0) / 2.0
-    w = wts / 2.0
-    vals = -p(xs[:, None])
-    for ui, wi in zip(u, w):
-        vals = vals + wi * p((4.0 * ui * xs * (1.0 - xs))[:, None])
-    coeffs = np.polynomial.chebyshev.chebfit(zs, vals, N)
-    out = np.zeros(target.size)
-    spill = 0.0
-    for k, ck in enumerate(coeffs):
-        idx = (k,)
-        if idx in target.indices:
-            out[target.position(idx)] = ck
-        else:
-            spill = max(spill, abs(ck))
-    if spill > 1e-9 * (1.0 + np.max(np.abs(coeffs))):
-        raise TargetTooSmall([(k,) for k in range(target.max_degree + 1,
-                                                  N + 1)])
-    return Poly(target, out)
+    lo, hi = np.array(p.basis.box or ((-1.0, 1.0),) * d).T
+    grid = np.meshgrid(*[lo[j] + (zs + 1.0) * (hi[j] - lo[j]) / 2.0
+                         for j in range(d)], indexing="ij")
+    X = np.stack(grid, axis=-1).reshape(-1, d)
+    if spec.time_kind == CONTINUOUS:
+        tensor = np.zeros((degp + 1,) * d)
+        tensor[tuple(np.array(p.basis.indices).T)] = p.coeffs
+        vals = 0.0
+        for j, fj in enumerate(_vector_field_sparse(spec)):
+            grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
+            for _ in range(d):  # each call turns one coefficient axis to grid
+                grad = cheb.chebval(zs, grad)
+            vals = vals + grad.ravel() * sum(c * np.prod(X ** np.array(i), 1)
+                                             for i, c in fj.items())
+    elif spec.id == MAP_LYAP_2D:
+        vals = p(step_map(spec, X)) - p(X)
+    else:  # stochastic logistic: E[p(lam x (1-x))] - p(x), lam = 4u
+        nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
+        xs = X[:, 0]
+        vals = -p(X)
+        for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0):
+            vals = vals + wi * p((4.0 * ui * xs * (1.0 - xs))[:, None])
+    coeffs = vals.reshape((N + 1,) * d)
+    for axis in range(d):
+        moved = np.moveaxis(coeffs, axis, 0)
+        coeffs = np.moveaxis(cheb.chebfit(zs, moved.reshape(N + 1, -1), N)
+                             .reshape(moved.shape), 0, axis)
+    # interpolation noise past the image degree is dropped; a real spill raises
+    keep = set(target.indices)
+    tol = 1e-9 * (1.0 + np.max(np.abs(coeffs)))
+    return sparse_to_poly({idx: c for idx, c in np.ndenumerate(coeffs)
+                           if idx in keep or abs(c) > tol}, target)
 
 
 def exact_lie_apply(spec: SystemSpec, p: Poly, target: Dictionary) -> Poly:
-    """Exact Lie derivative of p, expressed in the target dictionary."""
+    """Exact Lie derivative of p, expressed in the target dictionary, which
+    must share p's family, dimension and box."""
     if p.basis.dimension != spec.dimension:
         raise WrongSystemKind("polynomial dimension does not match system")
-    if (p.basis.family == CHEBYSHEV and target.family == CHEBYSHEV
-            and spec.id == STOCHASTIC_LOGISTIC):
-        if p.basis.box != target.box:
-            raise WrongSystemKind("source and target boxes must agree")
-        return _logistic_cheb_lie(p, target)
+    _check_same_space(p.basis, target)
     if p.basis.family == CHEBYSHEV:
-        deg = p.basis.max_degree
-        mono = total_degree_dictionary(MONOMIAL, p.basis.dimension, deg)
-        sp = to_sparse(cheb_to_monomial(p, mono))
-    else:
-        sp = to_sparse(p)
-    out = _lie_sparse(spec, sp)
-    if target.family == MONOMIAL:
-        return sparse_to_poly(out, target)
-    deg = max((sum(i) for i in out), default=0)
-    mono = total_degree_dictionary(MONOMIAL, target.dimension, deg)
-    return monomial_to_cheb(sparse_to_poly(out, mono), target)
+        return _cheb_lie(spec, p, target)
+    return sparse_to_poly(_lie_sparse(spec, to_sparse(p)), target)
 
 
 def lie_image_degree(spec: SystemSpec, deg: int) -> int:

@@ -217,18 +217,23 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     assert f"output.path {path}" in err and "length 15" in err
 
 
-@pytest.mark.parametrize("section, entry, key", [
-    ("dictionaries", {"alpha": "four"}, "dictionaries.alpha"),
-    ("dictionaries", {"alpha": -1}, "dictionaries"),
-    ("dictionaries", {"box": [[0]]}, "dictionaries"),
-    ("dictionaries", {"box": [[1, 0], [0, 1]]}, "dictionaries"),
-    ("sampling", {"n": "many"}, "sampling.n"),
-    ("solver", {"tol": "tight"}, "solver.tol"),
-    ("solver", {"max_iter": "x"}, "solver.max_iter"),
+@pytest.mark.parametrize("update, key", [
+    ({"dictionaries": {"alpha": "four"}}, "dictionaries.alpha"),
+    ({"dictionaries": {"alpha": -1}}, "dictionaries"),
+    ({"dictionaries": {"box": [[0]]}}, "dictionaries"),
+    ({"dictionaries": {"box": [[1, 0], [0, 1]]}}, "dictionaries"),
+    ({"sampling": {"n": "many"}}, "sampling.n"),
+    ({"solver": {"tol": "tight"}}, "solver.tol"),
+    ({"solver": {"max_iter": "x"}}, "solver.max_iter"),
+    ({"observable": "bogus"}, "unknown observable"),
+    ({"domain": "bogus"}, "unknown domain"),
+    # the map's default beta is 2 alpha, so alpha is checked before beta
+    ({"system": "MapLyap2D", "dictionaries": {"alpha": -1}},
+     "dictionaries.alpha"),
 ], ids=["alpha", "alpha-negative", "box-short", "box-reversed", "n", "tol",
-        "max_iter"])
+        "max_iter", "observable", "domain", "map-alpha-negative"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
-                                          section, entry, key):
+                                          update, key):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
@@ -236,10 +241,23 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
     config = {"system": "VanDerPol", "lie_source": "edmd",
               "sampling": {"n": 200}, "dictionaries": {"alpha": 2},
               "output": {"path": str(tmp_path / "bound.json.out")}}
-    config[section] = {**config.get(section, {}), **entry}
+    for section, entry in update.items():
+        config[section] = ({**config.get(section, {}), **entry}
+                           if isinstance(entry, dict) else entry)
     assert main(["bound", _write(tmp_path, "bound.json", config)]) == EXIT_CONFIG
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "bound.json.out").exists()
+
+
+def test_lyapunov_honours_max_iter(tmp_path):
+    # one interior-point iteration cannot reach Optimal
+    config = {**reference_values.LYAPUNOV_MAP2D["config"],
+              "solver": {"max_iter": 1},
+              "output": {"path": str(tmp_path / "lyap.json.out")}}
+    cfg = _write(tmp_path, "lyap.json", config)
+    assert main(["lyapunov", cfg]) == EXIT_NONOPTIMAL
+    assert not json.loads(
+        (tmp_path / "lyap.json.out").read_text())["feasible"]
 
 
 def test_lyapunov_map_default_beta(tmp_path):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from koopsos import _kernels, systems
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
-                               evaluate, poly_from_index,
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
+                               TargetTooSmall, evaluate, poly_from_index,
                                total_degree_dictionary)
 from koopsos.snapshots import GENERATOR
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
@@ -16,6 +17,8 @@ from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              sample_snapshots, step_map, step_stochastic)
 
 BOX = ((0.0, 1.0),)
+BOX03 = ((0.0, 3.0), (0.0, 3.0))
+BOX22 = ((-2.0, 2.0), (-2.0, 2.0))
 
 
 def test_map_single_step():
@@ -239,7 +242,9 @@ def test_exact_lie_values_chunks_rows(monkeypatch):
 
 @pytest.mark.parametrize("system,family,box", [
     (VAN_DER_POL, MONOMIAL, None), (CIRCULAR_ORBIT, MONOMIAL, None),
-    (MAP_LYAP_2D, MONOMIAL, None), (STOCHASTIC_LOGISTIC, CHEBYSHEV, BOX)])
+    (MAP_LYAP_2D, MONOMIAL, None), (STOCHASTIC_LOGISTIC, CHEBYSHEV, BOX),
+    (VAN_DER_POL, CHEBYSHEV, BOX03), (CIRCULAR_ORBIT, CHEBYSHEV, BOX22),
+    (MAP_LYAP_2D, CHEBYSHEV, BOX22)])
 def test_lie_image_degree_is_tight(system, family, box):
     spec = SystemSpec(system)
     phi = total_degree_dictionary(family, spec.dimension, 4, box)
@@ -250,6 +255,120 @@ def test_lie_image_degree_is_tight(system, family, box):
     with pytest.raises(TargetTooSmall):
         exact_lie_matrix(spec, phi, total_degree_dictionary(
             family, spec.dimension, deg - 1, box))
+
+
+def _cheb_basis_values(phi, X, wrt=None):
+    """Every element of a boxed Chebyshev phi at the rows of X, or its
+    derivative in coordinate wrt, as products of 1-D chebval factors."""
+    lo, hi = np.array(phi.box).T
+    Z = (2.0 * X - lo - hi) / (hi - lo)
+    out = np.ones((X.shape[0], phi.size))
+    for k, idx in enumerate(phi.indices):
+        for j, e in enumerate(idx):
+            c = np.eye(e + 1)[e]
+            if j == wrt:
+                c = chebder(c) * 2.0 / (hi[j] - lo[j])
+            out[:, k] *= chebval(Z[:, j], c)
+    return out
+
+
+def _pointwise_lie(system, phi, X):
+    """f . grad phi for the ODEs and phi o F - phi for the map, written out
+    from the system equations."""
+    x, y = X[:, 0], X[:, 1]
+    if system == MAP_LYAP_2D:
+        image = np.column_stack([0.3 * x, -x + 0.5 * y + 7.0 / 18.0 * x * x])
+        return _cheb_basis_values(phi, image) - _cheb_basis_values(phi, X)
+    if system == VAN_DER_POL:
+        f = (y, 0.1 * (1.0 - x * x) * y - x)
+    else:
+        r = 1.0 - x * x - y * y
+        f = (-y + x * r, x + y * r)
+    return sum(fj[:, None] * _cheb_basis_values(phi, X, wrt=j)
+               for j, fj in enumerate(f))
+
+
+@pytest.mark.parametrize("system,box,alpha", [
+    (VAN_DER_POL, BOX03, 16), (CIRCULAR_ORBIT, BOX03, 14),
+    (MAP_LYAP_2D, BOX22, 12), (MAP_LYAP_2D, ((-1.0, 3.0), (-1.0, 3.0)), 12)],
+    ids=["vdp", "circle", "map", "map-off-centre"])
+def test_chebyshev_lie_values_match_pointwise(system, box, alpha):
+    # off-centre boxes at high degree are where conversion through monomials
+    # loses digits to cancellation
+    spec = SystemSpec(system)
+    phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, box)
+    lo, hi = np.array(box).T
+    X = np.random.default_rng(0).uniform(lo, hi, size=(400, 2))
+    ref = _pointwise_lie(system, phi, X)
+    err = np.max(np.abs(exact_lie_values(spec, phi, X) - ref))
+    assert err <= 1e-9 * np.max(np.abs(ref))
+
+
+def _logistic_interpolated_lie(p, target):
+    """The 1-D logistic interpolation that the tensor Chebyshev path
+    generalizes, kept verbatim as the bit-level reference."""
+    degp = p.basis.max_degree
+    N = max(2 * degp, 1)
+    zs = np.cos(np.pi * np.arange(N + 1) / N)
+    lo, hi = (p.basis.box or ((0.0, 1.0),))[0]
+    xs = lo + (zs + 1.0) * (hi - lo) / 2.0
+    nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
+    u = (nodes + 1.0) / 2.0
+    w = wts / 2.0
+    vals = -p(xs[:, None])
+    for ui, wi in zip(u, w):
+        vals = vals + wi * p((4.0 * ui * xs * (1.0 - xs))[:, None])
+    coeffs = chebfit(zs, vals, N)
+    out = np.zeros(target.size)
+    spill = 0.0
+    for k, ck in enumerate(coeffs):
+        idx = (k,)
+        if idx in target.indices:
+            out[target.position(idx)] = ck
+        else:
+            spill = max(spill, abs(ck))
+    if spill > 1e-9 * (1.0 + np.max(np.abs(coeffs))):
+        raise TargetTooSmall([(k,) for k in range(target.max_degree + 1,
+                                                  N + 1)])
+    return Poly(target, out)
+
+
+@pytest.mark.parametrize("alpha", range(2, 15))
+def test_logistic_chebyshev_lie_matrix_bit_identical(alpha):
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    phi = total_degree_dictionary(CHEBYSHEV, 1, alpha, BOX)
+    psi = total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, BOX)
+    ref = np.array([_logistic_interpolated_lie(poly_from_index(phi, idx),
+                                               psi).coeffs
+                    for idx in phi.indices])
+    np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
+
+
+def test_logistic_chebyshev_lie_without_box_uses_unit_box():
+    # a Chebyshev dictionary without a box is in T_k(x) on [-1, 1]
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    phi = total_degree_dictionary(CHEBYSHEV, 1, 4)
+    p = poly_from_index(phi, (3,))
+    lie = exact_lie_apply(spec, p, total_degree_dictionary(CHEBYSHEV, 1, 8))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    u = 0.5 * (nodes + 1.0)
+    for x in np.linspace(0.0, 1.0, 9):
+        ref = (0.5 * weights) @ p((4.0 * u * x * (1 - x))[:, None])
+        assert lie(np.array([x])) == pytest.approx(
+            ref - float(p(np.array([x]))), abs=1e-11)
+
+
+@pytest.mark.parametrize("phi_family,phi_box,psi_family,psi_box", [
+    (CHEBYSHEV, BOX03, CHEBYSHEV, BOX22),
+    (CHEBYSHEV, BOX03, MONOMIAL, None),
+    (MONOMIAL, None, CHEBYSHEV, BOX22)], ids=["box", "cheb-mono", "mono-cheb"])
+def test_exact_lie_rejects_target_of_another_space(phi_family, phi_box,
+                                                   psi_family, psi_box):
+    spec = SystemSpec(VAN_DER_POL)
+    phi = total_degree_dictionary(phi_family, 2, 2, phi_box)
+    psi = total_degree_dictionary(psi_family, 2, 4, psi_box)
+    with pytest.raises(DimensionMismatch):
+        exact_lie_matrix(spec, phi, psi)
 
 
 def test_empirical_logistic_mean_between_certified_bounds():
