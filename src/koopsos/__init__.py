@@ -12,11 +12,11 @@ from .polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, evaluate,
                         inclusion_matrix, product_expand, product_tensor,
                         total_degree_dictionary)
 from .snapshots import SnapshotSet, empirical_average, load_csv, save_csv
-from .systems import (SystemSpec, exact_lie_apply, exact_lie_matrix,
-                      integrate_ode, lie_image_degree, make_rng,
-                      sample_snapshots, step_map, step_stochastic)
+from .systems import (SystemSpec, exact_lie_matrix, integrate_ode,
+                      lie_image_degree, make_rng, sample_snapshots, step_map,
+                      step_stochastic)
 from .koopman import (EdmdOperators, MomentMatrices, analytic_circle_moments,
-                      apply_lie, divergence_indicator, fit_edmd, fit_gedmd,
+                      divergence_indicator, fit_edmd, fit_gedmd,
                       moment_matrices, pinv)
 from .sdp import SdpProblem, SdpSolution, solve as sdp_solve, verify_kkt
 from .sos import (InequalityConstraint, SemialgebraicSet, SosProgram,

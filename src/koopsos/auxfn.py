@@ -23,8 +23,8 @@ from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
                         total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN
 # exact_lie_matrix lives in systems and is re-exported here
-from .systems import (CIRCULAR_ORBIT, SystemSpec, exact_lie_apply,
-                      exact_lie_matrix, sample_snapshots)
+from .systems import (CIRCULAR_ORBIT, SystemSpec, exact_lie_matrix,
+                      sample_snapshots)
 
 DATA_VALIDITY_NOTE = ("bound certified against the approximate Lie derivative; "
                       "it applies to trajectories on which the approximation "
@@ -92,10 +92,6 @@ class BoundResult:
     validity: str
     sos_solution: sos.SosSolution | None = None
     posterior: dict | None = None
-
-    @property
-    def valid(self) -> bool:
-        return self.status == "Optimal"
 
     def to_json(self) -> str:
         return json.dumps({
@@ -188,8 +184,8 @@ def circular_orbit_casestudy(tau: float = 0.01, n: int = 1000,
     V = Poly(phi, gamma * v_pattern)
     lie_edmd = Poly(psi, V.coeffs @ ops_edmd.L)
     lie_gedmd = Poly(psi, V.coeffs @ ops_gedmd.G)
-    lie_exact = exact_lie_apply(
-        spec, V, total_degree_dictionary(MONOMIAL, 2, 6))
+    psi6 = total_degree_dictionary(MONOMIAL, 2, 6)
+    lie_exact = Poly(psi6, V.coeffs @ exact_lie_matrix(spec, phi, psi6))
     moments = analytic_circle_moments(psi)
     indicator = divergence_indicator(moments.B, ops_edmd.theta, V, psi)
 

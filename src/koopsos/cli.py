@@ -7,8 +7,8 @@ hash and library version so results are traceable to their inputs.
 
 Exit codes: 0 success, 1 solver did not reach Optimal, 2 config error: a bad
 file, key, name, number, degree, box or sampling setting, or a verify result
-without usable V_coeffs; numbers, degrees, boxes and the observable and domain
-names of ``bound`` fail before sampling.
+without usable V_coeffs; numbers, degrees, boxes, the observable and the
+domain of ``bound`` fail before sampling.
 """
 
 from __future__ import annotations
@@ -172,6 +172,8 @@ def _domain(name: str, spec: SystemSpec, family, box) -> SemialgebraicSet:
     if name == "none":
         return SemialgebraicSet()
     if name == "unit_interval":
+        if spec.dimension != 1:
+            raise ConfigError("domain 'unit_interval' needs a 1-D system")
         mono = total_degree_dictionary(MONOMIAL, 1, 2)
         s = Poly(mono, np.array([0.0, 1.0, -1.0]))  # x - x^2
         if family == CHEBYSHEV:
@@ -216,12 +218,17 @@ def _fit_data(cfg, spec, source: str, phi, psi, data):
     return fit_edmd(_sample(cfg, spec) if data is None else data, phi, psi)
 
 
+def _solver(cfg) -> dict:
+    """The ``tol`` and ``max_iter`` keywords of a config's solver section."""
+    return {"tol": _number(cfg, "solver.tol", 1e-8, float),
+            "max_iter": _number(cfg, "solver.max_iter", 200, int)}
+
+
 def _fit_operators(cfg, spec, phi, psi, data):
     """The Lie matrix over (phi, psi), its source and the solver options of a
     config, all parsed before any sampling; ``data`` as in ``_fit_data``."""
     source = cfg.get("lie_source", "edmd")
-    solver = {"tol": _number(cfg, "solver.tol", 1e-8, float),
-              "max_iter": _number(cfg, "solver.max_iter", 200, int)}
+    solver = _solver(cfg)
     if source == "exact":
         return exact_lie_matrix(spec, phi, psi), source, solver
     if source not in _DATA_SOURCES:
@@ -308,7 +315,8 @@ def cmd_verify(cfg) -> int:
                           f"length {phi.size}, the size of the config's phi "
                           f"dictionary")
     report = posterior_verify(Poly(phi, coeffs),
-                              exact_lie_matrix(spec, phi, psi), psi)
+                              exact_lie_matrix(spec, phi, psi), psi,
+                              **_solver(cfg))
     eps = report.get("epsilon")
     print(f"posterior epsilon: {eps} ({report['status']})")
     return EXIT_OK if (eps is not None and eps > 0) else EXIT_NONOPTIMAL

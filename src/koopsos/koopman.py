@@ -150,21 +150,6 @@ def fit_gedmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary
                          None, G, report)
 
 
-def apply_lie(ops: EdmdOperators, which: str, p: Poly) -> Poly:
-    """Approximate Lie derivative of p = c . phi as a polynomial over psi."""
-    if p.basis != ops.phi:
-        raise ValueError("polynomial must be expressed over the phi dictionary")
-    if which == "edmd":
-        mat = ops.L
-    elif which == "gedmd":
-        mat = ops.G
-    else:
-        raise ValueError(f"unknown operator choice {which!r}")
-    if mat is None:
-        raise ValueError(f"{which} matrix not present on these operators")
-    return Poly(ops.psi, p.coeffs @ mat)
-
-
 @dataclass(frozen=True)
 class MomentMatrices:
     """The matrices A^tau, B, C, D^tau underlying the fitted operators."""

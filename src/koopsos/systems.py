@@ -8,9 +8,10 @@ Four systems are provided:
 * ``CircularOrbit``: dx1/dt = -x2 + x1 (1 - r^2), dx2/dt = x1 + x2 (1 - r^2).
 
 Exact Lie derivatives are f . grad p for ODEs, p o F - p for the map and
-E[p(lam x (1 - x))] - p(x) for the stochastic map.  Monomial polynomials get
-them by exact sparse arithmetic (with E[lam^k] = 4^k / (k + 1)), Chebyshev
-ones by interpolating their values on a tensor Chebyshev grid.
+E[p(lam x (1 - x))] - p(x) for the stochastic map.  ``exact_lie_matrix``
+builds those of every element of a dictionary at once: by exact sparse
+arithmetic for monomials (with E[lam^k] = 4^k / (k + 1)), and for Chebyshev
+dictionaries by interpolating their values on one tensor Chebyshev grid.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .polybasis import (CHEBYSHEV, CHUNK_ROWS, Dictionary, Poly,
-                        _check_same_space, evaluate, poly_from_index,
-                        sparse_add, sparse_compose, sparse_gradient,
-                        sparse_product, sparse_to_poly, to_sparse,
+from .polybasis import (CHEBYSHEV, CHUNK_ROWS, Dictionary, TargetTooSmall,
+                        _check_same_space, evaluate, sparse_add,
+                        sparse_compose, sparse_gradient, sparse_product,
                         total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
@@ -171,65 +171,6 @@ def _lie_sparse(spec: SystemSpec, sp: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _cheb_lie(spec: SystemSpec, p: Poly, target: Dictionary) -> Poly:
-    """Exact Lie derivative of a Chebyshev polynomial by tensor interpolation.
-
-    The image has degree N = lie_image_degree(deg p), so its values on the
-    tensor Chebyshev-Lobatto grid of N + 1 points per axis of p's box fix it
-    exactly (Trefethen, Approximation Theory and Approximation Practice,
-    2013), and they are O(1) there, where monomial coefficients grow like
-    4^deg and cancel.  The logistic expectation is a Gauss-Legendre
-    quadrature in lam with deg(p)//2 + 1 nodes, exact at degree deg(p).
-    """
-    cheb = np.polynomial.chebyshev  # loaded on first use, not at import
-    d, degp = spec.dimension, p.basis.max_degree
-    N = max(lie_image_degree(spec, degp), 1)
-    zs = np.cos(np.pi * np.arange(N + 1) / N)
-    lo, hi = np.array(p.basis.box or ((-1.0, 1.0),) * d).T
-    grid = np.meshgrid(*[lo[j] + (zs + 1.0) * (hi[j] - lo[j]) / 2.0
-                         for j in range(d)], indexing="ij")
-    X = np.stack(grid, axis=-1).reshape(-1, d)
-    if spec.time_kind == CONTINUOUS:
-        tensor = np.zeros((degp + 1,) * d)
-        tensor[tuple(np.array(p.basis.indices).T)] = p.coeffs
-        vals = 0.0
-        for j, fj in enumerate(_vector_field_sparse(spec)):
-            grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
-            for _ in range(d):  # each call turns one coefficient axis to grid
-                grad = cheb.chebval(zs, grad)
-            vals = vals + grad.ravel() * sum(c * np.prod(X ** np.array(i), 1)
-                                             for i, c in fj.items())
-    elif spec.id == MAP_LYAP_2D:
-        vals = p(step_map(spec, X)) - p(X)
-    else:  # stochastic logistic: E[p(lam x (1-x))] - p(x), lam = 4u
-        nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
-        xs = X[:, 0]
-        vals = -p(X)
-        for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0):
-            vals = vals + wi * p((4.0 * ui * xs * (1.0 - xs))[:, None])
-    coeffs = vals.reshape((N + 1,) * d)
-    for axis in range(d):
-        moved = np.moveaxis(coeffs, axis, 0)
-        coeffs = np.moveaxis(cheb.chebfit(zs, moved.reshape(N + 1, -1), N)
-                             .reshape(moved.shape), 0, axis)
-    # interpolation noise past the image degree is dropped; a real spill raises
-    keep = set(target.indices)
-    tol = 1e-9 * (1.0 + np.max(np.abs(coeffs)))
-    return sparse_to_poly({idx: c for idx, c in np.ndenumerate(coeffs)
-                           if idx in keep or abs(c) > tol}, target)
-
-
-def exact_lie_apply(spec: SystemSpec, p: Poly, target: Dictionary) -> Poly:
-    """Exact Lie derivative of p, expressed in the target dictionary, which
-    must share p's family, dimension and box."""
-    if p.basis.dimension != spec.dimension:
-        raise WrongSystemKind("polynomial dimension does not match system")
-    _check_same_space(p.basis, target)
-    if p.basis.family == CHEBYSHEV:
-        return _cheb_lie(spec, p, target)
-    return sparse_to_poly(_lie_sparse(spec, to_sparse(p)), target)
-
-
 def lie_image_degree(spec: SystemSpec, deg: int) -> int:
     """Degree of the Lie image of a degree-deg polynomial: deg + 2 under the
     cubic vector fields, 2 deg under the quadratic maps."""
@@ -238,11 +179,76 @@ def lie_image_degree(spec: SystemSpec, deg: int) -> int:
 
 def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
                      ) -> np.ndarray:
-    """Matrix of the exact generator restricted to span(phi), over psi."""
+    """Matrix of the exact generator restricted to span(phi), over psi: row k
+    holds the Lie image of phi[k], so the image of p = c . phi is
+    ``c @ exact_lie_matrix(spec, phi, psi)``.  psi must share phi's family,
+    dimension and box, and hold every index of the images.
+
+    Monomial images come from exact sparse arithmetic.  Chebyshev images have
+    degree N = lie_image_degree(deg phi), so their values on the tensor
+    Chebyshev-Lobatto grid of N + 1 points per axis of phi's box fix them
+    exactly (Trefethen, Approximation Theory and Approximation Practice,
+    2013), and they are O(1) there, where monomial coefficients grow like
+    4^deg and cancel.  The logistic expectation is a Gauss-Legendre
+    quadrature in lam with deg(phi)//2 + 1 nodes, exact at degree deg(phi).
+    """
+    if phi.dimension != spec.dimension:
+        raise WrongSystemKind("dictionary dimension does not match system")
+    _check_same_space(phi, psi)
+    if phi.family != CHEBYSHEV:
+        lookup = {idx: e for e, idx in enumerate(psi.indices)}
+        rows = np.zeros((phi.size, psi.size))
+        for k, idx in enumerate(phi.indices):
+            image = _lie_sparse(spec, {idx: 1.0})
+            missing = [i for i in image if i not in lookup]
+            if missing:
+                raise TargetTooSmall(missing)
+            rows[k, [lookup[i] for i in image]] = list(image.values())
+        return rows
+    cheb = np.polynomial.chebyshev  # loaded on first use, not at import
+    d, degp = spec.dimension, phi.max_degree
+    N = max(lie_image_degree(spec, degp), 1)
+    zs = np.cos(np.pi * np.arange(N + 1) / N)
+    lo, hi = np.array(phi.box or ((-1.0, 1.0),) * d).T
+    grid = np.meshgrid(*[lo[j] + (zs + 1.0) * (hi[j] - lo[j]) / 2.0
+                         for j in range(d)], indexing="ij")
+    X = np.stack(grid, axis=-1).reshape(-1, d)
+    if spec.time_kind == CONTINUOUS:
+        # element k of phi is the unit tensor at its index, on a trailing axis
+        tensor = np.zeros((degp + 1,) * d + (phi.size,))
+        tensor[tuple(np.array(phi.indices).T) + (np.arange(phi.size),)] = 1.0
+        vals = 0.0
+        for j, fj in enumerate(_vector_field_sparse(spec)):
+            grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
+            for _ in range(d):  # each call turns one coefficient axis to
+                grad = cheb.chebval(zs, grad)  # grid; phi's axis ends first
+            vals = vals + grad.reshape(phi.size, -1) * sum(
+                c * np.prod(X ** np.array(i), 1) for i, c in fj.items())
+    elif spec.id == MAP_LYAP_2D:
+        vals = evaluate(phi, step_map(spec, X)) - evaluate(phi, X)
+    else:  # stochastic logistic: E[p(lam x (1-x))] - p(x), lam = 4u
+        nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
+        xs = X[:, :1]
+        vals = -evaluate(phi, X)
+        for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0):
+            vals = vals + wi * evaluate(phi, 4.0 * ui * xs * (1.0 - xs))
+    where = np.full((N + 1,) * d, -1)  # psi position of each grid coefficient
+    for e, idx in enumerate(psi.indices):
+        if max(idx) <= N:
+            where[idx] = e
     rows = np.zeros((phi.size, psi.size))
-    for j in range(phi.size):
-        rows[j] = exact_lie_apply(spec, poly_from_index(phi, phi.indices[j]),
-                                  psi).coeffs
+    for k in range(phi.size):  # one fit per image: a joint fit moves bits
+        coeffs = vals[k].reshape(where.shape)
+        for axis in range(d):
+            moved = np.moveaxis(coeffs, axis, 0)
+            coeffs = np.moveaxis(cheb.chebfit(zs, moved.reshape(N + 1, -1), N)
+                                 .reshape(moved.shape), 0, axis)
+        # noise past the image degree is dropped; a real spill raises
+        tol = 1e-9 * (1.0 + np.max(np.abs(coeffs)))
+        spill = (where < 0) & (np.abs(coeffs) > tol)
+        if spill.any():
+            raise TargetTooSmall(tuple(i) for i in np.argwhere(spill).tolist())
+        rows[k, where[where >= 0]] = coeffs[where >= 0]
     return rows
 
 

@@ -173,6 +173,14 @@ def test_lyapunov_then_verify(tmp_path):
         "output": {"path": result},
     })
     assert main(["verify", vcfg]) == EXIT_OK
+    # one interior-point iteration cannot reach Optimal
+    vcfg = _write(tmp_path, "verify1.json", {
+        "system": "MapLyap2D",
+        "dictionaries": {"alpha": 4, "beta": 8},
+        "solver": {"max_iter": 1},
+        "output": {"path": result},
+    })
+    assert main(["verify", vcfg]) == EXIT_NONOPTIMAL
 
 
 @pytest.mark.parametrize("sampling, message", [
@@ -227,11 +235,13 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     ({"solver": {"max_iter": "x"}}, "solver.max_iter"),
     ({"observable": "bogus"}, "unknown observable"),
     ({"domain": "bogus"}, "unknown domain"),
+    ({"domain": "unit_interval"}, "domain 'unit_interval' needs a 1-D"),
     # the map's default beta is 2 alpha, so alpha is checked before beta
     ({"system": "MapLyap2D", "dictionaries": {"alpha": -1}},
      "dictionaries.alpha"),
 ], ids=["alpha", "alpha-negative", "box-short", "box-reversed", "n", "tol",
-        "max_iter", "observable", "domain", "map-alpha-negative"])
+        "max_iter", "observable", "domain", "domain-2d",
+        "map-alpha-negative"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
                                           update, key):
     def no_sampling(*args, **kwargs):

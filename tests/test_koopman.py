@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from koopsos import koopman
-from koopsos.koopman import (analytic_circle_moments, apply_lie,
-                             circle_moment, convergence_study,
-                             divergence_indicator, fit_edmd, fit_gedmd,
-                             loglog_slope, moment_matrices, pinv)
+from koopsos.koopman import (analytic_circle_moments, circle_moment,
+                             convergence_study, divergence_indicator,
+                             fit_edmd, fit_gedmd, loglog_slope,
+                             moment_matrices, pinv)
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, evaluate,
                                inclusion_matrix, total_degree_dictionary)
 from koopsos.snapshots import GENERATOR, KOOPMAN, SnapshotSet
@@ -133,15 +133,20 @@ def test_gedmd_recovers_exact_generator():
                                atol=1e-8)
 
 
-def test_apply_lie_matches_matrix():
+def test_edmd_lie_image_is_finite_difference():
+    # the Lie image of p = c . phi is c @ L over psi, and pointwise it is
+    # (K p - p) / tau with K p = c @ K over psi
     rng = np.random.default_rng(5)
     phi = total_degree_dictionary(MONOMIAL, 2, 2)
     psi = total_degree_dictionary(MONOMIAL, 2, 3)
     s = _random_snapshots(rng, n=50)
     ops = fit_edmd(s, phi, psi)
     p = Poly(phi, rng.standard_normal(phi.size))
-    np.testing.assert_allclose(apply_lie(ops, "edmd", p).coeffs,
-                               p.coeffs @ ops.L, atol=1e-14)
+    X = rng.uniform(-1, 1, size=(20, 2))
+    koopman_image = Poly(psi, p.coeffs @ ops.K)(X)
+    np.testing.assert_allclose(Poly(psi, p.coeffs @ ops.L)(X),
+                               (koopman_image - p(X)) / s.tau,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_fit_invariant_under_row_reorder_and_duplication():

@@ -7,12 +7,12 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 from koopsos import _kernels, systems
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
                                TargetTooSmall, evaluate, poly_from_index,
-                               total_degree_dictionary)
+                               sparse_to_poly, total_degree_dictionary)
 from koopsos.snapshots import GENERATOR
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              VAN_DER_POL, StateOutOfDomain, SystemSpec,
-                             WrongSystemKind, exact_lie_apply,
-                             exact_lie_matrix, exact_lie_values,
+                             WrongSystemKind, exact_lie_matrix,
+                             exact_lie_values,
                              integrate_ode, lie_image_degree, make_rng,
                              sample_snapshots, step_map, step_stochastic)
 
@@ -127,18 +127,22 @@ def test_limit_cycle_sampling():
     np.testing.assert_allclose(np.linalg.norm(s.Y, axis=1), 1.0, atol=1e-14)
 
 
+def _lie(spec, p, psi):
+    """The exact Lie image of p over psi, from the matrix of p's basis."""
+    return Poly(psi, p.coeffs @ exact_lie_matrix(spec, p.basis, psi))
+
+
 def test_exact_lie_linearity():
+    # the images of the elements of phi, combined by the coefficients of p,
+    # are the image of p worked out by sparse calculus as a whole
     spec = SystemSpec(VAN_DER_POL)
     phi = total_degree_dictionary(MONOMIAL, 2, 3)
     psi = total_degree_dictionary(MONOMIAL, 2, 6)
-    rng = np.random.default_rng(0)
-    p = Poly(phi, rng.standard_normal(phi.size))
-    q = Poly(phi, rng.standard_normal(phi.size))
-    combo = Poly(phi, 2.0 * p.coeffs - 3.0 * q.coeffs)
-    lhs = exact_lie_apply(spec, combo, psi).coeffs
-    rhs = (2.0 * exact_lie_apply(spec, p, psi).coeffs
-           - 3.0 * exact_lie_apply(spec, q, psi).coeffs)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    p = Poly(phi, np.random.default_rng(0).standard_normal(phi.size))
+    sparse = dict(zip(phi.indices, p.coeffs))
+    whole = sparse_to_poly(systems._lie_sparse(spec, sparse), psi)
+    np.testing.assert_allclose(_lie(spec, p, psi).coeffs, whole.coeffs,
+                               atol=1e-12)
 
 
 def test_circle_exact_lie_of_energy():
@@ -150,7 +154,7 @@ def test_circle_exact_lie_of_energy():
     c[phi.position((0, 0))] = 1.0
     c[phi.position((2, 0))] = 1.0
     c[phi.position((0, 2))] = 1.0
-    lie = exact_lie_apply(spec, Poly(phi, c), psi)
+    lie = _lie(spec, Poly(phi, c), psi)
     expected = np.zeros(psi.size)
     expected[psi.position((2, 0))] = 2.0
     expected[psi.position((0, 2))] = 2.0
@@ -167,7 +171,7 @@ def test_map_lie_is_composition_difference():
     psi = total_degree_dictionary(MONOMIAL, 2, 4)
     rng = np.random.default_rng(2)
     p = Poly(phi, rng.standard_normal(phi.size))
-    lie = exact_lie_apply(spec, p, psi)
+    lie = _lie(spec, p, psi)
     X = rng.uniform(-1, 1, size=(40, 2))
     np.testing.assert_allclose(lie(X), p(step_map(spec, X)) - p(X),
                                atol=1e-10)
@@ -179,7 +183,7 @@ def test_logistic_lie_monte_carlo():
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 8, BOX)
     p = poly_from_index(phi, (3,))
-    lie = exact_lie_apply(spec, p, psi)
+    lie = _lie(spec, p, psi)
     rng = np.random.default_rng(11)
     lam = rng.uniform(0.0, 4.0, 400_000)
     for x in (0.13, 0.5, 0.82):
@@ -195,7 +199,7 @@ def test_logistic_lie_quadrature_high_degree():
     phi = total_degree_dictionary(CHEBYSHEV, 1, 14, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 28, BOX)
     p = poly_from_index(phi, (14,))
-    lie = exact_lie_apply(spec, p, psi)
+    lie = _lie(spec, p, psi)
     nodes, weights = np.polynomial.legendre.leggauss(40)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
@@ -344,12 +348,80 @@ def test_logistic_chebyshev_lie_matrix_bit_identical(alpha):
     np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
 
 
+def _tensor_interpolated_lie(spec, p, target):
+    """The tensor interpolation of one polynomial at a time, which the
+    whole-matrix pass runs for every element of phi at once, kept verbatim
+    as the bit-level reference."""
+    cheb = np.polynomial.chebyshev
+    d, degp = spec.dimension, p.basis.max_degree
+    N = max(lie_image_degree(spec, degp), 1)
+    zs = np.cos(np.pi * np.arange(N + 1) / N)
+    lo, hi = np.array(p.basis.box or ((-1.0, 1.0),) * d).T
+    grid = np.meshgrid(*[lo[j] + (zs + 1.0) * (hi[j] - lo[j]) / 2.0
+                         for j in range(d)], indexing="ij")
+    X = np.stack(grid, axis=-1).reshape(-1, d)
+    if spec.time_kind == systems.CONTINUOUS:
+        tensor = np.zeros((degp + 1,) * d)
+        tensor[tuple(np.array(p.basis.indices).T)] = p.coeffs
+        vals = 0.0
+        for j, fj in enumerate(systems._vector_field_sparse(spec)):
+            grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
+            for _ in range(d):  # each call turns one coefficient axis to grid
+                grad = cheb.chebval(zs, grad)
+            vals = vals + grad.ravel() * sum(c * np.prod(X ** np.array(i), 1)
+                                             for i, c in fj.items())
+    elif spec.id == MAP_LYAP_2D:
+        vals = p(step_map(spec, X)) - p(X)
+    else:  # stochastic logistic: E[p(lam x (1-x))] - p(x), lam = 4u
+        nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
+        xs = X[:, 0]
+        vals = -p(X)
+        for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0):
+            vals = vals + wi * p((4.0 * ui * xs * (1.0 - xs))[:, None])
+    coeffs = vals.reshape((N + 1,) * d)
+    for axis in range(d):
+        moved = np.moveaxis(coeffs, axis, 0)
+        coeffs = np.moveaxis(cheb.chebfit(zs, moved.reshape(N + 1, -1), N)
+                             .reshape(moved.shape), 0, axis)
+    # interpolation noise past the image degree is dropped; a real spill raises
+    keep = set(target.indices)
+    tol = 1e-9 * (1.0 + np.max(np.abs(coeffs)))
+    return sparse_to_poly({idx: c for idx, c in np.ndenumerate(coeffs)
+                           if idx in keep or abs(c) > tol}, target)
+
+
+@pytest.mark.parametrize("system,box,alpha", [
+    (VAN_DER_POL, BOX03, 16), (CIRCULAR_ORBIT, BOX22, 14),
+    (MAP_LYAP_2D, ((-1.0, 3.0), (-1.0, 3.0)), 12)],
+    ids=["vdp", "circle", "map-off-centre"])
+def test_chebyshev_lie_matrix_bit_identical(system, box, alpha):
+    spec = SystemSpec(system)
+    phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, box)
+    psi = total_degree_dictionary(CHEBYSHEV, 2, lie_image_degree(spec, alpha),
+                                  box)
+    ref = np.array([_tensor_interpolated_lie(spec, poly_from_index(phi, idx),
+                                             psi).coeffs
+                    for idx in phi.indices])
+    np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
+
+
+def test_chebyshev_lie_spill_names_the_missing_indices():
+    # the images of degree-4 VdP elements reach degree 6; a degree-5 target
+    # misses exactly the degree-6 indices
+    spec = SystemSpec(VAN_DER_POL)
+    phi = total_degree_dictionary(CHEBYSHEV, 2, 4, BOX03)
+    psi = total_degree_dictionary(CHEBYSHEV, 2, 5, BOX03)
+    with pytest.raises(TargetTooSmall) as err:
+        exact_lie_matrix(spec, phi, psi)
+    assert err.value.missing and all(sum(i) == 6 for i in err.value.missing)
+
+
 def test_logistic_chebyshev_lie_without_box_uses_unit_box():
     # a Chebyshev dictionary without a box is in T_k(x) on [-1, 1]
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4)
     p = poly_from_index(phi, (3,))
-    lie = exact_lie_apply(spec, p, total_degree_dictionary(CHEBYSHEV, 1, 8))
+    lie = _lie(spec, p, total_degree_dictionary(CHEBYSHEV, 1, 8))
     nodes, weights = np.polynomial.legendre.leggauss(20)
     u = 0.5 * (nodes + 1.0)
     for x in np.linspace(0.0, 1.0, 9):
