@@ -27,8 +27,7 @@ from . import __version__, reference_values
 from .auxfn import circular_orbit_casestudy, ergodic_bound, find_lyapunov
 from .koopman import convergence_study, fit_edmd, fit_gedmd, loglog_slope
 from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
-                        monomial_to_cheb, norm_squared, poly_from_index,
-                        total_degree_dictionary)
+                        norm_squared, poly_from_terms, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
 from .sos import SemialgebraicSet, posterior_verify
 from .systems import (STOCHASTIC_LOGISTIC, SystemSpec, exact_lie_matrix,
@@ -161,11 +160,7 @@ def _observable(name: str, spec: SystemSpec, family, box) -> Poly:
         return norm_squared(family, d, box)
     if name != "state":
         raise ConfigError(f"unknown observable {name!r}")
-    p = poly_from_index(total_degree_dictionary(MONOMIAL, d, 2),
-                        (1,) + (0,) * (d - 1))
-    if family == CHEBYSHEV:
-        p = monomial_to_cheb(p, total_degree_dictionary(CHEBYSHEV, d, 2, box))
-    return p
+    return poly_from_terms({(1,) + (0,) * (d - 1): 1.0}, family, box, deg=2)
 
 
 def _domain(name: str, spec: SystemSpec, family, box) -> SemialgebraicSet:
@@ -174,12 +169,8 @@ def _domain(name: str, spec: SystemSpec, family, box) -> SemialgebraicSet:
     if name == "unit_interval":
         if spec.dimension != 1:
             raise ConfigError("domain 'unit_interval' needs a 1-D system")
-        mono = total_degree_dictionary(MONOMIAL, 1, 2)
-        s = Poly(mono, np.array([0.0, 1.0, -1.0]))  # x - x^2
-        if family == CHEBYSHEV:
-            s = monomial_to_cheb(
-                s, total_degree_dictionary(CHEBYSHEV, 1, 2, box))
-        return SemialgebraicSet((s,))
+        return SemialgebraicSet(
+            (poly_from_terms({(1,): 1.0, (2,): -1.0}, family, box),))
     raise ConfigError(f"unknown domain {name!r}")
 
 

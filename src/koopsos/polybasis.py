@@ -6,6 +6,11 @@ tensor products ``prod_j T_{k_j}(z_j)`` of Chebyshev polynomials of the first
 kind, evaluated in rescaled coordinates ``z = rescale(x)`` mapping a reference
 box onto ``[-1, 1]^d``.  The rescaling box is stored on the dictionary itself
 so that downstream code cannot silently mix incompatible domains.
+
+Polynomials are coefficient vectors over a dictionary.  Every product goes
+through one set of structure constants, ``product_tensor``, and ``project``
+rewrites coefficients over a target dictionary, raising ``TargetTooSmall``
+when they do not fit.
 """
 
 from __future__ import annotations
@@ -167,6 +172,29 @@ def _check_same_space(first: Dictionary, *others: Dictionary) -> None:
             raise DimensionMismatch("dictionaries must share the rescaling box")
 
 
+def project(indices: Sequence[MultiIndex], coeffs: np.ndarray,
+            target: Dictionary, rtol: float = 0.0) -> np.ndarray:
+    """Rows of coefficients over ``indices`` rewritten over target.
+
+    A coefficient whose index target lacks is dropped when it is at most
+    rtol * (1 + max |row|), as interpolation noise; a larger one raises
+    TargetTooSmall naming the indices.  With rtol 0 every nonzero must fit.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    lookup = {idx: e for e, idx in enumerate(target.indices)}
+    pos = np.array([lookup.get(tuple(idx), -1) for idx in indices],
+                   dtype=np.int64)
+    rows = coeffs.reshape(-1, pos.size)
+    tol = rtol * (1.0 + np.max(np.abs(rows), axis=1, initial=0.0))
+    spill = (np.abs(rows) > tol[:, None]) & (pos < 0)
+    if spill.any():
+        raise TargetTooSmall(tuple(indices[i])
+                             for i in np.flatnonzero(spill.any(axis=0)))
+    out = np.zeros(coeffs.shape[:-1] + (target.size,))
+    out[..., pos[pos >= 0]] = coeffs[..., pos >= 0]
+    return out
+
+
 def inclusion_matrix(small: Dictionary, big: Dictionary) -> np.ndarray:
     """0/1 selection matrix Theta with small(x) = Theta @ big(x) for all x."""
     _check_same_space(small, big)
@@ -218,17 +246,25 @@ def poly_from_index(dictionary: Dictionary, idx: MultiIndex) -> Poly:
     return Poly(dictionary, c)
 
 
+def poly_from_terms(terms: dict[MultiIndex, float], family: str = MONOMIAL,
+                    box: Sequence[Sequence[float]] | None = None,
+                    deg: int | None = None) -> Poly:
+    """sum c x^idx over the {idx: c} terms, in the total-degree dictionary of
+    degree deg (by default the highest term degree) of the family."""
+    d = len(next(iter(terms)))
+    deg = max(map(sum, terms)) if deg is None else deg
+    mono = total_degree_dictionary(MONOMIAL, d, deg)
+    p = Poly(mono, project(list(terms), list(terms.values()), mono))
+    if family == MONOMIAL:
+        return p
+    return monomial_to_cheb(p, total_degree_dictionary(family, d, deg, box))
+
+
 def norm_squared(family: str, d: int,
                  box: Sequence[Sequence[float]] | None = None) -> Poly:
     """|x|^2 = x_1^2 + ... + x_d^2 over the degree-2 dictionary of the family."""
-    mono = total_degree_dictionary(MONOMIAL, d, 2)
-    c = np.zeros(mono.size)
-    for j in range(d):
-        c[mono.position(tuple(2 if k == j else 0 for k in range(d)))] = 1.0
-    p = Poly(mono, c)
-    if family == MONOMIAL:
-        return p
-    return monomial_to_cheb(p, total_degree_dictionary(family, d, 2, box))
+    return poly_from_terms({tuple(2 if k == j else 0 for k in range(d)): 1.0
+                            for j in range(d)}, family, box)
 
 
 # -- product structure constants -----------------------------------------------
@@ -275,92 +311,14 @@ def product_expand(p: Poly, q: Poly, target: Dictionary) -> Poly:
         p.basis.family, p.basis.dimension,
         p.basis.max_degree + q.basis.max_degree, p.basis.box)
     coeffs = product_tensor(p.basis, q.basis, full) @ q.coeffs @ p.coeffs
-    return sparse_to_poly(dict(zip(full.indices, coeffs)), target)
+    return Poly(target, project(full.indices, coeffs, target))
 
 
-# -- sparse monomial arithmetic ------------------------------------------------
-#
-# Intermediate results of compositions and Lie derivative formulas are held as
-# {multi-index: coefficient} maps and only projected onto a target Dictionary
-# at the end (raising TargetTooSmall when it cannot hold them).
-
-def to_sparse(p: Poly) -> dict[MultiIndex, float]:
-    return {idx: c for idx, c in zip(p.basis.indices, p.coeffs) if c != 0.0}
-
-
-def sparse_to_poly(sp: dict[MultiIndex, float], target: Dictionary) -> Poly:
-    lookup = {idx: j for j, idx in enumerate(target.indices)}
-    coeffs = np.zeros(target.size)
-    missing = [idx for idx, c in sp.items() if c != 0.0 and idx not in lookup]
-    if missing:
-        raise TargetTooSmall(missing)
-    for idx, c in sp.items():
-        if idx in lookup:
-            coeffs[lookup[idx]] = c
-    return Poly(target, coeffs)
-
-
-def sparse_add(a: dict, b: dict, scale: float = 1.0) -> dict:
-    out = dict(a)
-    for idx, c in b.items():
-        out[idx] = out.get(idx, 0.0) + scale * c
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def sparse_product(a: dict, b: dict) -> dict:
-    """Product of two sparse monomial polynomials."""
-    out: dict[MultiIndex, float] = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            idx = tuple(x + y for x, y in zip(ia, ib))
-            out[idx] = out.get(idx, 0.0) + ca * cb
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-# -- monomial calculus helpers -------------------------------------------------
-
-def sparse_gradient(sp: dict[MultiIndex, float], coord: int) -> dict:
-    """d/dx_coord of a sparse monomial polynomial."""
-    out: dict[MultiIndex, float] = {}
-    for idx, c in sp.items():
-        e = idx[coord]
-        if e > 0:
-            new = idx[:coord] + (e - 1,) + idx[coord + 1:]
-            out[new] = out.get(new, 0.0) + c * e
-    return out
-
-
-def sparse_compose(sp: dict[MultiIndex, float],
-                   components: Sequence[dict[MultiIndex, float]]) -> dict:
-    """p(f_1, ..., f_d) for a sparse monomial p and sparse monomial f_j."""
-    d = len(components)
-    # cache powers of each component
-    pow_cache: list[dict[int, dict]] = [dict() for _ in range(d)]
-    one = {(0,) * _component_dim(components): 1.0}
-
-    def comp_power(j: int, k: int) -> dict:
-        if k == 0:
-            return one
-        if k not in pow_cache[j]:
-            pow_cache[j][k] = sparse_product(comp_power(j, k - 1),
-                                             components[j])
-        return pow_cache[j][k]
-
-    out: dict[MultiIndex, float] = {}
-    for idx, c in sp.items():
-        term = one
-        for j, e in enumerate(idx):
-            if e:
-                term = sparse_product(term, comp_power(j, e))
-        out = sparse_add(out, term, c)
-    return out
-
-
-def _component_dim(components) -> int:
-    for comp in components:
-        for idx in comp:
-            return len(idx)
-    return 1
+def multiplication_matrix(p: Poly, u: Dictionary, target: Dictionary
+                          ) -> np.ndarray:
+    """(|target|, |u|) coefficients of p * u_i over target."""
+    return np.tensordot(p.coeffs, product_tensor(p.basis, u, target),
+                        axes=([0], [1]))
 
 
 # -- monomial to Chebyshev conversion ------------------------------------------
@@ -405,6 +363,5 @@ def monomial_to_cheb(p: Poly, target: Dictionary) -> Poly:
         Minv = np.linalg.solve(_cheb_to_mono_matrix(deg).T, np.eye(deg + 1))
         tensor = np.moveaxis(np.tensordot(
             tensor, S @ Minv.T, axes=([axis], [0])), -1, axis)
-    sp = {idx: float(tensor[idx]) for idx in np.ndindex(*tensor.shape)
-          if tensor[idx] != 0.0}
-    return sparse_to_poly(sp, target)
+    return Poly(target, project(list(np.ndindex(*tensor.shape)),
+                                tensor.ravel(), target))

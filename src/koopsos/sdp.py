@@ -16,7 +16,6 @@ infeasibility and unboundedness certificates instead of a stalled iterate.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,28 +115,6 @@ class SdpProblem:
     def dim(self) -> int:
         return self.c.shape[0]
 
-    def to_json(self) -> str:
-        rows, cols = np.nonzero(self.A)
-        payload = {
-            "blocks": [list(bl) for bl in self.blocks],
-            "c": self.c.tolist(),
-            "b": self.b.tolist(),
-            "A_triplets": [[int(i), int(j), float(self.A[i, j])]
-                           for i, j in zip(rows, cols)],
-            "n_rows": int(self.A.shape[0]),
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "SdpProblem":
-        data = json.loads(text)
-        blocks = tuple((k, int(s)) for k, s in data["blocks"])
-        dim = sum(block_dim(k, s) for k, s in blocks)
-        A = np.zeros((int(data["n_rows"]), dim))
-        for i, j, v in data["A_triplets"]:
-            A[int(i), int(j)] = float(v)
-        return SdpProblem(blocks, np.array(data["c"]), A, np.array(data["b"]))
-
 
 @dataclass(frozen=True)
 class SdpSolution:
@@ -148,16 +125,6 @@ class SdpSolution:
     kkt_residuals: tuple
     iterations: int = 0
     certificate: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "status": self.status,
-            "z": None if self.z is None else self.z.tolist(),
-            "y": None if self.y is None else self.y.tolist(),
-            "objective": self.objective,
-            "kkt_residuals": list(self.kkt_residuals),
-            "iterations": self.iterations,
-        })
 
 
 # -- cone helpers over the conic (non-free) part -------------------------------

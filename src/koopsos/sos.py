@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polybasis import (Dictionary, Poly, evaluate, inclusion_matrix,
-                        norm_squared, product_tensor, total_degree_dictionary)
+                        multiplication_matrix, norm_squared, product_tensor,
+                        total_degree_dictionary)
 from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution,
                   block_dim, block_layout, smat, solve as sdp_solve,
                   svec)
@@ -128,12 +129,6 @@ class CompiledSos:
     dec_slice: slice
 
 
-def _times(p: Poly, u: Dictionary, E: Dictionary) -> np.ndarray:
-    """(|E|, |u|) coefficients of p * u_i over E."""
-    return np.tensordot(p.coeffs, product_tensor(p.basis, u, E),
-                        axes=([0], [1]))
-
-
 def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
     """Coefficient-matching columns of one constraint over the E basis that
     spans all of its products: the decision-variable columns, the constant
@@ -149,9 +144,9 @@ def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
 
     phi_cols = np.zeros((nE, phi.size))
     if con.a is not None:
-        phi_cols += _times(con.a, phi, E)
+        phi_cols += multiplication_matrix(con.a, phi, E)
     if con.b is not None:
-        bpsi = _times(con.b, con.lie_basis, E).T
+        bpsi = multiplication_matrix(con.b, con.lie_basis, E).T
         phi_cols += (con.lie_matrix @ bpsi).T
     const = np.zeros(nE)
     if con.c_const is not None:
@@ -171,7 +166,8 @@ def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
         ww = total_degree_dictionary(w.family, w.dimension,
                                      2 * w.max_degree, w.box)
         gram_cols.append(svec(np.tensordot(
-            _times(s, ww, E), product_tensor(w, w, ww), axes=([1], [0]))))
+            multiplication_matrix(s, ww, E), product_tensor(w, w, ww),
+            axes=([1], [0]))))
     return E, v, ws, dec_matrix, const, gram_cols
 
 

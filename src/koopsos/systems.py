@@ -9,9 +9,10 @@ Four systems are provided:
 
 Exact Lie derivatives are f . grad p for ODEs, p o F - p for the map and
 E[p(lam x (1 - x))] - p(x) for the stochastic map.  ``exact_lie_matrix``
-builds those of every element of a dictionary at once: by exact sparse
-arithmetic for monomials (with E[lam^k] = 4^k / (k + 1)), and for Chebyshev
-dictionaries by interpolating their values on one tensor Chebyshev grid.
+builds those of every element of a dictionary at once: for monomials from
+the polynomial products of ``polybasis.product_tensor`` (with E[lam^k] =
+4^k / (k + 1)), and for Chebyshev dictionaries by interpolating their values
+on one tensor Chebyshev grid.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .polybasis import (CHEBYSHEV, CHUNK_ROWS, Dictionary, TargetTooSmall,
-                        _check_same_space, evaluate, sparse_add,
-                        sparse_compose, sparse_gradient, sparse_product,
+from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary, Poly,
+                        _check_same_space, evaluate, multiplication_matrix,
+                        poly_from_terms, product_expand, project,
                         total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
@@ -125,7 +126,8 @@ def integrate_ode(spec: SystemSpec, x0, tau: float, n_steps: int) -> np.ndarray:
 
 # -- exact Lie derivatives -----------------------------------------------------
 
-def _vector_field_sparse(spec: SystemSpec) -> list[dict]:
+def _vector_field_terms(spec: SystemSpec) -> list[dict]:
+    """{monomial index: coefficient} of each component of the vector field."""
     if spec.id == VAN_DER_POL:
         mu = spec.mu
         return [{(0, 1): 1.0},
@@ -136,39 +138,58 @@ def _vector_field_sparse(spec: SystemSpec) -> list[dict]:
     raise WrongSystemKind(f"{spec.id} has no polynomial vector field")
 
 
-def _map_components_sparse(spec: SystemSpec) -> list[dict]:
-    if spec.id == MAP_LYAP_2D:
-        return [{(1, 0): 0.3},
-                {(1, 0): -1.0, (0, 1): 0.5, (2, 0): 7.0 / 18.0}]
-    raise WrongSystemKind(f"{spec.id} is not a deterministic discrete map")
+def _product(p: Poly, q: Poly) -> Poly:
+    """p * q over the total-degree monomial dictionary that holds it."""
+    return product_expand(p, q, total_degree_dictionary(
+        MONOMIAL, p.basis.dimension, p.basis.max_degree + q.basis.max_degree))
 
 
-def _lie_sparse(spec: SystemSpec, sp: dict) -> dict:
-    """Exact Lie derivative of a sparse monomial polynomial."""
+def _monomial_lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
+    """Monomial Lie images of the elements of phi, as (E, rows over E).
+
+    ODEs: sum_j D_j M(f_j), with D_j the d/dx_j matrix from phi to the
+    degree-(deg phi - 1) dictionary u and M(f_j) multiplication by f_j from
+    u.  Maps: x^a goes to prod_j F_j^(a_j) - x^a, and the logistic x^k to
+    E[lam^k] (x - x^2)^k - x^k with E[lam^k] = 4^k / (k + 1).
+    """
+    d, degp = spec.dimension, phi.max_degree
     if spec.time_kind == CONTINUOUS:
-        f = _vector_field_sparse(spec)
-        out: dict = {}
-        for j in range(spec.dimension):
-            out = sparse_add(out, sparse_product(f[j], sparse_gradient(sp, j)))
-        return out
+        f = [poly_from_terms(t) for t in _vector_field_terms(spec)]
+        u = total_degree_dictionary(MONOMIAL, d, max(degp - 1, 0))
+        E = total_degree_dictionary(
+            MONOMIAL, d, u.max_degree + max(fj.basis.max_degree for fj in f))
+        lookup = {idx: i for i, idx in enumerate(u.indices)}
+        rows = 0.0
+        for j, fj in enumerate(f):
+            D = np.zeros((phi.size, u.size))
+            for k, idx in enumerate(phi.indices):
+                if idx[j]:
+                    lower = idx[:j] + (idx[j] - 1,) + idx[j + 1:]
+                    D[k, lookup[lower]] = idx[j]
+            rows = rows + D @ multiplication_matrix(fj, u, E).T
+        return E, rows
     if spec.id == MAP_LYAP_2D:
-        return sparse_add(sparse_compose(sp, _map_components_sparse(spec)),
-                          sp, -1.0)
-    # stochastic logistic: E[p(lam x (1-x))] - p(x) with E[lam^k] = 4^k/(k+1)
-    base = {(1,): 1.0, (2,): -1.0}
-    out = {}
-    power = {(0,): 1.0}
-    max_deg = max((idx[0] for idx in sp), default=0)
-    for k in range(max_deg + 1):
-        c = sp.get((k,), 0.0)
-        if c != 0.0:
-            moment = 4.0 ** k / (k + 1)
-            for idx, w in power.items():
-                out[idx] = out.get(idx, 0.0) + c * moment * w
-            out[(k,)] = out.get((k,), 0.0) - c
-        if k < max_deg:
-            power = sparse_product(power, base)
-    return {k: v for k, v in out.items() if v != 0.0}
+        F = [poly_from_terms({(1, 0): 0.3}),
+             poly_from_terms({(1, 0): -1.0, (0, 1): 0.5, (2, 0): 7.0 / 18.0})]
+    else:  # stochastic logistic: x^k -> E[lam^k] (x - x^2)^k
+        F = [poly_from_terms({(1,): 1.0, (2,): -1.0})]
+    one = poly_from_terms({(0,) * d: 1.0})
+    powers = [[one] for _ in F]
+    for Fj, pw in zip(F, powers):
+        while len(pw) <= degp:
+            pw.append(_product(pw[-1], Fj))
+    E = total_degree_dictionary(MONOMIAL, d, lie_image_degree(spec, degp))
+    rows = np.zeros((phi.size, E.size))
+    for k, idx in enumerate(phi.indices):
+        term = powers[0][idx[0]]
+        for pw, e in zip(powers[1:], idx[1:]):
+            if e:
+                term = _product(term, pw[e])
+        moment = (1.0 if spec.id == MAP_LYAP_2D
+                  else 4.0 ** idx[0] / (idx[0] + 1))
+        rows[k] = moment * project(term.basis.indices, term.coeffs, E)
+        rows[k, E.position(idx)] -= 1.0
+    return E, rows
 
 
 def lie_image_degree(spec: SystemSpec, deg: int) -> int:
@@ -184,8 +205,9 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
     ``c @ exact_lie_matrix(spec, phi, psi)``.  psi must share phi's family,
     dimension and box, and hold every index of the images.
 
-    Monomial images come from exact sparse arithmetic.  Chebyshev images have
-    degree N = lie_image_degree(deg phi), so their values on the tensor
+    Monomial images are exact products of monomial polynomials (see
+    ``_monomial_lie_rows``), and every nonzero must fit in psi.  Chebyshev
+    images have degree N = lie_image_degree(deg phi), so their values on the tensor
     Chebyshev-Lobatto grid of N + 1 points per axis of phi's box fix them
     exactly (Trefethen, Approximation Theory and Approximation Practice,
     2013), and they are O(1) there, where monomial coefficients grow like
@@ -196,15 +218,8 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
         raise WrongSystemKind("dictionary dimension does not match system")
     _check_same_space(phi, psi)
     if phi.family != CHEBYSHEV:
-        lookup = {idx: e for e, idx in enumerate(psi.indices)}
-        rows = np.zeros((phi.size, psi.size))
-        for k, idx in enumerate(phi.indices):
-            image = _lie_sparse(spec, {idx: 1.0})
-            missing = [i for i in image if i not in lookup]
-            if missing:
-                raise TargetTooSmall(missing)
-            rows[k, [lookup[i] for i in image]] = list(image.values())
-        return rows
+        E, rows = _monomial_lie_rows(spec, phi)
+        return project(E.indices, rows, psi)
     cheb = np.polynomial.chebyshev  # loaded on first use, not at import
     d, degp = spec.dimension, phi.max_degree
     N = max(lie_image_degree(spec, degp), 1)
@@ -218,7 +233,7 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
         tensor = np.zeros((degp + 1,) * d + (phi.size,))
         tensor[tuple(np.array(phi.indices).T) + (np.arange(phi.size),)] = 1.0
         vals = 0.0
-        for j, fj in enumerate(_vector_field_sparse(spec)):
+        for j, fj in enumerate(_vector_field_terms(spec)):
             grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
             for _ in range(d):  # each call turns one coefficient axis to
                 grad = cheb.chebval(zs, grad)  # grid; phi's axis ends first
@@ -232,24 +247,19 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
         vals = -evaluate(phi, X)
         for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0):
             vals = vals + wi * evaluate(phi, 4.0 * ui * xs * (1.0 - xs))
-    where = np.full((N + 1,) * d, -1)  # psi position of each grid coefficient
-    for e, idx in enumerate(psi.indices):
-        if max(idx) <= N:
-            where[idx] = e
-    rows = np.zeros((phi.size, psi.size))
+    shape = (N + 1,) * d
+    rows = np.empty((phi.size,) + shape)
     for k in range(phi.size):  # one fit per image: a joint fit moves bits
-        coeffs = vals[k].reshape(where.shape)
+        coeffs = vals[k].reshape(shape)
         for axis in range(d):
             moved = np.moveaxis(coeffs, axis, 0)
             coeffs = np.moveaxis(cheb.chebfit(zs, moved.reshape(N + 1, -1), N)
                                  .reshape(moved.shape), 0, axis)
-        # noise past the image degree is dropped; a real spill raises
-        tol = 1e-9 * (1.0 + np.max(np.abs(coeffs)))
-        spill = (where < 0) & (np.abs(coeffs) > tol)
-        if spill.any():
-            raise TargetTooSmall(tuple(i) for i in np.argwhere(spill).tolist())
-        rows[k, where[where >= 0]] = coeffs[where >= 0]
-    return rows
+        rows[k] = coeffs
+    # interpolation noise, at most ~1e-14 of the largest coefficient, is
+    # dropped outside psi; a real spill raises
+    return project(list(np.ndindex(shape)), rows.reshape(phi.size, -1), psi,
+                   rtol=1e-13)
 
 
 def exact_lie_values(spec: SystemSpec, phi: Dictionary, X: np.ndarray

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
                                DimensionMismatch, Poly, SmallNotContained,
                                TargetTooSmall, evaluate, inclusion_matrix,
-                               monomial_to_cheb, poly_from_index,
-                               product_expand, product_tensor,
+                               monomial_to_cheb, norm_squared,
+                               poly_from_index, poly_from_terms,
+                               product_expand, product_tensor, project,
                                total_degree_dictionary)
 
 BOX1 = ((-1.0, 1.0),)
@@ -184,6 +185,40 @@ def test_monomial_to_cheb_respects_box():
     xs = np.linspace(0.0, 2.0, 11)[:, None]
     np.testing.assert_allclose(monomial_to_cheb(p, cheb)(xs), p(xs),
                                atol=1e-12)
+
+
+def test_project_drops_only_noise_outside_target():
+    target = total_degree_dictionary(MONOMIAL, 1, 1)
+    indices = [(0,), (1,), (2,)]
+    rows = np.array([[1.0, 2.0, 0.0], [4.0, -1.0, 1e-14]])
+    np.testing.assert_array_equal(project(indices, rows, target, rtol=1e-13),
+                                  rows[:, :2])
+    with pytest.raises(TargetTooSmall) as err:
+        project(indices, rows, target)  # rtol 0: every nonzero must fit
+    assert err.value.missing == [(2,)]
+    np.testing.assert_array_equal(
+        project(indices, rows[0], total_degree_dictionary(MONOMIAL, 1, 3)),
+        [1.0, 2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("family,box", [(MONOMIAL, None),
+                                        (CHEBYSHEV, ((0.0, 2.0),) * 2)])
+def test_poly_from_terms_matches_hand_built(family, box):
+    # |x|^2, x - x^2 and x on a degree-2 dictionary, against the coefficient
+    # arrays written out by hand and converted to the family
+    mono = total_degree_dictionary(MONOMIAL, 2, 2)
+    for got, coeffs in [
+            (norm_squared(family, 2, box), [0, 0, 0, 1, 0, 1]),
+            (poly_from_terms({(1, 0): 1.0, (2, 0): -1.0}, family, box),
+             [0, 1, 0, -1, 0, 0]),
+            (poly_from_terms({(1, 0): 1.0}, family, box, deg=2),
+             [0, 1, 0, 0, 0, 0])]:
+        ref = Poly(mono, np.array(coeffs, dtype=float))
+        if family == CHEBYSHEV:
+            ref = monomial_to_cheb(
+                ref, total_degree_dictionary(CHEBYSHEV, 2, 2, box))
+        assert got.basis == ref.basis
+        np.testing.assert_array_equal(got.coeffs, ref.coeffs)
 
 
 def test_json_round_trip():

@@ -222,16 +222,6 @@ def test_block_order_permutation_equivalence():
     assert s1.objective == pytest.approx(s2.objective, abs=1e-6)
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(3)
-    prob = _random_feasible(rng, [(PSD, 3), (NONNEG, 2)], 3)
-    again = SdpProblem.from_json(prob.to_json())
-    assert again.blocks == prob.blocks
-    np.testing.assert_allclose(again.A, prob.A)
-    np.testing.assert_allclose(again.b, prob.b)
-    np.testing.assert_allclose(again.c, prob.c)
-
-
 def test_rejects_bad_data():
     with pytest.raises(ValueError):
         SdpProblem([(NONNEG, 2)], np.array([1.0]), np.zeros((1, 2)),

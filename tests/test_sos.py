@@ -5,8 +5,8 @@ import pytest
 
 from koopsos import sos
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                               norm_squared, poly_from_index, sparse_to_poly,
-                               to_sparse, total_degree_dictionary)
+                               norm_squared, poly_from_index,
+                               total_degree_dictionary)
 from koopsos.sdp import svec
 from koopsos.sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
                          _one, auto_bases, certificate_values, compile,
@@ -157,6 +157,11 @@ def _pair_product(family, a, b):
     return terms
 
 
+def _terms(p):
+    """{index: coefficient} of the nonzero coefficients of p."""
+    return {idx: c for idx, c in zip(p.basis.indices, p.coeffs) if c != 0.0}
+
+
 def _dict_product(family, a, b):
     out = {}
     for ia, ca in a.items():
@@ -179,27 +184,30 @@ def _dict_match_coefficients(con, prog):
         return {basis.indices[j]: 1.0}
 
     def in_E(sp):
-        return sparse_to_poly(sp, E).coeffs
+        out = np.zeros(E.size)
+        for idx, c in sp.items():
+            out[E.position(idx)] = c
+        return out
 
     phi_cols = np.zeros((E.size, phi.size))
     if con.a is not None:
         for j in range(phi.size):
-            phi_cols[:, j] += in_E(_dict_product(fam, to_sparse(con.a),
+            phi_cols[:, j] += in_E(_dict_product(fam, _terms(con.a),
                                                  unit(phi, j)))
     if con.b is not None:
-        bpsi = np.array([in_E(_dict_product(fam, to_sparse(con.b),
+        bpsi = np.array([in_E(_dict_product(fam, _terms(con.b),
                                             unit(con.lie_basis, m)))
                          for m in range(con.lie_basis.size)])
         phi_cols += (con.lie_matrix @ bpsi).T
     const = np.zeros(E.size)
     if con.c_const is not None:
-        const += in_E(to_sparse(con.c_const))
+        const += in_E(_terms(con.c_const))
     if prog.c_fixed is not None:
         const += phi_cols @ prog.c_fixed
     scalar_cols = np.zeros((E.size, len(prog.scalars)))
     for k, name in enumerate(prog.scalars):
         if name in con.c_scalars:
-            scalar_cols[:, k] = in_E(to_sparse(con.c_scalars[name]))
+            scalar_cols[:, k] = in_E(_terms(con.c_scalars[name]))
     dec_matrix = (scalar_cols if prog.c_fixed is not None
                   else np.hstack([phi_cols, scalar_cols]))
 
@@ -213,7 +221,7 @@ def _dict_match_coefficients(con, prog):
                 G[:, ii, jj] = in_E(sp)
         return svec(G)
 
-    gram_cols = [gram(v, None)] + [gram(w, to_sparse(s)) for w, s
+    gram_cols = [gram(v, None)] + [gram(w, _terms(s)) for w, s
                                    in zip(ws, con.domain.s_list)]
     return E, v, ws, dec_matrix, const, gram_cols
 

@@ -1,13 +1,16 @@
 """Tests for the built-in systems, sampling, and exact Lie derivatives."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from koopsos import _kernels, systems
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
                                TargetTooSmall, evaluate, poly_from_index,
-                               sparse_to_poly, total_degree_dictionary)
+                               total_degree_dictionary)
 from koopsos.snapshots import GENERATOR
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              VAN_DER_POL, StateOutOfDomain, SystemSpec,
@@ -134,15 +137,64 @@ def _lie(spec, p, psi):
 
 def test_exact_lie_linearity():
     # the images of the elements of phi, combined by the coefficients of p,
-    # are the image of p worked out by sparse calculus as a whole
+    # are f . grad p of p as a whole, evaluated pointwise
     spec = SystemSpec(VAN_DER_POL)
     phi = total_degree_dictionary(MONOMIAL, 2, 3)
     psi = total_degree_dictionary(MONOMIAL, 2, 6)
-    p = Poly(phi, np.random.default_rng(0).standard_normal(phi.size))
-    sparse = dict(zip(phi.indices, p.coeffs))
-    whole = sparse_to_poly(systems._lie_sparse(spec, sparse), psi)
-    np.testing.assert_allclose(_lie(spec, p, psi).coeffs, whole.coeffs,
-                               atol=1e-12)
+    rng = np.random.default_rng(0)
+    p = Poly(phi, rng.standard_normal(phi.size))
+    C = np.zeros((4, 4))
+    C[tuple(np.array(phi.indices).T)] = p.coeffs
+    x, y = rng.uniform(-2, 2, size=(2, 50))
+    ref = (y * npoly.polyval2d(x, y, npoly.polyder(C, axis=0))
+           + (0.1 * (1.0 - x * x) * y - x)
+           * npoly.polyval2d(x, y, npoly.polyder(C, axis=1)))
+    np.testing.assert_allclose(_lie(spec, p, psi)(np.column_stack([x, y])),
+                               ref, rtol=1e-12, atol=1e-12)
+
+
+def _vdp_terms(a, b, mu=0.1):
+    """f . grad (x^a y^b) for dx/dt = y, dy/dt = mu (1 - x^2) y - x."""
+    return [((a - 1, b + 1), float(a)), ((a, b), mu * b),
+            ((a + 2, b), -mu * b), ((a + 1, b - 1), -float(b))]
+
+
+def _circle_terms(a, b):
+    """f . grad (x^a y^b) for f = (-y + x (1 - r^2), x + y (1 - r^2))."""
+    n = float(a + b)
+    return [((a, b), n), ((a + 2, b), -n), ((a, b + 2), -n),
+            ((a - 1, b + 1), -float(a)), ((a + 1, b - 1), float(b))]
+
+
+def _logistic_terms(k):
+    """E[lam^k] (x - x^2)^k - x^k with E[lam^k] = 4^k / (k + 1)."""
+    moment = 4.0 ** k / (k + 1)
+    terms = [((k + m,), moment * ((-1) ** m * math.comb(k, m)))
+             for m in range(k + 1)]
+    return terms + [((k,), -1.0)]
+
+
+def _closed_form_rows(terms_of, phi, psi):
+    rows = np.zeros((phi.size, psi.size))
+    for k, idx in enumerate(phi.indices):
+        for image, c in terms_of(*idx):
+            if c:
+                rows[k, psi.position(image)] += c
+    return rows
+
+
+@pytest.mark.parametrize("system,terms_of", [
+    (VAN_DER_POL, _vdp_terms), (CIRCULAR_ORBIT, _circle_terms),
+    (STOCHASTIC_LOGISTIC, _logistic_terms)], ids=["vdp", "circle", "logistic"])
+def test_monomial_lie_rows_match_closed_form(system, terms_of):
+    spec = SystemSpec(system)
+    d = spec.dimension
+    for alpha in range(15 if d == 1 else 19):
+        phi = total_degree_dictionary(MONOMIAL, d, alpha)
+        psi = total_degree_dictionary(MONOMIAL, d,
+                                      lie_image_degree(spec, alpha))
+        np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi),
+                                      _closed_form_rows(terms_of, phi, psi))
 
 
 def test_circle_exact_lie_of_energy():
@@ -167,14 +219,15 @@ def test_circle_exact_lie_of_energy():
 def test_map_lie_is_composition_difference():
     # discrete-time Lie of p is p(F(x)) - p(x)
     spec = SystemSpec(MAP_LYAP_2D)
-    phi = total_degree_dictionary(MONOMIAL, 2, 2)
-    psi = total_degree_dictionary(MONOMIAL, 2, 4)
     rng = np.random.default_rng(2)
-    p = Poly(phi, rng.standard_normal(phi.size))
-    lie = _lie(spec, p, psi)
-    X = rng.uniform(-1, 1, size=(40, 2))
-    np.testing.assert_allclose(lie(X), p(step_map(spec, X)) - p(X),
-                               atol=1e-10)
+    for alpha in (2, 6, 8):
+        phi = total_degree_dictionary(MONOMIAL, 2, alpha)
+        psi = total_degree_dictionary(MONOMIAL, 2, 2 * alpha)
+        p = Poly(phi, rng.standard_normal(phi.size))
+        lie = _lie(spec, p, psi)
+        X = rng.uniform(-1, 1, size=(40, 2))
+        np.testing.assert_allclose(lie(X), p(step_map(spec, X)) - p(X),
+                                   atol=1e-10)
 
 
 def test_logistic_lie_monte_carlo():
@@ -364,7 +417,7 @@ def _tensor_interpolated_lie(spec, p, target):
         tensor = np.zeros((degp + 1,) * d)
         tensor[tuple(np.array(p.basis.indices).T)] = p.coeffs
         vals = 0.0
-        for j, fj in enumerate(systems._vector_field_sparse(spec)):
+        for j, fj in enumerate(systems._vector_field_terms(spec)):
             grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
             for _ in range(d):  # each call turns one coefficient axis to grid
                 grad = cheb.chebval(zs, grad)
@@ -386,8 +439,11 @@ def _tensor_interpolated_lie(spec, p, target):
     # interpolation noise past the image degree is dropped; a real spill raises
     keep = set(target.indices)
     tol = 1e-9 * (1.0 + np.max(np.abs(coeffs)))
-    return sparse_to_poly({idx: c for idx, c in np.ndenumerate(coeffs)
-                           if idx in keep or abs(c) > tol}, target)
+    out = np.zeros(target.size)
+    for idx, c in np.ndenumerate(coeffs):
+        if idx in keep or abs(c) > tol:
+            out[target.position(idx)] = c
+    return Poly(target, out)
 
 
 @pytest.mark.parametrize("system,box,alpha", [
@@ -414,6 +470,19 @@ def test_chebyshev_lie_spill_names_the_missing_indices():
     with pytest.raises(TargetTooSmall) as err:
         exact_lie_matrix(spec, phi, psi)
     assert err.value.missing and all(sum(i) == 6 for i in err.value.missing)
+
+
+@pytest.mark.parametrize("alpha", [10, 12])
+def test_chebyshev_lie_small_spill_raises(alpha):
+    # the images of MapLyap2D on (-2, 2)^2 reach degree 2 alpha with a
+    # top coefficient below 1e-9 of the largest one; a psi one degree short
+    # must still raise, not drop it as noise
+    spec = SystemSpec(MAP_LYAP_2D)
+    phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, BOX22)
+    psi = total_degree_dictionary(CHEBYSHEV, 2, 2 * alpha - 1, BOX22)
+    with pytest.raises(TargetTooSmall) as err:
+        exact_lie_matrix(spec, phi, psi)
+    assert (2 * alpha, 0) in err.value.missing
 
 
 def test_logistic_chebyshev_lie_without_box_uses_unit_box():
