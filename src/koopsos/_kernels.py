@@ -7,6 +7,14 @@ jit-compiled (``njit(cache=True)``); setting the environment variable
 as plain Python.  Either way the floating-point operations are the same, so the
 trajectories are bit-identical.
 
+Each loop fills an output array that its public wrapper allocates, and reaches
+its arrays through one buffer adapter, ``_buffer``, chosen next to ``_jit``.
+Under numba the adapter is the identity and the loop sees the arrays.  On the
+plain-Python path it is ``memoryview``: a float64 memoryview reads and writes
+plain Python floats, where the array would box every read into an
+``np.float64`` and send every write through numpy's setitem.  That boxing, not
+the arithmetic, was most of the loop's time.
+
 The dictionary evaluation kernels are vectorized numpy and run the same way
 whether or not numba is present.  Each fills one table of shape
 ``(max_deg + 1, d, n)`` in place (``np.multiply``/``np.subtract`` with
@@ -36,6 +44,8 @@ if USE_NUMBA:
         USE_NUMBA = False
 
 _jit = njit(cache=True) if USE_NUMBA else (lambda f: f)
+# how the wrappers hand arrays to the loops: see the module docstring
+_buffer = (lambda a: a) if USE_NUMBA else memoryview
 
 __all__ = [
     "USE_NUMBA",
@@ -53,13 +63,11 @@ CIRCLE = 1
 # -- sequential kernels, jit-compiled when numba is available -----------------
 
 @_jit
-def _logistic_trajectory(x0, lams):
-    out = np.empty(lams.shape[0] + 1)
+def _logistic_trajectory(x0, lams, out):
     out[0] = x = x0
-    for i in range(lams.shape[0]):
-        x = float(lams[i]) * x * (1.0 - x)
-        out[i + 1] = x
-    return out
+    for i, lam in enumerate(lams, 1):
+        x = lam * x * (1.0 - x)
+        out[i] = x
 
 
 @_jit
@@ -71,19 +79,20 @@ def _rhs(kind, x, y, mu):
 
 
 @_jit
-def _rk4_trajectory(kind, x0, tau, n_steps, mu):
-    out = np.empty((n_steps + 1, 2))
+def _rk4_trajectory(kind, x0, tau, n_steps, mu, out):
+    # x + 0.5 * tau * k parses as x + (0.5 * tau) * k, so the factors can be
+    # computed once without changing a bit
+    half_tau, sixth_tau = 0.5 * tau, tau / 6.0
     x, y = float(x0[0]), float(x0[1])
     out[0, 0], out[0, 1] = x, y
     for i in range(n_steps):
         k1x, k1y = _rhs(kind, x, y, mu)
-        k2x, k2y = _rhs(kind, x + 0.5 * tau * k1x, y + 0.5 * tau * k1y, mu)
-        k3x, k3y = _rhs(kind, x + 0.5 * tau * k2x, y + 0.5 * tau * k2y, mu)
+        k2x, k2y = _rhs(kind, x + half_tau * k1x, y + half_tau * k1y, mu)
+        k3x, k3y = _rhs(kind, x + half_tau * k2x, y + half_tau * k2y, mu)
         k4x, k4y = _rhs(kind, x + tau * k3x, y + tau * k3y, mu)
-        x = x + (tau / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (tau / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        x = x + sixth_tau * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth_tau * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         out[i + 1, 0], out[i + 1, 1] = x, y
-    return out
 
 
 # -- public kernels -----------------------------------------------------------
@@ -91,14 +100,20 @@ def _rk4_trajectory(kind, x0, tau, n_steps, mu):
 def logistic_trajectory(x0: float, lams: np.ndarray) -> np.ndarray:
     """Iterate x_{t+1} = lam_t x_t (1 - x_t); returns all states incl. x0."""
     lams = np.ascontiguousarray(lams, dtype=np.float64)
-    return _logistic_trajectory(float(x0), lams)
+    out = np.empty(lams.shape[0] + 1)
+    _logistic_trajectory(float(x0), _buffer(lams), _buffer(out))
+    return out
 
 
 def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
                    mu: float = 0.1) -> np.ndarray:
     """Classical fixed-step RK4 for the built-in planar vector fields."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    return _rk4_trajectory(int(kind), x0, float(tau), int(n_steps), float(mu))
+    n_steps = int(n_steps)
+    out = np.empty((n_steps + 1, 2))
+    _rk4_trajectory(int(kind), x0, float(tau), n_steps, float(mu),
+                    _buffer(out))
+    return out
 
 
 def _table_product(table: np.ndarray, expo: np.ndarray) -> np.ndarray:

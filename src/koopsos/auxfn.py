@@ -12,7 +12,7 @@ carry that caveat explicitly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

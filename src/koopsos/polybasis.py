@@ -67,10 +67,15 @@ class Dictionary:
             raise ValueError(f"unknown family {self.family!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("dictionary indices must be distinct")
-        if list(self.indices) != sorted(self.indices, key=grlex_key):
-            raise ValueError("dictionary indices must be in graded-lex order")
+        # grlex_key is one-to-one, so the indices are distinct and in order
+        # exactly when each key is above the one before it
+        keys = [grlex_key(idx) for idx in self.indices]
+        for prev, key in zip(keys, keys[1:]):
+            if key == prev:
+                raise ValueError("dictionary indices must be distinct")
+            if key < prev:
+                raise ValueError(
+                    "dictionary indices must be in graded-lex order")
         for idx in self.indices:
             if len(idx) != self.dimension or any(e < 0 for e in idx):
                 raise ValueError(f"bad multi-index {idx}")
@@ -127,12 +132,21 @@ def total_degree_dictionary(family: str, d: int, deg: int,
     """All multi-indices of total degree <= deg, in graded-lex order."""
     if d < 1 or deg < 0:
         raise ValueError("require d >= 1 and deg >= 0")
-    indices = sorted(
-        (idx for idx in iter_product(range(deg + 1), repeat=d) if sum(idx) <= deg),
-        key=grlex_key,
-    )
+    indices = tuple(idx for total in range(deg + 1)
+                    for idx in _grlex_degree(d, total))
     boxed = tuple(tuple(float(v) for v in b) for b in box) if box is not None else None
-    return Dictionary(family, d, tuple(indices), boxed)
+    return Dictionary(family, d, indices, boxed)
+
+
+def _grlex_degree(d: int, total: int):
+    """The d-variable multi-indices of degree exactly total, in graded-lex
+    order: lexicographically descending, the first exponent largest first."""
+    if d == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _grlex_degree(d - 1, total - first):
+            yield (first,) + rest
 
 
 # Rows per evaluate() call in every streaming pass.  The chunk size sets the

@@ -16,7 +16,7 @@ from koopsos.auxfn import (circle_dictionaries, circular_orbit_casestudy,
 from koopsos.koopman import convergence_study, fit_edmd, loglog_slope
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
                                total_degree_dictionary)
-from koopsos.sdp import NONNEG, PSD, SdpProblem, solve as sdp_solve, svec, verify_kkt
+from koopsos.sdp import PSD, SdpProblem, solve as sdp_solve, svec, verify_kkt
 from koopsos.snapshots import empirical_average
 from koopsos.sos import SemialgebraicSet, certificate_values, gram_values
 from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,

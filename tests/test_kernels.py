@@ -141,6 +141,30 @@ def test_logistic_trajectory_matches_reference():
                                   _reference_logistic(0.51, lams))
 
 
+def test_logistic_trajectory_takes_any_float_array():
+    # a strided view and a float32 array are read as their float64 values
+    lams = np.random.default_rng(1).uniform(0.0, 4.0, 1000)
+    strided = lams[::3]
+    assert not strided.flags.c_contiguous
+    np.testing.assert_array_equal(
+        _kernels.logistic_trajectory(0.51, strided),
+        _reference_logistic(0.51, np.ascontiguousarray(strided)))
+    single = lams.astype(np.float32)
+    np.testing.assert_array_equal(
+        _kernels.logistic_trajectory(0.51, single),
+        _reference_logistic(0.51, single.astype(np.float64)))
+
+
+def test_trajectories_of_no_steps_hold_the_start():
+    out = _kernels.logistic_trajectory(0.51, np.empty(0))
+    np.testing.assert_array_equal(out, [0.51])
+    assert out.dtype == np.float64
+    for kind in (_kernels.VDP, _kernels.CIRCLE):
+        out = _kernels.rk4_trajectory(kind, [0.1, 0.2], 1e-3, 0)
+        np.testing.assert_array_equal(out, [[0.1, 0.2]])
+        assert out.dtype == np.float64
+
+
 @pytest.mark.parametrize("kind", [_kernels.VDP, _kernels.CIRCLE],
                          ids=["vdp", "circle"])
 def test_rk4_trajectory_matches_reference(kind):
@@ -160,13 +184,16 @@ def test_no_numba_env_flag_selects_numpy_path():
 
 
 def test_results_identical_across_paths_end_to_end():
-    # the packaged results must not depend on which path is active
+    # the packaged results must not depend on which path is active: each
+    # trajectory's bytes are hashed, so any differing bit shows
     code = (
-        "import numpy as np\n"
+        "import hashlib\n"
         "from koopsos.systems import SystemSpec, sample_snapshots, make_rng\n"
-        "s = sample_snapshots(SystemSpec('StochasticLogistic'), 'trajectory',"
-        " 1.0, 1000, rng=make_rng(5))\n"
-        "print(repr(float(s.X.sum())))\n")
+        "for system, tau in (('StochasticLogistic', 1.0),"
+        " ('VanDerPol', 1e-2), ('CircularOrbit', 1e-2)):\n"
+        "    s = sample_snapshots(SystemSpec(system), 'trajectory', tau, 1000,"
+        " rng=make_rng(5))\n"
+        "    print(system, hashlib.sha256(s.X.tobytes()).hexdigest())\n")
     outs = []
     for flag in ("0", "1"):
         env = dict(os.environ, KOOPSOS_NO_NUMBA=flag)

@@ -14,7 +14,7 @@ from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, evaluate,
                                inclusion_matrix, total_degree_dictionary)
 from koopsos.snapshots import GENERATOR, KOOPMAN, SnapshotSet
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
-                             VAN_DER_POL, SystemSpec, exact_lie_values, make_rng,
+                             VAN_DER_POL, SystemSpec, make_rng,
                              sample_snapshots)
 from koopsos.auxfn import exact_lie_matrix
 

@@ -1,5 +1,6 @@
 """Tests for dictionaries, polynomial arithmetic, and basis conversions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
                                DimensionMismatch, Poly, SmallNotContained,
-                               TargetTooSmall, evaluate, inclusion_matrix,
-                               monomial_to_cheb, norm_squared,
-                               poly_from_index, poly_from_terms,
+                               TargetTooSmall, evaluate, grlex_key,
+                               inclusion_matrix, monomial_to_cheb,
+                               norm_squared, poly_from_index, poly_from_terms,
                                product_expand, product_tensor, project,
                                total_degree_dictionary)
 
@@ -35,6 +36,28 @@ def test_graded_lex_order_and_eval():
     assert dic.indices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     vals = evaluate(dic, np.array([1.0, -1.0]))
     np.testing.assert_allclose(vals, [1, 1, -1, 1, -1, 1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_total_degree_indices_are_sorted_grlex(d):
+    # generated in grlex order; the reference sorts every index of the box
+    for deg in range(13):
+        box = itertools.product(range(deg + 1), repeat=d)
+        expected = sorted((i for i in box if sum(i) <= deg), key=grlex_key)
+        got = total_degree_dictionary(MONOMIAL, d, deg).indices
+        assert got == tuple(expected)
+
+
+@pytest.mark.parametrize("indices, message", [
+    (((0, 0), (0, 1), (1, 0)), "graded-lex order"),
+    (((0, 0), (1, 0), (0, 0)), "graded-lex order"),
+    (((1, 0), (0, 0)), "graded-lex order"),
+    (((0, 0), (1, 0), (1, 0)), "distinct"),
+    (((0, 0), (0, 0)), "distinct"),
+])
+def test_dictionary_rejects_unordered_or_repeated_indices(indices, message):
+    with pytest.raises(ValueError, match=message):
+        Dictionary(MONOMIAL, 2, indices)
 
 
 def test_dictionary_deterministic():

@@ -82,6 +82,13 @@ def test_vdp_origin_equilibrium():
     np.testing.assert_allclose(states, 0.0, atol=1e-14)
 
 
+def test_integrate_ode_rejects_a_blow_up():
+    # far outside the unit circle the cubic field overflows within two steps
+    spec = SystemSpec(CIRCULAR_ORBIT)
+    with pytest.raises(StateOutOfDomain):
+        integrate_ode(spec, np.array([10.0, 10.0]), 1.0, 5)
+
+
 def test_rng_replay():
     a = make_rng(5).uniform(size=10)
     b = make_rng(5).uniform(size=10)
