@@ -20,7 +20,6 @@ from .koopman import (EdmdOperators, MomentMatrices, analytic_circle_moments,
                       moment_matrices, pinv)
 from .sdp import SdpProblem, SdpSolution, solve as sdp_solve, verify_kkt
 from .sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
-                  auto_bases, compile as sos_compile, posterior_verify,
-                  solve as sos_solve)
+                  auto_bases, compile as sos_compile, solve as sos_solve)
 from .auxfn import (BoundResult, LyapunovResult, circular_orbit_casestudy,
-                    ergodic_bound, find_lyapunov)
+                    ergodic_bound, find_lyapunov, posterior_verify)

@@ -6,7 +6,9 @@ certify the inequality by sum-of-squares programming.  The Lie derivative can
 come from a fitted operator matrix (EDMD / gEDMD) or from the exact generator
 of a known system; bounds obtained from data are only guaranteed on the set
 where the approximate Lie derivative agrees with the exact one, and results
-carry that caveat explicitly.
+carry that caveat explicitly.  A Lyapunov candidate found from data is
+re-checked against a trusted Lie matrix by ``posterior_verify``, which solves
+the same two inequalities as the search with V fixed.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from . import sos
 from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
 from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
-                        total_degree_dictionary)
+                        poly_from_terms)
 from .snapshots import GENERATOR, KOOPMAN
-# exact_lie_matrix lives in systems and is re-exported here
-from .systems import (CIRCULAR_ORBIT, SystemSpec, exact_lie_matrix,
-                      sample_snapshots)
+from .systems import CIRCULAR_ORBIT, SystemSpec, sample_snapshots
 
 DATA_VALIDITY_NOTE = ("bound certified against the approximate Lie derivative; "
                       "it applies to trajectories on which the approximation "
@@ -38,7 +38,6 @@ class LyapunovResult:
     epsilon_posterior: float | None
     status: str
     sos_solution: sos.SosSolution | None
-    posterior_report: dict | None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -47,6 +46,27 @@ class LyapunovResult:
             "V_coeffs": None if self.V is None else self.V.coeffs.tolist(),
             "epsilon_posterior": self.epsilon_posterior,
         })
+
+
+def _lyapunov_program(phi: Dictionary, lie_matrix: np.ndarray,
+                      lie_basis: Dictionary, V: Poly | None = None
+                      ) -> sos.SosProgram:
+    """V - m |x|^2 >= 0 and -LV - m |x|^2 >= 0.  With V free, m = 1 and the
+    l1 norm of V's coefficients is minimised; with V fixed, the margin
+    m = eps is maximised."""
+    neg_n2 = -1.0 * norm_squared(phi.family, phi.dimension, phi.box)
+    margin = ({"c_const": neg_n2} if V is None
+              else {"c_scalars": {"eps": neg_n2}})
+    cons = [
+        sos.InequalityConstraint(phi=phi, a=1.0, **margin),
+        sos.InequalityConstraint(phi=phi, b=-1.0, lie_matrix=lie_matrix,
+                                 lie_basis=lie_basis, **margin),
+    ]
+    if V is None:
+        return sos.SosProgram(phi=phi, constraints=cons,
+                              objective=("l1_phi",))
+    return sos.SosProgram(phi=phi, scalars=("eps",), constraints=cons,
+                          objective=("max", {"eps": 1.0}), c_fixed=V.coeffs)
 
 
 def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
@@ -59,26 +79,29 @@ def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
     ``posterior_lie`` (an exact-generator matrix) is supplied, the returned
     epsilon is the largest value certified for the found V against it.
     """
-    neg_n2 = -1.0 * norm_squared(phi.family, phi.dimension, phi.box)
-    one = sos._one(phi)
-    cons = [
-        sos.InequalityConstraint(phi=phi, a=one, c_const=neg_n2),
-        sos.InequalityConstraint(phi=phi, b=-1.0 * one, lie_matrix=lie_matrix,
-                                 lie_basis=lie_basis, c_const=neg_n2),
-    ]
-    prog = sos.SosProgram(phi=phi, constraints=cons, objective=("l1_phi",))
-    solution = sos.solve(sos.compile(prog), tol=tol, max_iter=max_iter)
-    if solution.status != "Optimal":
-        return LyapunovResult(False, None, None, solution.status, solution,
-                              None)
-    V = Poly(phi, solution.phi_coeffs)
-    posterior = None
+    solution = sos.solve(sos.compile(_lyapunov_program(phi, lie_matrix,
+                                                       lie_basis)),
+                         tol=tol, max_iter=max_iter)
+    feasible = solution.status == "Optimal"
+    V = Poly(phi, solution.phi_coeffs) if feasible else None
     eps = None
-    if posterior_lie is not None:
-        posterior = sos.posterior_verify(V, posterior_lie, lie_basis, tol=tol,
-                                         max_iter=max_iter)
-        eps = posterior.get("epsilon")
-    return LyapunovResult(True, V, eps, solution.status, solution, posterior)
+    if feasible and posterior_lie is not None:
+        eps = posterior_verify(V, posterior_lie, lie_basis, tol=tol,
+                               max_iter=max_iter)["epsilon"]
+    return LyapunovResult(feasible, V, eps, solution.status, solution)
+
+
+def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
+                     tol: float = 1e-8, max_iter: int = 200) -> dict:
+    """Re-check a Lyapunov candidate with a trusted Lie matrix: maximize eps
+    subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed."""
+    sol = sos.solve(sos.compile(_lyapunov_program(V.basis, lie_matrix,
+                                                  lie_basis, V)),
+                    tol=tol, max_iter=max_iter)
+    return {"status": sol.status,
+            "epsilon": sol.scalar_values.get("eps"),
+            "objective": sol.objective,
+            "sdp_residuals": sol.sdp.kkt_residuals}
 
 
 @dataclass
@@ -91,7 +114,6 @@ class BoundResult:
     residuals: tuple
     validity: str
     sos_solution: sos.SosSolution | None = None
-    posterior: dict | None = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -118,25 +140,22 @@ def ergodic_bound(direction: str, g: Poly, lie_matrix: np.ndarray,
     """
     if direction not in ("upper", "lower"):
         raise ValueError("direction must be 'upper' or 'lower'")
-    domain = domain or sos.SemialgebraicSet()
-    one = sos._one(phi)
+    one = poly_from_terms({(0,) * phi.dimension: 1.0}, phi.family, phi.box)
     sign = -1.0 if direction == "upper" else 1.0
     # upper: c = U - g, Lie term -LV; lower: c = g - L, Lie term +LV
     con = sos.InequalityConstraint(
-        phi=phi, b=sign * one, lie_matrix=lie_matrix, lie_basis=lie_basis,
-        c_const=sign * g, c_scalars={"bound": -sign * one}, domain=domain)
+        phi=phi, b=sign, lie_matrix=lie_matrix, lie_basis=lie_basis,
+        c_const=sign * g, c_scalars={"bound": -sign * one},
+        domain=domain or sos.SemialgebraicSet())
     sense = "min" if direction == "upper" else "max"
     prog = sos.SosProgram(phi=phi, scalars=("bound",), constraints=[con],
                           objective=(sense, {"bound": 1.0}), c_fixed=c_fixed)
-    compiled = sos.compile(prog)
-    solution = sos.solve(compiled, tol=tol, max_iter=max_iter)
+    solution = sos.solve(sos.compile(prog), tol=tol, max_iter=max_iter)
     validity = ("exact-generator certificate" if lie_source == "exact"
                 else DATA_VALIDITY_NOTE)
-    if solution.status != "Optimal":
-        return BoundResult(direction, None, None, lie_source, solution.status,
-                           solution.sdp.kkt_residuals, validity, solution)
-    V = Poly(phi, solution.phi_coeffs)
-    return BoundResult(direction, float(solution.scalar_values["bound"]), V,
+    V = (None if solution.phi_coeffs is None
+         else Poly(phi, solution.phi_coeffs))
+    return BoundResult(direction, solution.scalar_values.get("bound"), V,
                        lie_source, solution.status,
                        solution.sdp.kkt_residuals, validity, solution)
 
@@ -168,39 +187,25 @@ def circular_orbit_casestudy(tau: float = 0.01, n: int = 1000,
     data_g = sample_snapshots(spec, "limit_cycle", tau, n,
                               snapshot_kind=GENERATOR, phi=phi)
     ops_edmd = fit_edmd(data_k, phi, psi)
-    ops_gedmd = fit_gedmd(data_g, phi, psi)
-
-    v_pattern = np.array([1.0, 1.0, 1.0])  # 1 + x1^2 + x2^2 over phi
+    lie = {"edmd": ops_edmd.L, "gedmd": fit_gedmd(data_g, phi, psi).G}
+    # 1 + x1^2 + x2^2 over phi
+    V = Poly(phi, gamma * np.array([1.0, 1.0, 1.0]))
     g = norm_squared(MONOMIAL, 2)
-
-    results = {}
-    for label, ops, which in (("edmd", ops_edmd, "edmd"),
-                              ("gedmd", ops_gedmd, "gedmd")):
-        mat = ops.L if which == "edmd" else ops.G
-        results[label] = ergodic_bound(
-            "lower", g, mat, psi, phi, c_fixed=gamma * v_pattern,
-            lie_source=which)
-
-    V = Poly(phi, gamma * v_pattern)
-    lie_edmd = Poly(psi, V.coeffs @ ops_edmd.L)
-    lie_gedmd = Poly(psi, V.coeffs @ ops_gedmd.G)
-    psi6 = total_degree_dictionary(MONOMIAL, 2, 6)
-    lie_exact = Poly(psi6, V.coeffs @ exact_lie_matrix(spec, phi, psi6))
+    bounds = {source: ergodic_bound("lower", g, mat, psi, phi,
+                                    c_fixed=V.coeffs,
+                                    lie_source=source).bound
+              for source, mat in lie.items()}
     moments = analytic_circle_moments(psi)
-    indicator = divergence_indicator(moments.B, ops_edmd.theta, V, psi)
 
     return {
         "tau": tau, "n": n, "gamma": gamma,
-        "L_edmd": results["edmd"].bound,
-        "L_gedmd": results["gedmd"].bound,
-        "bound_results": results,
-        "ops_edmd": ops_edmd, "ops_gedmd": ops_gedmd,
+        "L_edmd": bounds["edmd"],
+        "L_gedmd": bounds["gedmd"],
         "V": V,
-        "edmd_lie_poly": lie_edmd,
-        "gedmd_lie_poly": lie_gedmd,
-        "exact_lie_poly": lie_exact,
-        "divergence_indicator": indicator,
-        # both approximations agree with the exact Lie derivative exactly on
-        # the unit circle, which is where the data lives
-        "agreement_set": "unit circle x1^2 + x2^2 = 1",
+        # both Lie images of V agree with the exact one on the unit circle,
+        # which is where the data lives
+        "edmd_lie_poly": Poly(psi, V.coeffs @ lie["edmd"]),
+        "gedmd_lie_poly": Poly(psi, V.coeffs @ lie["gedmd"]),
+        "divergence_indicator": divergence_indicator(
+            moments.B, ops_edmd.theta, V, psi),
     }

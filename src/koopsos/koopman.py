@@ -31,18 +31,16 @@ class NonFiniteInput(ValueError):
     pass
 
 
-def pinv(M: np.ndarray, rel_tol: float = REL_TOL) -> np.ndarray:
+def pinv(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse, truncating singular values below
-    rel_tol * sigma_max * max(rows, cols)."""
+    REL_TOL * sigma_max * max(rows, cols)."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise NonFiniteInput("matrix has non-finite entries")
-    if not (0 < rel_tol < 1):
-        raise ValueError("rel_tol must lie in (0, 1)")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros_like(M.T)
-    cutoff = rel_tol * s[0] * max(M.shape)
+    cutoff = REL_TOL * s[0] * max(M.shape)
     inv = np.where(s >= cutoff,
                    np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (Vt.T * inv) @ U.T
@@ -158,7 +156,6 @@ class MomentMatrices:
     A_tau: np.ndarray | None
     C: np.ndarray | None
     D_tau: np.ndarray | None
-    source: str
 
 
 def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
@@ -213,8 +210,8 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     B, A = acc_b.total / s.n, acc_a.total / s.n
     if koopman:
         D = (A - theta @ B) / s.tau
-        return MomentMatrices(B=B, A_tau=A, C=None, D_tau=D, source="empirical")
-    return MomentMatrices(B=B, A_tau=None, C=A, D_tau=None, source="empirical")
+        return MomentMatrices(B=B, A_tau=A, C=None, D_tau=D)
+    return MomentMatrices(B=B, A_tau=None, C=A, D_tau=None)
 
 
 def _double_factorial(k: int) -> int:
@@ -242,7 +239,7 @@ def analytic_circle_moments(psi: Dictionary) -> MomentMatrices:
     for i, (a1, b1) in enumerate(psi.indices):
         for j, (a2, b2) in enumerate(psi.indices):
             B[i, j] = circle_moment(a1 + a2, b1 + b2)
-    return MomentMatrices(B=B, A_tau=None, C=None, D_tau=None, source="analytic")
+    return MomentMatrices(B=B, A_tau=None, C=None, D_tau=None)
 
 
 def divergence_indicator(B: np.ndarray, theta: np.ndarray, p: Poly,

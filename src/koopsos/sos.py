@@ -2,18 +2,20 @@
 
 A constraint has the form
 
-    a(x) phi(x) + b(x) Lphi(x) + c(x) >= 0   for all x in S,
+    a phi(x) + b Lphi(x) + c(x) >= 0   for all x in S,
 
 where phi = cvec . phivec is the unknown polynomial, Lphi is its image under a
-(data-driven or exact) Lie derivative matrix, c may depend affinely on named
-scalar decision variables, and S = {x : s_j(x) >= 0}.  Nonnegativity is
+(data-driven or exact) Lie derivative matrix, a and b are constant weights, c
+may depend affinely on named scalar decision variables, and
+S = {x : s_j(x) >= 0}.  Nonnegativity is
 certified by a weighted sum-of-squares representation
 
     q(x) = <P, v(x) v(x)^T> + sum_j s_j(x) <Q_j, w_j(x) w_j(x)^T>,
 
 with P and Q_j positive semidefinite, matched coefficient-by-coefficient in
 the dictionary spanning v (x) v products.  Matching is done directly in the
-working polynomial family (monomial or Chebyshev) using exact product
+working polynomial family (monomial or Chebyshev): the weighted phi and Lie
+columns are placed by inclusion, and the Gram columns use exact product
 structure constants.
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polybasis import (Dictionary, Poly, evaluate, inclusion_matrix,
-                        multiplication_matrix, norm_squared, product_tensor,
+                        multiplication_matrix, product_tensor,
                         total_degree_dictionary)
 from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution,
                   block_dim, block_layout, smat, solve as sdp_solve,
@@ -49,6 +51,7 @@ class SemialgebraicSet:
 class InequalityConstraint:
     """One inequality a*phi + b*Lie(phi) + c >= 0 on a semialgebraic set.
 
+    ``a`` and ``b`` are constant weights, 0 meaning the term is absent.
     ``c_const`` is the fixed part of c; ``c_scalars`` maps scalar decision
     variable names to their polynomial coefficients in c.  ``lie_matrix`` maps
     phi coefficients to coefficients over ``lie_basis`` and is required
@@ -56,8 +59,8 @@ class InequalityConstraint:
     """
 
     phi: Dictionary
-    a: Poly | None = None
-    b: Poly | None = None
+    a: float = 0.0
+    b: float = 0.0
     c_const: Poly | None = None
     c_scalars: dict = field(default_factory=dict)
     lie_matrix: np.ndarray | None = None
@@ -65,7 +68,7 @@ class InequalityConstraint:
     domain: SemialgebraicSet = field(default_factory=SemialgebraicSet)
 
     def __post_init__(self):
-        if self.b is not None and (self.lie_matrix is None
+        if self.b and (self.lie_matrix is None
                                    or self.lie_basis is None):
             raise ValueError("a nonzero b requires lie_matrix and lie_basis")
 
@@ -76,10 +79,10 @@ def auto_bases(con: InequalityConstraint):
     w_j has degree ceil((D - deg s_j) / 2)."""
     phi = con.phi
     degs = [0]
-    if con.a is not None:
-        degs.append(con.a.basis.max_degree + phi.max_degree)
-    if con.b is not None:
-        degs.append(con.b.basis.max_degree + con.lie_basis.max_degree)
+    if con.a:
+        degs.append(phi.max_degree)
+    if con.b:
+        degs.append(con.lie_basis.max_degree)
     if con.c_const is not None:
         degs.append(con.c_const.basis.max_degree)
     for p in con.c_scalars.values():
@@ -143,11 +146,11 @@ def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
     nE = E.size
 
     phi_cols = np.zeros((nE, phi.size))
-    if con.a is not None:
-        phi_cols += multiplication_matrix(con.a, phi, E)
-    if con.b is not None:
-        bpsi = multiplication_matrix(con.b, con.lie_basis, E).T
-        phi_cols += (con.lie_matrix @ bpsi).T
+    if con.a:
+        phi_cols += con.a * inclusion_matrix(phi, E).T
+    if con.b:
+        phi_cols += con.b * (con.lie_matrix
+                             @ inclusion_matrix(con.lie_basis, E)).T
     const = np.zeros(nE)
     if con.c_const is not None:
         const += con.c_const.coeffs @ inclusion_matrix(con.c_const.basis, E)
@@ -323,30 +326,3 @@ def gram_values(compiled: CompiledSos, solution: SosSolution, index: int,
         W = evaluate(w, X)
         out += s(X) * np.einsum("in,ij,jn->n", W, Q, W)
     return out
-
-
-def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
-                     tol: float = 1e-8, max_iter: int = 200) -> dict:
-    """Re-check a Lyapunov candidate with a trusted Lie matrix: maximize eps
-    subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed."""
-    phi = V.basis
-    neg_n2 = -1.0 * norm_squared(phi.family, phi.dimension, phi.box)
-
-    cons = [
-        InequalityConstraint(phi=phi, a=_one(phi), c_scalars={"eps": neg_n2}),
-        InequalityConstraint(phi=phi, b=-1.0 * _one(phi),
-                             lie_matrix=lie_matrix, lie_basis=lie_basis,
-                             c_scalars={"eps": neg_n2}),
-    ]
-    prog = SosProgram(phi=phi, scalars=("eps",), constraints=cons,
-                      objective=("max", {"eps": 1.0}), c_fixed=V.coeffs)
-    sol = solve(compile(prog), tol=tol, max_iter=max_iter)
-    return {"status": sol.status,
-            "epsilon": sol.scalar_values.get("eps"),
-            "objective": sol.objective,
-            "sdp_residuals": sol.sdp.kkt_residuals}
-
-
-def _one(phi: Dictionary) -> Poly:
-    basis = total_degree_dictionary(phi.family, phi.dimension, 0, phi.box)
-    return Poly(basis, np.ones(1))

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from koopsos.auxfn import (circle_dictionaries, circular_orbit_casestudy,
-                           ergodic_bound, exact_lie_matrix, find_lyapunov)
+                           ergodic_bound, find_lyapunov)
 from koopsos.koopman import convergence_study, fit_edmd, loglog_slope
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                               total_degree_dictionary)
+                               poly_from_terms, total_degree_dictionary)
 from koopsos.sdp import PSD, SdpProblem, solve as sdp_solve, svec, verify_kkt
 from koopsos.snapshots import empirical_average
 from koopsos.sos import SemialgebraicSet, certificate_values, gram_values
 from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
-                             SystemSpec, make_rng, sample_snapshots)
+                             SystemSpec, exact_lie_matrix, make_rng,
+                             sample_snapshots)
 
 BOX = ((0.0, 1.0),)
 
@@ -315,12 +316,13 @@ def test_criterion_10_sos_soundness_suite():
         g = monomial_to_cheb(Poly(mono2, np.array([0.0, 1.0, 0.0])), cheb2)
         s = monomial_to_cheb(Poly(mono2, np.array([0.0, 1.0, -1.0])), cheb2)
         lie = exact_lie_matrix(spec, phi, psi)
+        one = poly_from_terms({(0,): 1.0}, CHEBYSHEV, BOX)
         for direction in ("upper", "lower"):
             sign = -1.0 if direction == "upper" else 1.0
             con = sos.InequalityConstraint(
-                phi=phi, b=sign * sos._one(phi), lie_matrix=lie,
+                phi=phi, b=sign, lie_matrix=lie,
                 lie_basis=psi, c_const=sign * g,
-                c_scalars={"bound": -sign * sos._one(phi)},
+                c_scalars={"bound": -sign * one},
                 domain=SemialgebraicSet((s,)))
             sense = "min" if direction == "upper" else "max"
             compiled = sos.compile(sos.SosProgram(
@@ -336,8 +338,8 @@ def test_criterion_10_sos_soundness_suite():
     g2 = Poly(mono2, np.array([0.0, 0, 0, 1.0, 0, 1.0]))
     lie = exact_lie_matrix(spec, phi, psi)
     con = sos.InequalityConstraint(
-        phi=phi, b=-1.0 * sos._one(phi), lie_matrix=lie, lie_basis=psi,
-        c_const=-1.0 * g2, c_scalars={"bound": sos._one(phi)})
+        phi=phi, b=-1.0, lie_matrix=lie, lie_basis=psi,
+        c_const=-1.0 * g2, c_scalars={"bound": poly_from_terms({(0, 0): 1.0})})
     compiled = sos.compile(sos.SosProgram(
         phi=phi, scalars=("bound",), constraints=[con],
         objective=("min", {"bound": 1.0})))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopsos.auxfn import (circle_dictionaries, circular_orbit_casestudy,
-                           ergodic_bound, exact_lie_matrix, find_lyapunov)
+                           ergodic_bound, find_lyapunov)
 from koopsos.koopman import fit_edmd, fit_gedmd
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
                                monomial_to_cheb, poly_from_index,
@@ -12,7 +12,8 @@ from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
 from koopsos.snapshots import GENERATOR, SnapshotSet, empirical_average
 from koopsos.sos import SemialgebraicSet
 from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
-                             SystemSpec, make_rng, sample_snapshots)
+                             SystemSpec, exact_lie_matrix, make_rng,
+                             sample_snapshots)
 
 BOX = ((0.0, 1.0),)
 

@@ -316,6 +316,30 @@ def test_reproduce_circle(tmp_path):
     assert any("L_edmd" in line for line in lines)
 
 
+def test_reproduce_circle_counts_a_failed_bound(tmp_path, monkeypatch,
+                                               capsys):
+    real = cli.circular_orbit_casestudy
+    monkeypatch.setattr(cli, "circular_orbit_casestudy",
+                        lambda: {**real(), "L_gedmd": None})
+    out = tmp_path / "circle.csv"
+    assert main(["reproduce", "circle", "--out", str(out)]) == EXIT_NONOPTIMAL
+    assert "circle,L_gedmd,,failed,0.0," in out.read_text().splitlines()
+    assert "(1 failed cells)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exponent, code", [(0.0, EXIT_NONOPTIMAL),
+                                            (-0.5, EXIT_OK)])
+def test_reproduce_logistic_rate_checks_the_slope(tmp_path, monkeypatch,
+                                                  exponent, code):
+    def study(sample, phi, psi, n_grid, seeds, n_reference):
+        ns = np.asarray(n_grid, float)
+        return ns, ns ** exponent, None
+
+    monkeypatch.setattr(cli, "convergence_study", study)
+    out = tmp_path / "rate.csv"
+    assert main(["reproduce", "logistic_rate", "--out", str(out)]) == code
+
+
 def test_reproduce_lyapunov(tmp_path):
     out = str(tmp_path / "lyap.csv")
     assert main(["reproduce", "lyapunov", "--out", out]) == EXIT_OK

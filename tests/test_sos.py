@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from koopsos import sos
+from koopsos.auxfn import circle_dictionaries, posterior_verify
+from koopsos.koopman import fit_edmd
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                               norm_squared, poly_from_index,
+                               norm_squared, poly_from_index, poly_from_terms,
                                total_degree_dictionary)
 from koopsos.sdp import svec
+from koopsos.snapshots import KOOPMAN
 from koopsos.sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
-                         _one, auto_bases, certificate_values, compile,
-                         gram_values, posterior_verify, solve)
-from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
-                             SystemSpec, exact_lie_matrix)
+                         auto_bases, certificate_values, compile,
+                         gram_values, solve)
+from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
+                             VAN_DER_POL, SystemSpec, exact_lie_matrix,
+                             sample_snapshots)
 
 BOX = ((0.0, 1.0),)
+ONE_1D = poly_from_terms({(0,): 1.0}, CHEBYSHEV, BOX)
+ONE_2D = poly_from_terms({(0, 0): 1.0})
 
 
 def _fixed_feasibility(c_poly, domain=None):
@@ -67,7 +73,7 @@ def test_auto_bases_degrees():
     s = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, -1.0])),
                          total_degree_dictionary(CHEBYSHEV, 1, 2, BOX))
     con = InequalityConstraint(
-        phi=phi, b=_one(phi), lie_matrix=np.zeros((phi.size, psi.size)),
+        phi=phi, b=1.0, lie_matrix=np.zeros((phi.size, psi.size)),
         lie_basis=psi, domain=SemialgebraicSet((s,)))
     u, v, ws = auto_bases(con)
     assert u.max_degree == 8
@@ -77,7 +83,7 @@ def test_auto_bases_degrees():
 
 def test_auto_bases_degree_zero():
     phi = total_degree_dictionary(MONOMIAL, 1, 0)
-    con = InequalityConstraint(phi=phi, c_const=_one(phi))
+    con = InequalityConstraint(phi=phi, c_const=poly_from_terms({(0,): 1.0}))
     u, v, ws = auto_bases(con)
     assert v.indices == ((0,),)
     assert ws == []
@@ -99,8 +105,8 @@ def _logistic_program(direction="upper"):
     s = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, -1.0])), cheb2)
     sign = -1.0 if direction == "upper" else 1.0
     con = InequalityConstraint(
-        phi=phi, b=sign * _one(phi), lie_matrix=lie, lie_basis=psi,
-        c_const=sign * g, c_scalars={"bound": -sign * _one(phi)},
+        phi=phi, b=sign, lie_matrix=lie, lie_basis=psi,
+        c_const=sign * g, c_scalars={"bound": -sign * ONE_1D},
         domain=SemialgebraicSet((s,)))
     sense = "min" if direction == "upper" else "max"
     return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
@@ -113,9 +119,9 @@ def _vdp_exact_program():
     phi = total_degree_dictionary(MONOMIAL, 2, 6)
     psi = total_degree_dictionary(MONOMIAL, 2, 8)
     con = InequalityConstraint(
-        phi=phi, b=-1.0 * _one(phi), lie_matrix=exact_lie_matrix(spec, phi, psi),
+        phi=phi, b=-1.0, lie_matrix=exact_lie_matrix(spec, phi, psi),
         lie_basis=psi, c_const=-1.0 * norm_squared(MONOMIAL, 2),
-        c_scalars={"bound": _one(phi)})
+        c_scalars={"bound": ONE_2D})
     return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
                       objective=("min", {"bound": 1.0}))
 
@@ -127,12 +133,44 @@ def _lyapunov_program():
     psi = total_degree_dictionary(MONOMIAL, 2, 8)
     neg_n2 = -1.0 * norm_squared(MONOMIAL, 2)
     cons = [
-        InequalityConstraint(phi=phi, a=_one(phi), c_const=neg_n2),
-        InequalityConstraint(phi=phi, b=-1.0 * _one(phi),
+        InequalityConstraint(phi=phi, a=1.0, c_const=neg_n2),
+        InequalityConstraint(phi=phi, b=-1.0,
                              lie_matrix=exact_lie_matrix(spec, phi, psi),
                              lie_basis=psi, c_const=neg_n2),
     ]
     return SosProgram(phi=phi, constraints=cons, objective=("l1_phi",))
+
+
+def _posterior_program():
+    """The posterior check of a fixed V on the 2D map, exact Lie, alpha=4:
+    maximize eps with V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0."""
+    spec = SystemSpec(MAP_LYAP_2D)
+    phi = total_degree_dictionary(MONOMIAL, 2, 4)
+    psi = total_degree_dictionary(MONOMIAL, 2, 8)
+    neg_n2 = -1.0 * norm_squared(MONOMIAL, 2)
+    cons = [
+        InequalityConstraint(phi=phi, a=1.0, c_scalars={"eps": neg_n2}),
+        InequalityConstraint(phi=phi, b=-1.0,
+                             lie_matrix=exact_lie_matrix(spec, phi, psi),
+                             lie_basis=psi, c_scalars={"eps": neg_n2}),
+    ]
+    return SosProgram(phi=phi, scalars=("eps",), constraints=cons,
+                      objective=("max", {"eps": 1.0}),
+                      c_fixed=np.linspace(-1.0, 2.0, phi.size))
+
+
+def _circle_program():
+    """The circle case study's lower bound on the mean of |x|^2 with
+    V = 3 tau (1 + x1^2 + x2^2) fixed, EDMD Lie matrix at tau = 0.01."""
+    phi, psi = circle_dictionaries()
+    data = sample_snapshots(SystemSpec(CIRCULAR_ORBIT), "limit_cycle", 0.01,
+                            1000, snapshot_kind=KOOPMAN)
+    con = InequalityConstraint(
+        phi=phi, b=1.0, lie_matrix=fit_edmd(data, phi, psi).L, lie_basis=psi,
+        c_const=norm_squared(MONOMIAL, 2), c_scalars={"bound": -1.0 * ONE_2D})
+    return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
+                      objective=("max", {"bound": 1.0}),
+                      c_fixed=np.full(phi.size, 0.03))
 
 
 # -- reference: coefficient matching one basis pair at a time in dicts --------
@@ -189,13 +227,15 @@ def _dict_match_coefficients(con, prog):
             out[E.position(idx)] = c
         return out
 
+    # the constant weights a and b, as terms of degree 0
+    zero = (0,) * phi.dimension
     phi_cols = np.zeros((E.size, phi.size))
-    if con.a is not None:
+    if con.a:
         for j in range(phi.size):
-            phi_cols[:, j] += in_E(_dict_product(fam, _terms(con.a),
+            phi_cols[:, j] += in_E(_dict_product(fam, {zero: con.a},
                                                  unit(phi, j)))
-    if con.b is not None:
-        bpsi = np.array([in_E(_dict_product(fam, _terms(con.b),
+    if con.b:
+        bpsi = np.array([in_E(_dict_product(fam, {zero: con.b},
                                             unit(con.lie_basis, m)))
                          for m in range(con.lie_basis.size)])
         phi_cols += (con.lie_matrix @ bpsi).T
@@ -227,9 +267,11 @@ def _dict_match_coefficients(con, prog):
 
 
 @pytest.mark.parametrize("make", [_vdp_exact_program, _logistic_program,
-                                  _lyapunov_program],
+                                  _lyapunov_program, _posterior_program,
+                                  _circle_program],
                          ids=["vdp_exact_alpha6", "logistic_alpha4",
-                              "lyapunov_l1"])
+                              "lyapunov_l1", "posterior_eps",
+                              "circle_fixed_v"])
 def test_compile_matches_dict_reference(make, monkeypatch):
     prog = make()
     got = compile(prog).problem
@@ -276,8 +318,8 @@ def test_constraint_order_stability():
     mono2 = total_degree_dictionary(MONOMIAL, 2, 2)
     n2 = Poly(mono2, np.array([0.0, 0, 0, 1.0, 0, 1.0]))
     cons = [
-        InequalityConstraint(phi=phi, a=_one(phi), c_const=-1.0 * n2),
-        InequalityConstraint(phi=phi, b=-1.0 * _one(phi), lie_matrix=lie,
+        InequalityConstraint(phi=phi, a=1.0, c_const=-1.0 * n2),
+        InequalityConstraint(phi=phi, b=-1.0, lie_matrix=lie,
                              lie_basis=psi, c_const=-1.0 * n2),
     ]
     sol_a = solve(compile(SosProgram(phi=phi, constraints=cons,
@@ -302,4 +344,4 @@ def test_posterior_verify_zero_candidate_gets_no_margin():
 def test_b_without_lie_matrix_rejected():
     phi = total_degree_dictionary(MONOMIAL, 1, 2)
     with pytest.raises(ValueError):
-        InequalityConstraint(phi=phi, b=_one(phi))
+        InequalityConstraint(phi=phi, b=1.0)
