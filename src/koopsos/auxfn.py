@@ -31,6 +31,14 @@ DATA_VALIDITY_NOTE = ("bound certified against the approximate Lie derivative; "
                       "matches the exact Lie derivative")
 
 
+def _solver_state(solution: sos.SosSolution | None) -> dict:
+    """The SDP's stop reason and iteration count, for a result's JSON."""
+    if solution is None:
+        return {"reason": None, "iterations": None}
+    return {"reason": solution.sdp.reason,
+            "iterations": solution.sdp.iterations}
+
+
 @dataclass
 class LyapunovResult:
     feasible: bool
@@ -45,6 +53,7 @@ class LyapunovResult:
             "status": self.status,
             "V_coeffs": None if self.V is None else self.V.coeffs.tolist(),
             "epsilon_posterior": self.epsilon_posterior,
+            **_solver_state(self.sos_solution),
         })
 
 
@@ -100,8 +109,7 @@ def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
                     tol=tol, max_iter=max_iter)
     return {"status": sol.status,
             "epsilon": sol.scalar_values.get("eps"),
-            "objective": sol.objective,
-            "sdp_residuals": sol.sdp.kkt_residuals}
+            "reason": sol.sdp.reason}
 
 
 @dataclass
@@ -124,6 +132,7 @@ class BoundResult:
             "V_coeffs": None if self.V is None else self.V.coeffs.tolist(),
             "residuals": list(self.residuals),
             "validity": self.validity,
+            **_solver_state(self.sos_solution),
         })
 
 
@@ -198,10 +207,9 @@ def circular_orbit_casestudy(tau: float = 0.01, n: int = 1000,
     moments = analytic_circle_moments(psi)
 
     return {
-        "tau": tau, "n": n, "gamma": gamma,
+        "tau": tau, "gamma": gamma,
         "L_edmd": bounds["edmd"],
         "L_gedmd": bounds["gedmd"],
-        "V": V,
         # both Lie images of V agree with the exact one on the unit circle,
         # which is where the data lives
         "edmd_lie_poly": Poly(psi, V.coeffs @ lie["edmd"]),

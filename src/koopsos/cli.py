@@ -188,6 +188,11 @@ def _write_json(cfg, payload: dict, default_name: str) -> Path:
     return path
 
 
+def _verdict(status: str, reason: str | None) -> str:
+    """A solver status, followed by its stop reason unless it is Optimal."""
+    return status if status == "Optimal" else f"{status}: {reason}"
+
+
 # -- commands -------------------------------------------------------------------
 
 def cmd_simulate(cfg) -> int:
@@ -272,8 +277,10 @@ def cmd_bound(cfg) -> int:
     lie, source, solver = _fit_operators(cfg, spec, phi, psi, None)
     res = ergodic_bound(task, g, lie, psi, phi, domain=domain,
                         lie_source=source, **solver)
-    path = _write_json(cfg, json.loads(res.to_json()), "bound.json")
-    print(f"{task} bound: {res.bound} ({res.status}); wrote {path}")
+    payload = json.loads(res.to_json())
+    path = _write_json(cfg, payload, "bound.json")
+    print(f"{task} bound: {res.bound} "
+          f"({_verdict(res.status, payload['reason'])}); wrote {path}")
     return EXIT_OK if res.status == "Optimal" else EXIT_NONOPTIMAL
 
 
@@ -283,7 +290,8 @@ def cmd_lyapunov(cfg) -> int:
     payload["phi"] = json.loads(phi.to_json())
     path = _write_json(cfg, payload, "lyapunov.json")
     print(f"lyapunov feasible={res.feasible} "
-          f"posterior_eps={res.epsilon_posterior}; wrote {path}")
+          f"posterior_eps={res.epsilon_posterior} "
+          f"({_verdict(res.status, payload['reason'])}); wrote {path}")
     return EXIT_OK if res.feasible else EXIT_NONOPTIMAL
 
 
@@ -310,7 +318,8 @@ def cmd_verify(cfg) -> int:
                               exact_lie_matrix(spec, phi, psi), psi,
                               **_solver(cfg))
     eps = report.get("epsilon")
-    print(f"posterior epsilon: {eps} ({report['status']})")
+    print(f"posterior epsilon: {eps} "
+          f"({_verdict(report['status'], report['reason'])})")
     return EXIT_OK if (eps is not None and eps > 0) else EXIT_NONOPTIMAL
 
 

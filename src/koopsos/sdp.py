@@ -11,6 +11,30 @@ Free variables are eliminated analytically, then the remaining problem is
 solved with a homogeneous self-dual embedding and a Nesterov-Todd scaled
 Mehrotra predictor-corrector iteration.  The embedding yields trustworthy
 infeasibility and unboundedness certificates instead of a stalled iterate.
+
+The iteration over the embedding variables (x, y, s, tau, kappa) stops, in
+this order of checks, when
+  * the relative primal and dual residuals and the gap are all <= tol:
+    Optimal, reason "optimal";
+  * b.y > tol and |A^T y + s| <= tol b.y: Infeasible, reason
+    "infeasible certificate";
+  * -c.x > tol, |A x| <= tol (-c.x) and x is in the cone to tol (-c.x):
+    Unbounded, reason "unbounded certificate";
+  * tau <= eps kappa, eps the float64 machine epsilon: MaxIter, reason
+    "tau collapse".  tau has vanished next to kappa, so the iterate only
+    approaches a ray that missed both certificates, and no later step can
+    change that; no primal or dual point is returned;
+  * max_iter iterations have run: MaxIter, reason "iteration cap".
+Numerical breakdowns also end it as MaxIter: "step collapse" (the step
+length falls to 1e-14), "non-finite iterate", "scaling failed" (no
+Nesterov-Todd scaling at the iterate), and "non-finite recovery" (the
+recovered point overflows).  An Optimal whose independent ``verify_kkt``
+residuals exceed 10 tol becomes MaxIter, reason "kkt rejected".  The
+free-variable elimination ends some solves before any iteration:
+inconsistent equality rows give Infeasible, reason "inconsistent
+equalities".  A cost that decreases along a free direction leaves a
+feasibility solve to decide: Unbounded, reason "free unbounded", when it is
+Optimal, else Infeasible with that solve's reason.
 """
 
 from __future__ import annotations
@@ -125,6 +149,7 @@ class SdpSolution:
     kkt_residuals: tuple
     iterations: int = 0
     certificate: dict = field(default_factory=dict)
+    reason: str = ""
 
 
 # -- cone helpers over the conic (non-free) part -------------------------------
@@ -327,7 +352,8 @@ def _recover_full(prob: SdpProblem, recover, z_cone, y_red):
 # -- the interior-point iteration ---------------------------------------------
 
 def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
-    """HSDE predictor-corrector loop over the conic variables only."""
+    """HSDE predictor-corrector loop over the conic variables only; returns
+    (status, reason, x, y, s, tau, kappa, iterations)."""
     p = A.shape[0]
     x = cone.identity()
     s = cone.identity()
@@ -335,7 +361,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
     tau, kappa = 1.0, 1.0
     nrm_b = 1.0 + np.linalg.norm(b)
     nrm_c = 1.0 + np.linalg.norm(c)
-    status, iters = MAXITER, 0
+    status, reason, iters = MAXITER, "iteration cap", 0
 
     # near-breakdown iterates can overflow transiently; the finiteness
     # guards below turn that into a clean MaxIter instead of a crash
@@ -343,6 +369,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         if not (np.isfinite(x).all() and np.isfinite(s).all()
                 and np.isfinite(y).all() and np.isfinite(tau)
                 and np.isfinite(kappa)):
+            reason = "non-finite iterate"
             break
         r_p = A @ x - b * tau
         r_d = -A.T @ y + c * tau - s
@@ -354,19 +381,26 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         dres = np.linalg.norm(r_d) / (tau * nrm_c)
         gap = abs(cx - by) / (tau + abs(cx) + abs(by))
         if pres <= tol and dres <= tol and gap <= tol:
-            status = OPTIMAL
+            status, reason = OPTIMAL, "optimal"
             break
 
         # infeasibility certificates from the homogeneous variables
         if by > tol and np.linalg.norm(A.T @ y + s) <= tol * by:
-            return INFEASIBLE, x, y, s, tau, kappa, iters
+            return (INFEASIBLE, "infeasible certificate",
+                    x, y, s, tau, kappa, iters)
         if -cx > tol and np.linalg.norm(A @ x) <= tol * (-cx) \
                 and cone.min_eig(x) >= -tol * (-cx):
-            return UNBOUNDED, x, y, s, tau, kappa, iters
+            return (UNBOUNDED, "unbounded certificate",
+                    x, y, s, tau, kappa, iters)
+        # tau below the rounding of kappa: the iterate heads for a ray
+        # that missed both certificates, and further steps only rescale it
+        if tau <= np.finfo(float).eps * kappa:
+            return MAXITER, "tau collapse", x, y, s, tau, kappa, iters
 
         try:
             scaling = _Scaling(cone, x, s)
         except np.linalg.LinAlgError:
+            reason = "scaling failed"
             break
         mu = (float(x @ s) + tau * kappa) / (cone.degree + 1)
 
@@ -431,6 +465,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
                     kappa / -dkappa if dkappa < 0 else np.inf)
         alpha = min(0.99 * alpha, 1.0)
         if not np.isfinite(alpha) or alpha <= 1e-14:
+            reason = "step collapse"
             break
         x = x + alpha * dx
         y = y + alpha * dy
@@ -438,15 +473,18 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    return status, x, y, s, tau, kappa, iters
+    return status, reason, x, y, s, tau, kappa, iters
 
 
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 200
           ) -> SdpSolution:
-    """Solve the conic program; never reports Optimal without meeting tol."""
+    """Solve the conic program; never reports Optimal without meeting tol.
+    ``SdpSolution.reason`` names the exit (see the module docstring)."""
+    no_point = (None, None, None, (np.inf, np.inf, np.inf))
     reduced, recover, inconsistent, free_unbounded = _eliminate_free(prob)
     if inconsistent:
-        return SdpSolution(INFEASIBLE, None, None, None, (np.inf, np.inf, np.inf))
+        return SdpSolution(INFEASIBLE, *no_point,
+                           reason="inconsistent equalities")
 
     cone = _Cone(reduced["blocks"])
     A, b, c = reduced["A"], reduced["b"], reduced["c"]
@@ -454,40 +492,44 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 200
     if cone.dim == 0:
         # purely free problem: feasible iff the reduced equalities vanished
         if np.linalg.norm(b) > 1e-9 * (1 + np.linalg.norm(prob.b)):
-            return SdpSolution(INFEASIBLE, None, None, None,
-                               (np.inf, np.inf, np.inf))
+            return SdpSolution(INFEASIBLE, *no_point,
+                               reason="inconsistent equalities")
         if free_unbounded:
-            return SdpSolution(UNBOUNDED, None, None, None, (0.0, 0.0, np.inf))
+            return SdpSolution(UNBOUNDED, None, None, None, (0.0, 0.0, np.inf),
+                               reason="free unbounded")
         z, y = _recover_full(prob, recover, None, np.zeros(A.shape[0]))
         return SdpSolution(OPTIMAL, z, y, float(prob.c @ z),
-                           verify_kkt(prob, z, y), 0)
+                           verify_kkt(prob, z, y), 0, reason="optimal")
 
     if free_unbounded:
         # objective decreases along a free null direction from any feasible
         # point, so the verdict reduces to a feasibility question
         feas = solve(SdpProblem(reduced["blocks"], np.zeros(cone.dim), A, b),
                      tol, max_iter)
-        status = UNBOUNDED if feas.status == OPTIMAL else INFEASIBLE
-        return SdpSolution(status, None, None, None, (np.inf, np.inf, np.inf))
+        if feas.status == OPTIMAL:
+            return SdpSolution(UNBOUNDED, *no_point, reason="free unbounded")
+        return SdpSolution(INFEASIBLE, *no_point, reason=feas.reason)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        status, x, y, s, tau, kappa, iters = _hsde_solve(
+        status, reason, x, y, s, tau, kappa, iters = _hsde_solve(
             cone, A, b, c, tol, max_iter)
 
-    if status in (INFEASIBLE, UNBOUNDED):
-        return SdpSolution(status, None, None, None, (np.inf, np.inf, np.inf),
-                           iters, certificate={"tau": tau, "kappa": kappa})
+    if status in (INFEASIBLE, UNBOUNDED) or reason == "tau collapse":
+        return SdpSolution(status, *no_point, iters,
+                           certificate={"tau": tau, "kappa": kappa},
+                           reason=reason)
     z_cone = x / tau
     y_red = y / tau
     z, y_full = _recover_full(prob, recover, z_cone, y_red)
     if not (np.isfinite(z).all() and np.isfinite(y_full).all()):
-        return SdpSolution(MAXITER, None, None, None,
-                           (np.inf, np.inf, np.inf), iters)
+        if reason != "non-finite iterate":
+            reason = "non-finite recovery"
+        return SdpSolution(MAXITER, *no_point, iters, reason=reason)
     residuals = verify_kkt(prob, z, y_full)
     if status == OPTIMAL and max(residuals) > 10 * tol:
-        status = MAXITER
+        status, reason = MAXITER, "kkt rejected"
     obj = float(prob.c @ z)
-    return SdpSolution(status, z, y_full, obj, residuals, iters)
+    return SdpSolution(status, z, y_full, obj, residuals, iters, reason=reason)
 
 
 def verify_kkt(prob: SdpProblem, z, y=None) -> tuple:

@@ -109,6 +109,7 @@ def test_bound_exact_logistic(tmp_path):
     assert main(["bound", cfg]) == EXIT_OK
     out = json.loads((tmp_path / "bound.json.out").read_text())
     assert out["status"] == "Optimal"
+    assert out["reason"] == "optimal" and out["iterations"] > 0
     assert abs(out["bound"] - 0.3125) < 2e-4
     assert out["version"] == __version__
     assert len(out["config_hash"]) == 16
@@ -153,7 +154,7 @@ def test_fit_exact_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "ops.json").exists()
 
 
-def test_lyapunov_then_verify(tmp_path):
+def test_lyapunov_then_verify(tmp_path, capsys):
     result = str(tmp_path / "lyap.json.out")
     cfg = _write(tmp_path, "lyap.json", {
         "system": "MapLyap2D",
@@ -166,6 +167,7 @@ def test_lyapunov_then_verify(tmp_path):
     assert main(["lyapunov", cfg]) == EXIT_OK
     payload = json.loads(Path(result).read_text())
     assert payload["feasible"] is True
+    assert payload["reason"] == "optimal"
     assert payload["epsilon_posterior"] >= 0.99
     vcfg = _write(tmp_path, "verify.json", {
         "system": "MapLyap2D",
@@ -180,7 +182,9 @@ def test_lyapunov_then_verify(tmp_path):
         "solver": {"max_iter": 1},
         "output": {"path": result},
     })
+    capsys.readouterr()
     assert main(["verify", vcfg]) == EXIT_NONOPTIMAL
+    assert "(MaxIter: iteration cap)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sampling, message", [
@@ -266,8 +270,27 @@ def test_lyapunov_honours_max_iter(tmp_path):
               "output": {"path": str(tmp_path / "lyap.json.out")}}
     cfg = _write(tmp_path, "lyap.json", config)
     assert main(["lyapunov", cfg]) == EXIT_NONOPTIMAL
-    assert not json.loads(
-        (tmp_path / "lyap.json.out").read_text())["feasible"]
+    out = json.loads((tmp_path / "lyap.json.out").read_text())
+    assert not out["feasible"]
+    assert (out["reason"], out["iterations"]) == ("iteration cap", 1)
+
+
+def test_bound_stops_when_tau_collapses(tmp_path, capsys):
+    # the rank-deficient alpha=10 EDMD fit makes the upper-bound program
+    # nearly unbounded: tau vanishes next to kappa without a certificate, and
+    # the solve stops there instead of rescaling the iterate until overflow
+    cfg = _write(tmp_path, "vdp10.json", {
+        "system": "VanDerPol", "lie_source": "edmd",
+        "sampling": {"n": 200000, "x0": [0.1, 0.2]},
+        "dictionaries": {"alpha": 10},
+        "output": {"path": str(tmp_path / "vdp10.json.out")},
+    })
+    assert main(["bound", cfg]) == EXIT_NONOPTIMAL
+    out = json.loads((tmp_path / "vdp10.json.out").read_text())
+    assert (out["status"], out["reason"]) == ("MaxIter", "tau collapse")
+    assert out["iterations"] < 25
+    assert out["bound"] is None
+    assert "(MaxIter: tau collapse)" in capsys.readouterr().out
 
 
 def test_lyapunov_map_default_beta(tmp_path):

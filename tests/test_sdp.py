@@ -146,6 +146,7 @@ def test_constructed_infeasible_suite():
                           np.array(rows), np.array(b))
         sol = solve(prob, tol=1e-9)
         assert sol.status == "Infeasible", f"trial {trial}: {sol.status}"
+        assert sol.reason == "infeasible certificate"
 
 
 def _unit(size, j):
@@ -178,7 +179,9 @@ def test_unbounded_detection():
     # minimize -x1 with only x1 - x2 = 0: ray (t, t) drives objective down
     prob = SdpProblem([(NONNEG, 2)], np.array([-1.0, 0.0]),
                       np.array([[1.0, -1.0]]), np.array([0.0]))
-    assert solve(prob).status == "Unbounded"
+    sol = solve(prob)
+    assert sol.status == "Unbounded"
+    assert sol.reason == "unbounded certificate"
 
 
 def test_free_variable_elimination():
@@ -188,6 +191,7 @@ def test_free_variable_elimination():
                       np.array([3.0, 1.0]))
     sol = solve(prob)
     assert sol.status == "Optimal"
+    assert sol.reason == "optimal"
     assert sol.z[0] == pytest.approx(3.0, abs=1e-7)
     assert sol.objective == pytest.approx(4.0, abs=1e-7)
 
@@ -195,7 +199,18 @@ def test_free_variable_elimination():
 def test_inconsistent_free_rows_infeasible():
     prob = SdpProblem([(FREE, 1)], np.array([0.0]),
                       np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
-    assert solve(prob).status == "Infeasible"
+    sol = solve(prob)
+    assert sol.status == "Infeasible"
+    assert sol.reason == "inconsistent equalities"
+
+
+def test_free_unbounded_reason():
+    # the free column is absent from every row, so -x drives c.z down
+    prob = SdpProblem([(FREE, 1), (NONNEG, 1)], np.array([-1.0, 0.0]),
+                      np.array([[0.0, 1.0]]), np.array([1.0]))
+    sol = solve(prob)
+    assert sol.status == "Unbounded"
+    assert sol.reason == "free unbounded"
 
 
 def test_weak_duality_on_random_instances():
@@ -238,7 +253,20 @@ def test_never_optimal_without_meeting_tolerance():
     prob = _random_feasible(rng, [(PSD, 6)], 5)
     sol = solve(prob, tol=1e-9, max_iter=3)
     if sol.status == "Optimal":
+        assert sol.reason == "optimal"
         assert max(verify_kkt(prob, sol)) <= 1e-8
+    else:
+        assert sol.reason in ("iteration cap", "kkt rejected")
+
+
+def test_iteration_cap_reason():
+    rng = np.random.default_rng(21)
+    prob = _random_feasible(rng, [(PSD, 6)], 5)
+    sol = solve(prob, max_iter=1)
+    assert (sol.status, sol.reason, sol.iterations) == (
+        "MaxIter", "iteration cap", 1)
+    # the point of the capped iteration is still returned
+    assert sol.z is not None and sol.y is not None
 
 
 @pytest.mark.parametrize("blocks, c, A, b, z_opt", [

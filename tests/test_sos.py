@@ -337,7 +337,9 @@ def test_posterior_verify_zero_candidate_gets_no_margin():
     psi = total_degree_dictionary(MONOMIAL, 2, 8)
     lie = exact_lie_matrix(spec, phi, psi)
     report = posterior_verify(Poly(phi, np.zeros(phi.size)), lie, psi)
+    assert set(report) == {"status", "epsilon", "reason"}
     if report["status"] == "Optimal":
+        assert report["reason"] == "optimal"
         assert report["epsilon"] <= 1e-7
 
 
