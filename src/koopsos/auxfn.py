@@ -23,6 +23,7 @@ from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
 from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
                         poly_from_terms)
+from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .snapshots import GENERATOR, KOOPMAN
 from .systems import CIRCULAR_ORBIT, SystemSpec, sample_snapshots
 
@@ -80,7 +81,8 @@ def _lyapunov_program(phi: Dictionary, lie_matrix: np.ndarray,
 
 def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
                   phi: Dictionary, posterior_lie: np.ndarray | None = None,
-                  tol: float = 1e-8, max_iter: int = 200) -> LyapunovResult:
+                  tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER) -> LyapunovResult:
     """Search for the l1-minimal V in span(phi) with V - |x|^2 >= 0 and
     -LV - |x|^2 >= 0.
 
@@ -101,7 +103,8 @@ def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
 
 
 def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
-                     tol: float = 1e-8, max_iter: int = 200) -> dict:
+                     tol: float = DEFAULT_TOL,
+                     max_iter: int = DEFAULT_MAX_ITER) -> dict:
     """Re-check a Lyapunov candidate with a trusted Lie matrix: maximize eps
     subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed."""
     sol = sos.solve(sos.compile(_lyapunov_program(V.basis, lie_matrix,
@@ -141,7 +144,8 @@ def ergodic_bound(direction: str, g: Poly, lie_matrix: np.ndarray,
                   domain: sos.SemialgebraicSet | None = None,
                   c_fixed: np.ndarray | None = None,
                   lie_source: str = "exact",
-                  tol: float = 1e-8, max_iter: int = 200) -> BoundResult:
+                  tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER) -> BoundResult:
     """Optimal bound on the long-time average of g.
 
     upper: minimize U subject to U - g - LV >= 0 on the domain;

@@ -29,6 +29,7 @@ from .auxfn import (circular_orbit_casestudy, ergodic_bound, find_lyapunov,
 from .koopman import convergence_study, fit_edmd, fit_gedmd, loglog_slope
 from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
                         norm_squared, poly_from_terms, total_degree_dictionary)
+from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, check_options
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
 from .sos import SemialgebraicSet
 from .systems import (STOCHASTIC_LOGISTIC, SystemSpec, exact_lie_matrix,
@@ -216,9 +217,15 @@ def _fit_data(cfg, spec, source: str, phi, psi, data):
 
 
 def _solver(cfg) -> dict:
-    """The ``tol`` and ``max_iter`` keywords of a config's solver section."""
-    return {"tol": _number(cfg, "solver.tol", 1e-8, float),
-            "max_iter": _number(cfg, "solver.max_iter", 200, int)}
+    """The ``tol`` and ``max_iter`` keywords of a config's solver section,
+    checked as ``sdp.solve`` checks them."""
+    opts = {"tol": _number(cfg, "solver.tol", DEFAULT_TOL, float),
+            "max_iter": _number(cfg, "solver.max_iter", DEFAULT_MAX_ITER, int)}
+    try:
+        check_options(**opts)
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}") from None
+    return opts
 
 
 def _fit_operators(cfg, spec, phi, psi, data):
@@ -308,12 +315,14 @@ def cmd_verify(cfg) -> int:
         data = None
     phi, psi = _dictionaries(cfg, spec)
     coeffs = data.get("V_coeffs") if isinstance(data, dict) else None
-    if coeffs is not None:
-        coeffs = np.array(coeffs, dtype=float)
-    if coeffs is None or coeffs.shape != (phi.size,):
-        raise ConfigError(f"output.path {result_path} holds no V_coeffs of "
-                          f"length {phi.size}, the size of the config's phi "
-                          f"dictionary")
+    try:
+        coeffs = np.array(coeffs, dtype=float)  # None gives a 0-d NaN
+    except (TypeError, ValueError):  # non-numeric strings, ragged lists
+        coeffs = np.array(np.nan)
+    if coeffs.shape != (phi.size,) or not np.isfinite(coeffs).all():
+        raise ConfigError(f"output.path {result_path} holds no finite "
+                          f"V_coeffs of length {phi.size}, the size of the "
+                          f"config's phi dictionary")
     report = posterior_verify(Poly(phi, coeffs),
                               exact_lie_matrix(spec, phi, psi), psi,
                               **_solver(cfg))
@@ -325,7 +334,7 @@ def cmd_verify(cfg) -> int:
 
 # -- reproduce ------------------------------------------------------------------
 
-def _retry_bound(*args, tol=1e-8, **kwargs):
+def _retry_bound(*args, tol=DEFAULT_TOL, **kwargs):
     res = ergodic_bound(*args, tol=tol, **kwargs)
     if res.status != "Optimal":
         res = ergodic_bound(*args, tol=100 * tol, **kwargs)

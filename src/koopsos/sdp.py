@@ -54,6 +54,21 @@ INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 MAXITER = "MaxIter"
 
+# the solver options every caller defaults to
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITER = 200
+
+
+def check_options(tol, max_iter) -> None:
+    """Raise ValueError unless tol is a number in (0, 1) and max_iter >= 1.
+    The relative gap never exceeds 1, so a tol >= 1 no longer tests it, and a
+    tol <= 0 (or NaN) can never be met."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -476,10 +491,12 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
     return status, reason, x, y, s, tau, kappa, iters
 
 
-def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 200
-          ) -> SdpSolution:
+def solve(prob: SdpProblem, tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve the conic program; never reports Optimal without meeting tol.
-    ``SdpSolution.reason`` names the exit (see the module docstring)."""
+    ``SdpSolution.reason`` names the exit (see the module docstring).
+    Raises ValueError on options that ``check_options`` rejects."""
+    check_options(tol, max_iter)
     no_point = (None, None, None, (np.inf, np.inf, np.inf))
     reduced, recover, inconsistent, free_unbounded = _eliminate_free(prob)
     if inconsistent:

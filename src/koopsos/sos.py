@@ -10,10 +10,12 @@ may depend affinely on named scalar decision variables, and
 S = {x : s_j(x) >= 0}.  Nonnegativity is
 certified by a weighted sum-of-squares representation
 
-    q(x) = <P, v(x) v(x)^T> + sum_j s_j(x) <Q_j, w_j(x) w_j(x)^T>,
+    q(x) = sum_k s_k(x) <Q_k, w_k(x) w_k(x)^T>,   s_0 = 1,
 
-with P and Q_j positive semidefinite, matched coefficient-by-coefficient in
-the dictionary spanning v (x) v products.  Matching is done directly in the
+with every Q_k positive semidefinite, matched coefficient-by-coefficient in
+the dictionary spanning all of its products.  A certificate is one list of
+Gram terms (s_k, w_k): the unweighted term (None, w_0) comes first, then one
+term (s_j, w_j) per inequality of S.  Matching is done directly in the
 working polynomial family (monomial or Chebyshev): the weighted phi and Lie
 columns are placed by inclusion, and the Gram columns use exact product
 structure constants.
@@ -29,9 +31,9 @@ import numpy as np
 from .polybasis import (Dictionary, Poly, evaluate, inclusion_matrix,
                         multiplication_matrix, product_tensor,
                         total_degree_dictionary)
-from .sdp import (FREE, NONNEG, OPTIMAL, PSD, SdpProblem, SdpSolution,
-                  block_dim, block_layout, smat, solve as sdp_solve,
-                  svec)
+from .sdp import (DEFAULT_MAX_ITER, DEFAULT_TOL, FREE, NONNEG, OPTIMAL, PSD,
+                  SdpProblem, SdpSolution, block_dim, block_layout, smat,
+                  solve as sdp_solve, svec)
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,9 @@ class InequalityConstraint:
 
 
 def auto_bases(con: InequalityConstraint):
-    """The (u, v, w_j) dictionaries from the constraint degrees: u covers
-    the full constraint degree D, v has degree ceil(D/2), and each multiplier
-    w_j has degree ceil((D - deg s_j) / 2)."""
+    """The constraint degree D and the Gram terms [(s_k, w_k)] of its
+    certificate: (None, w_0) with w_0 of degree ceil(D/2), then (s_j, w_j)
+    per domain inequality with w_j of degree ceil((D - deg s_j) / 2)."""
     phi = con.phi
     degs = [0]
     if con.a:
@@ -89,12 +91,11 @@ def auto_bases(con: InequalityConstraint):
         degs.append(p.basis.max_degree)
     D = max(degs)
     fam, d, box = phi.family, phi.dimension, phi.box
-    u = total_degree_dictionary(fam, d, D, box)
-    v = total_degree_dictionary(fam, d, math.ceil(D / 2), box)
-    ws = [total_degree_dictionary(
-        fam, d, max(0, math.ceil((D - s.basis.max_degree) / 2)), box)
+    terms = [(None, total_degree_dictionary(fam, d, math.ceil(D / 2), box))]
+    terms += [(s, total_degree_dictionary(
+        fam, d, max(0, math.ceil((D - s.basis.max_degree) / 2)), box))
         for s in con.domain.s_list]
-    return u, v, ws
+    return D, terms
 
 
 @dataclass
@@ -113,20 +114,16 @@ class SosProgram:
 @dataclass
 class _CompiledConstraint:
     E: Dictionary
-    v: Dictionary
-    ws: list
-    s_polys: list
+    terms: list                  # [(s_k or None, w_k)], as from auto_bases
+    blocks: list                 # per term, its index into the block list
     dec_matrix: np.ndarray       # (|E|, n_dec)
     const: np.ndarray            # (|E|,)
-    p_block: int                 # index into problem block list
-    q_blocks: list
 
 
 @dataclass
 class CompiledSos:
     problem: SdpProblem
     program: SosProgram
-    dec_names: list
     per_constraint: list
     sense: float                 # +1 minimize, -1 (maximize encoded negated)
     dec_slice: slice
@@ -135,13 +132,11 @@ class CompiledSos:
 def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
     """Coefficient-matching columns of one constraint over the E basis that
     spans all of its products: the decision-variable columns, the constant
-    column and, per PSD block, the Gram columns of <P, v v^T> and
-    s_j <Q_j, w_j w_j^T>."""
+    column and, per Gram term, the columns of s_k <Q_k, w_k w_k^T>."""
     phi = con.phi
-    u, v, ws = auto_bases(con)
-    deg_E = max(u.max_degree, 2 * v.max_degree,
-                *[s.basis.max_degree + 2 * w.max_degree
-                  for s, w in zip(con.domain.s_list, ws)] or [0])
+    D, terms = auto_bases(con)
+    deg_E = max(D, *[(0 if s is None else s.basis.max_degree)
+                     + 2 * w.max_degree for s, w in terms])
     E = total_degree_dictionary(phi.family, phi.dimension, deg_E, phi.box)
     nE = E.size
 
@@ -164,14 +159,17 @@ def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
     dec_matrix = (scalar_cols if prog.c_fixed is not None
                   else np.hstack([phi_cols, scalar_cols]))
 
-    gram_cols = [svec(product_tensor(v, v, E))]
-    for w, s in zip(ws, con.domain.s_list):
-        ww = total_degree_dictionary(w.family, w.dimension,
-                                     2 * w.max_degree, w.box)
-        gram_cols.append(svec(np.tensordot(
-            multiplication_matrix(s, ww, E), product_tensor(w, w, ww),
-            axes=([1], [0]))))
-    return E, v, ws, dec_matrix, const, gram_cols
+    gram_cols = []
+    for s, w in terms:
+        if s is None:
+            G = product_tensor(w, w, E)
+        else:
+            ww = total_degree_dictionary(w.family, w.dimension,
+                                         2 * w.max_degree, w.box)
+            G = np.tensordot(multiplication_matrix(s, ww, E),
+                             product_tensor(w, w, ww), axes=([1], [0]))
+        gram_cols.append(svec(G))
+    return E, terms, dec_matrix, const, gram_cols
 
 
 def compile(prog: SosProgram) -> CompiledSos:
@@ -188,20 +186,13 @@ def compile(prog: SosProgram) -> CompiledSos:
     for con in prog.constraints:
         if con.phi != phi:
             raise ValueError("all constraints must use the program's phi")
-        E, v, ws, dec_matrix, const, gram_cols = _match_coefficients(
+        E, terms, dec_matrix, const, gram_cols = _match_coefficients(
             con, prog)
-
-        p_block = len(blocks)
-        blocks.append((PSD, v.size))
-        q_blocks = []
-        for w in ws:
-            q_blocks.append(len(blocks))
-            blocks.append((PSD, w.size))
-
+        term_blocks = list(range(len(blocks), len(blocks) + len(terms)))
+        blocks += [(PSD, w.size) for _, w in terms]
         per_con.append(_CompiledConstraint(
-            E=E, v=v, ws=list(ws), s_polys=list(con.domain.s_list),
-            dec_matrix=dec_matrix, const=const,
-            p_block=p_block, q_blocks=q_blocks))
+            E=E, terms=terms, blocks=term_blocks, dec_matrix=dec_matrix,
+            const=const))
         gram_cols_per_con.append(gram_cols)
 
     # optional l1 objective on the phi coefficients: free t_j with nonneg
@@ -226,7 +217,7 @@ def compile(prog: SosProgram) -> CompiledSos:
     for cc, gram_cols in zip(per_con, gram_cols_per_con):
         rows = slice(start, start + cc.E.size)
         A[rows, 0:n_dec] = cc.dec_matrix
-        for gm, bi in zip(gram_cols, [cc.p_block] + cc.q_blocks):
+        for gm, bi in zip(gram_cols, cc.blocks):
             np.negative(gm, out=A[rows, layout[bi][2]])
         b[rows] = -cc.const
         start = rows.stop
@@ -255,8 +246,8 @@ def compile(prog: SosProgram) -> CompiledSos:
             cost[dec_names.index(name)] = sense * weight
 
     return CompiledSos(problem=SdpProblem(blocks, cost, A, b), program=prog,
-                       dec_names=dec_names, per_constraint=per_con,
-                       sense=sense, dec_slice=slice(0, n_dec))
+                       per_constraint=per_con, sense=sense,
+                       dec_slice=slice(0, n_dec))
 
 
 @dataclass
@@ -265,12 +256,12 @@ class SosSolution:
     phi_coeffs: np.ndarray | None
     scalar_values: dict
     objective: float | None
-    grams: list
+    grams: list          # per constraint, the Gram Q_k of each term
     sdp: SdpSolution
 
 
-def solve(compiled: CompiledSos, tol: float = 1e-8, max_iter: int = 200
-          ) -> SosSolution:
+def solve(compiled: CompiledSos, tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER) -> SosSolution:
     """Solve the lowered SDP and lift the solution back to SOS objects."""
     sol = sdp_solve(compiled.problem, tol=tol, max_iter=max_iter)
     prog = compiled.program
@@ -286,12 +277,9 @@ def solve(compiled: CompiledSos, tol: float = 1e-8, max_iter: int = 200
         phi_coeffs = dec[:ell].copy()
         scalar_values = {n: float(dec[ell + k])
                          for k, n in enumerate(prog.scalars)}
-    grams = []
     slices = block_layout(compiled.problem.blocks)
-    for cc in compiled.per_constraint:
-        P = smat(z[slices[cc.p_block][2]])
-        Qs = [smat(z[slices[bi][2]]) for bi in cc.q_blocks]
-        grams.append((P, Qs))
+    grams = [[smat(z[slices[bi][2]]) for bi in cc.blocks]
+             for cc in compiled.per_constraint]
     objective = None
     if prog.objective[0] in ("min", "max", "l1_phi"):
         objective = compiled.sense * sol.objective
@@ -316,13 +304,12 @@ def certificate_values(compiled: CompiledSos, solution: SosSolution,
 
 def gram_values(compiled: CompiledSos, solution: SosSolution, index: int,
                 X: np.ndarray) -> np.ndarray:
-    """Evaluate <P, v v^T> + sum_j s_j <Q_j, w_j w_j^T> at the rows of X."""
+    """Evaluate sum_k s_k <Q_k, w_k w_k^T> (s_0 = 1) at the rows of X."""
     cc = compiled.per_constraint[index]
-    P, Qs = solution.grams[index]
     X = np.atleast_2d(X)
-    V = evaluate(cc.v, X)
-    out = np.einsum("in,ij,jn->n", V, P, V)
-    for Q, w, s in zip(Qs, cc.ws, cc.s_polys):
+    out = np.zeros(X.shape[0])
+    for (s, w), Q in zip(cc.terms, solution.grams[index]):
         W = evaluate(w, X)
-        out += s(X) * np.einsum("in,ij,jn->n", W, Q, W)
+        q = np.einsum("in,ij,jn->n", W, Q, W)
+        out += q if s is None else s(X) * q
     return out

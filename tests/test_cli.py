@@ -214,7 +214,9 @@ def test_sampling_error_is_config_error(tmp_path, capsys, sampling, message):
     {"feasible": True},
     {"feasible": True, "V_coeffs": [1.0] * 14},
     "not json",
-], ids=["null", "missing", "wrong-length", "not-json"])
+    {"feasible": True, "V_coeffs": ["one"] * 15},
+    {"feasible": True, "V_coeffs": [float("nan")] * 15},
+], ids=["null", "missing", "wrong-length", "not-json", "strings", "nan"])
 def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     path = str(tmp_path / "lyap.json.out")
     Path(path).write_text(result if isinstance(result, str)
@@ -237,6 +239,10 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     ({"sampling": {"n": "many"}}, "sampling.n"),
     ({"solver": {"tol": "tight"}}, "solver.tol"),
     ({"solver": {"max_iter": "x"}}, "solver.max_iter"),
+    ({"solver": {"tol": -1}}, "solver.tol"),
+    ({"solver": {"tol": float("nan")}}, "solver.tol"),
+    ({"solver": {"tol": 1}}, "solver.tol"),
+    ({"solver": {"max_iter": 0}}, "solver.max_iter"),
     ({"observable": "bogus"}, "unknown observable"),
     ({"domain": "bogus"}, "unknown domain"),
     ({"domain": "unit_interval"}, "domain 'unit_interval' needs a 1-D"),
@@ -244,8 +250,8 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     ({"system": "MapLyap2D", "dictionaries": {"alpha": -1}},
      "dictionaries.alpha"),
 ], ids=["alpha", "alpha-negative", "box-short", "box-reversed", "n", "tol",
-        "max_iter", "observable", "domain", "domain-2d",
-        "map-alpha-negative"])
+        "max_iter", "tol-negative", "tol-nan", "tol-one", "max_iter-zero",
+        "observable", "domain", "domain-2d", "map-alpha-negative"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
                                           update, key):
     def no_sampling(*args, **kwargs):

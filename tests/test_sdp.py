@@ -269,6 +269,17 @@ def test_iteration_cap_reason():
     assert sol.z is not None and sol.y is not None
 
 
+@pytest.mark.parametrize("options", [
+    {"tol": -1.0}, {"tol": math.nan}, {"tol": 1.0}, {"max_iter": 0},
+], ids=["tol-negative", "tol-nan", "tol-one", "max_iter-zero"])
+def test_rejects_meaningless_options(options):
+    # tol -1 would certify unboundedness, tol 1 accept a point far from the
+    # optimum, max_iter 0 report a cap without one iteration
+    prob = _random_feasible(np.random.default_rng(21), [(PSD, 6)], 5)
+    with pytest.raises(ValueError, match=next(iter(options))):
+        solve(prob, **options)
+
+
 @pytest.mark.parametrize("blocks, c, A, b, z_opt", [
     ([(NONNEG, 2)], [1.0, 2.0], np.zeros((0, 2)), [], [0.0, 0.0]),
     ([(PSD, 2)], svec(np.eye(2)), np.zeros((0, 3)), [], [0.0, 0.0, 0.0]),

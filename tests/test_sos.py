@@ -75,26 +75,28 @@ def test_auto_bases_degrees():
     con = InequalityConstraint(
         phi=phi, b=1.0, lie_matrix=np.zeros((phi.size, psi.size)),
         lie_basis=psi, domain=SemialgebraicSet((s,)))
-    u, v, ws = auto_bases(con)
-    assert u.max_degree == 8
-    assert v.max_degree == 4
-    assert [w.max_degree for w in ws] == [3]
+    D, terms = auto_bases(con)
+    assert D == 8
+    assert terms[0][0] is None and terms[0][1].max_degree == 4
+    assert [w.max_degree for _, w in terms[1:]] == [3]
 
 
 def test_auto_bases_degree_zero():
     phi = total_degree_dictionary(MONOMIAL, 1, 0)
     con = InequalityConstraint(phi=phi, c_const=poly_from_terms({(0,): 1.0}))
-    u, v, ws = auto_bases(con)
-    assert v.indices == ((0,),)
-    assert ws == []
+    D, terms = auto_bases(con)
+    assert terms[0][1].indices == ((0,),)
+    assert terms[1:] == []
 
 
 def _bound_program(direction="upper"):
     return compile(_logistic_program(direction))
 
 
-def _logistic_program(direction="upper"):
-    """Upper/lower bound program for x over the stochastic-logistic system."""
+def _logistic_program(direction="upper", s_list=((0.0, 1.0, -1.0),)):
+    """Upper/lower bound program for x over the stochastic-logistic system,
+    on the domain {s >= 0 for s in s_list}, each s given by its monomial
+    coefficients; the default is x - x^2 >= 0."""
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 8, BOX)
@@ -102,15 +104,21 @@ def _logistic_program(direction="upper"):
     cheb2 = total_degree_dictionary(CHEBYSHEV, 1, 2, BOX)
     mono = total_degree_dictionary(MONOMIAL, 1, 2)
     g = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, 0.0])), cheb2)
-    s = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, -1.0])), cheb2)
+    domain = SemialgebraicSet(
+        monomial_to_cheb(Poly(mono, np.array(s)), cheb2) for s in s_list)
     sign = -1.0 if direction == "upper" else 1.0
     con = InequalityConstraint(
         phi=phi, b=sign, lie_matrix=lie, lie_basis=psi,
         c_const=sign * g, c_scalars={"bound": -sign * ONE_1D},
-        domain=SemialgebraicSet((s,)))
+        domain=domain)
     sense = "min" if direction == "upper" else "max"
     return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
                       objective=(sense, {"bound": 1.0}))
+
+
+def _logistic_interval_program():
+    """The upper-bound program on {x >= 0, 1 - x >= 0}: three Gram terms."""
+    return _logistic_program("upper", ((0.0, 1.0, 0.0), (1.0, -1.0, 0.0)))
 
 
 def _vdp_exact_program():
@@ -212,10 +220,9 @@ def _dict_product(family, a, b):
 def _dict_match_coefficients(con, prog):
     """Stand-in for sos._match_coefficients built from dict products."""
     phi, fam = con.phi, con.phi.family
-    u, v, ws = auto_bases(con)
-    deg_E = max(u.max_degree, 2 * v.max_degree,
-                *[s.basis.max_degree + 2 * w.max_degree
-                  for s, w in zip(con.domain.s_list, ws)] or [0])
+    D, terms = auto_bases(con)
+    deg_E = max(D, *[(0 if s is None else s.basis.max_degree)
+                     + 2 * w.max_degree for s, w in terms])
     E = total_degree_dictionary(fam, phi.dimension, deg_E, phi.box)
 
     def unit(basis, j):
@@ -261,17 +268,16 @@ def _dict_match_coefficients(con, prog):
                 G[:, ii, jj] = in_E(sp)
         return svec(G)
 
-    gram_cols = [gram(v, None)] + [gram(w, _terms(s)) for w, s
-                                   in zip(ws, con.domain.s_list)]
-    return E, v, ws, dec_matrix, const, gram_cols
+    gram_cols = [gram(w, None if s is None else _terms(s)) for s, w in terms]
+    return E, terms, dec_matrix, const, gram_cols
 
 
 @pytest.mark.parametrize("make", [_vdp_exact_program, _logistic_program,
                                   _lyapunov_program, _posterior_program,
-                                  _circle_program],
+                                  _circle_program, _logistic_interval_program],
                          ids=["vdp_exact_alpha6", "logistic_alpha4",
                               "lyapunov_l1", "posterior_eps",
-                              "circle_fixed_v"])
+                              "circle_fixed_v", "logistic_interval"])
 def test_compile_matches_dict_reference(make, monkeypatch):
     prog = make()
     got = compile(prog).problem
@@ -297,6 +303,21 @@ def test_certificate_matches_gram_reconstruction():
     cert = certificate_values(compiled, sol, 0, X)
     gram = gram_values(compiled, sol, 0, X)
     np.testing.assert_allclose(cert, gram, atol=1e-7)
+
+
+def test_three_term_certificate():
+    compiled = compile(_logistic_interval_program())
+    assert [len(cc.terms) for cc in compiled.per_constraint] == [3]
+    sol = solve(compiled)
+    assert sol.status == "Optimal"
+    # the same set as x - x^2 >= 0, so the same optimum
+    assert sol.scalar_values["bound"] == pytest.approx(0.3125, abs=2e-4)
+    assert len(sol.grams[0]) == 3
+    X = np.linspace(0.0, 1.0, 101)[:, None]
+    cert = certificate_values(compiled, sol, 0, X)
+    np.testing.assert_allclose(cert, gram_values(compiled, sol, 0, X),
+                               atol=1e-7)
+    assert cert.min() >= -1e-6
 
 
 def test_certificate_soundness_on_domain():
