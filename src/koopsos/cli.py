@@ -99,11 +99,20 @@ def _load_config(path: str, overrides) -> dict:
 
 
 def _number(cfg, key: str, default, kind):
-    """Parse config value ``key`` (``section.name``) with ``kind``."""
+    """Parse config value ``key`` (``section.name``) with ``kind``.
+
+    A boolean is not a number, and an int key takes no fractional part:
+    ``int`` would read true as 1 and truncate 4.9 to 4.
+    """
     section, name = key.split(".")
     value = cfg.get(section, {}).get(name, default)
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {kind.__name__}, "
                           f"got {value!r}") from None

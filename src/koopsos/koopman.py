@@ -4,7 +4,8 @@ Operators are built in normal-equations form, K = (Phi Psi^T)(Psi Psi^T)^+,
 so only m-by-m Gram matrices are held in memory regardless of the number of
 snapshots.  Gram accumulation streams over fixed-size row chunks with Kahan
 compensated summation, which keeps results reproducible and accurate for runs
-with up to 1e7 rows.  Only one chunk's dictionary values are alive at a time.
+with up to 1e7 rows.  The dictionary values live in one buffer per pass, which
+each chunk overwrites and which is unmapped when the pass ends.
 
 Snapshots sampled along one trajectory have y_i bitwise equal to x_{i+1}.
 ``moment_matrices`` checks that property of the data and then evaluates each
@@ -15,6 +16,7 @@ is contained in psi.  The results are bit-identical to evaluating phi at y.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +160,26 @@ class MomentMatrices:
     D_tau: np.ndarray | None
 
 
+# a private mapping, faulted in by one system call, where the platform has
+# the flags (Linux); a plain anonymous mapping elsewhere
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+               | mmap.MAP_POPULATE} if hasattr(mmap, "MAP_POPULATE") else {})
+
+
+def _pass_buffer(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised float64 (rows, cols) array in its own anonymous
+    mapping, unmapped when the last view of it is released.
+
+    On the heap, each pass's buffer left a hole that the next, larger pass's
+    buffer did not fit, and numpy advises huge pages for arrays this large,
+    so the kernel could later fill such a hole in: peak RSS of the logistic
+    benchmark rose by 10 MB in 8 of 18 runs.
+    """
+    size = rows * cols
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8, **_MAP_FLAGS),
+                         count=size).reshape(rows, cols)
+
+
 def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
                     ) -> MomentMatrices:
     """Empirical moment matrices of the snapshot set, streamed in one pass.
@@ -170,9 +192,9 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     each row is evaluated once: psi is evaluated on a chunk's rows plus the
     next state, and phi(y) is read from the phi rows of that table shifted by
     one column (phi is contained in psi, so its values there are the same
-    bits).  Other data evaluate psi at x and phi at y.  Only one chunk's
-    values are alive at a time: they are released before the next chunk is
-    evaluated.
+    bits).  Other data evaluate psi at x and phi at y.  Each chunk's
+    values are written into views of one buffer per pass (one more for phi
+    at y), so no chunk allocates its own.
     """
     theta = inclusion_matrix(phi, psi)
     if phi.dimension != s.d:
@@ -191,22 +213,26 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
             at = slice(0, phi.size)
     acc_b = _KahanAccumulator((psi.size, psi.size))
     acc_a = _KahanAccumulator((phi.size, psi.size))
+    # one buffer per pass, each chunk's values written into a view of it
+    rows = min(CHUNK_ROWS, s.n) + 1
+    psi_buf = _pass_buffer(psi.size, rows)
+    phi_buf = (_pass_buffer(phi.size, rows) if koopman and not trajectory
+               else None)
     for start in range(0, s.n, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, s.n)
         if trajectory:
             # x_start .. x_stop, where x_n is y_{n-1}
             Psi = evaluate(psi, s.X[start:stop + 1] if stop < s.n
-                           else np.concatenate((s.X[start:], s.Y[-1:])))
+                           else np.concatenate((s.X[start:], s.Y[-1:])),
+                           psi_buf[:, :stop - start + 1])
             Phi = Psi[at, 1:]
             Psi = Psi[:, :-1]
         else:
-            Psi = evaluate(psi, s.X[start:stop])
-            Phi = (evaluate(phi, s.Y[start:stop]) if koopman
-                   else s.Y[start:stop].T)
+            Psi = evaluate(psi, s.X[start:stop], psi_buf[:, :stop - start])
+            Phi = (evaluate(phi, s.Y[start:stop], phi_buf[:, :stop - start])
+                   if koopman else s.Y[start:stop].T)
         acc_b.add(Psi @ Psi.T)
         acc_a.add(Phi @ Psi.T)
-        # free this chunk before the next evaluate allocates its own
-        del Psi, Phi
     B, A = acc_b.total / s.n, acc_a.total / s.n
     if koopman:
         D = (A - theta @ B) / s.tau

@@ -151,14 +151,18 @@ def _grlex_degree(d: int, total: int):
 
 # Rows per evaluate() call in every streaming pass.  The chunk size sets the
 # grouping of the Kahan-compensated Gram sums, so it is part of the results.
+# Within a chunk the kernels work in blocks of _kernels.EVAL_BLOCK points,
+# which only sets how much of the table is in cache: no result depends on it.
 CHUNK_ROWS = 1 << 16
 
 
-def evaluate(dictionary: Dictionary, x: np.ndarray) -> np.ndarray:
+def evaluate(dictionary: Dictionary, x: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate every basis function at the state(s) x.
 
     Accepts a single state of shape (d,) or a batch of shape (n, d); returns
-    shape (size,) or (size, n) respectively.
+    shape (size,) or (size, n) respectively.  A batch's values are written
+    into out, a (size, n) array that may be a view, when it is given.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -169,10 +173,12 @@ def evaluate(dictionary: Dictionary, x: np.ndarray) -> np.ndarray:
             f"{dictionary.dimension}")
     expo = np.array(dictionary.indices, dtype=np.int64).reshape(
         dictionary.size, dictionary.dimension)
+    # out goes by position: perfbench's tracer passes a wrapped kernel's
+    # result to its counters as their own ``out`` argument
     if dictionary.family == MONOMIAL:
-        out = _kernels.monomial_eval(X, expo)
+        out = _kernels.monomial_eval(X, expo, out)
     else:
-        out = _kernels.chebyshev_eval(dictionary.rescale(X), expo)
+        out = _kernels.chebyshev_eval(dictionary.rescale(X), expo, out)
     return out[:, 0] if single else out
 
 

@@ -186,6 +186,12 @@ class _Cone:
                 e[sl] = svec(np.eye(size))
         return e
 
+    def matrices(self, u: np.ndarray) -> list:
+        """smat of each PSD block's slice of u along its last axis (None for
+        a nonnegative block), in block order."""
+        return [None if kind == NONNEG else smat(u[..., sl])
+                for kind, _, sl in self.blocks]
+
     def min_eig(self, v: np.ndarray) -> float:
         worst = np.inf
         for kind, size, sl in self.blocks:
@@ -221,17 +227,21 @@ class _Scaling:
                 lam_parts.append(sig)
         self.lam_parts = lam_parts
 
-    def apply_w2(self, u: np.ndarray) -> np.ndarray:
+    def apply_w2(self, u: np.ndarray, u_mats=None) -> np.ndarray:
         """The operator W(u) = T u T with T the NT scaling point, applied
-        along the last axis of u (a vector or a stack of row vectors)."""
+        along the last axis of u (a vector or a stack of row vectors).
+        u_mats, when given, is cone.matrices(u): each PSD block's matrices,
+        converted once for a u that every iteration scales."""
+        if u_mats is None:
+            u_mats = self.cone.matrices(u)
         out = np.empty_like(u)
-        for kind, sl, dat in self.data:
+        for (kind, sl, dat), U in zip(self.data, u_mats):
             if kind == NONNEG:
                 w2, _ = dat
                 out[..., sl] = w2 * w2 * u[..., sl]
             else:
                 _, _, _, T = dat
-                out[..., sl] = svec(T @ smat(u[..., sl]) @ T)
+                out[..., sl] = svec(T @ U @ T)
         return out
 
     def w_comp_target(self, targets) -> np.ndarray:
@@ -377,6 +387,8 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
     nrm_b = 1.0 + np.linalg.norm(b)
     nrm_c = 1.0 + np.linalg.norm(c)
     status, reason, iters = MAXITER, "iteration cap", 0
+    # A is the same at every iteration: its PSD blocks as matrix stacks
+    A_mats = cone.matrices(A)
 
     # near-breakdown iterates can overflow transiently; the finiteness
     # guards below turn that into a clean MaxIter instead of a crash
@@ -421,7 +433,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
 
         # Schur complement M = A W A^T; W A^T must be a contiguous (dim, p)
         # array, as a transposed view changes the BLAS call and the bits
-        M = A @ np.ascontiguousarray(scaling.apply_w2(A).T)
+        M = A @ np.ascontiguousarray(scaling.apply_w2(A, A_mats).T)
         M_reg = M + 1e-14 * np.trace(M) / max(p, 1) * np.eye(p)
         Wc = scaling.apply_w2(c)
 

@@ -233,25 +233,29 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
 
 @pytest.mark.parametrize("update, key", [
     ({"dictionaries": {"alpha": "four"}}, "dictionaries.alpha"),
+    ({"dictionaries": {"alpha": 4.9}}, "dictionaries.alpha"),
     ({"dictionaries": {"alpha": -1}}, "dictionaries"),
     ({"dictionaries": {"box": [[0]]}}, "dictionaries"),
     ({"dictionaries": {"box": [[1, 0], [0, 1]]}}, "dictionaries"),
     ({"sampling": {"n": "many"}}, "sampling.n"),
+    ({"sampling": {"n": 1000.5}}, "sampling.n"),
     ({"solver": {"tol": "tight"}}, "solver.tol"),
     ({"solver": {"max_iter": "x"}}, "solver.max_iter"),
     ({"solver": {"tol": -1}}, "solver.tol"),
     ({"solver": {"tol": float("nan")}}, "solver.tol"),
     ({"solver": {"tol": 1}}, "solver.tol"),
     ({"solver": {"max_iter": 0}}, "solver.max_iter"),
+    ({"solver": {"max_iter": True}}, "solver.max_iter"),
     ({"observable": "bogus"}, "unknown observable"),
     ({"domain": "bogus"}, "unknown domain"),
     ({"domain": "unit_interval"}, "domain 'unit_interval' needs a 1-D"),
     # the map's default beta is 2 alpha, so alpha is checked before beta
     ({"system": "MapLyap2D", "dictionaries": {"alpha": -1}},
      "dictionaries.alpha"),
-], ids=["alpha", "alpha-negative", "box-short", "box-reversed", "n", "tol",
-        "max_iter", "tol-negative", "tol-nan", "tol-one", "max_iter-zero",
-        "observable", "domain", "domain-2d", "map-alpha-negative"])
+], ids=["alpha", "alpha-fraction", "alpha-negative", "box-short",
+        "box-reversed", "n", "n-fraction", "tol", "max_iter", "tol-negative",
+        "tol-nan", "tol-one", "max_iter-zero", "max_iter-bool", "observable",
+        "domain", "domain-2d", "map-alpha-negative"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
                                           update, key):
     def no_sampling(*args, **kwargs):

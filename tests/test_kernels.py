@@ -79,8 +79,9 @@ def _reference_chebyshev(Z, expo):
 
 def _eval_cases():
     """(points, exponents) pairs: d in {1, 2, 3}, rows out of order and
-    repeated, max_deg 0, 1, 2 and 9, and a single point; at d = 1 also the
-    exponents 0..max_deg in order, which return the power table itself."""
+    repeated, max_deg 0, 1, 2 and 9, a single point, fewer points than one
+    block and two blocks and a part; at d = 1 also the exponents 0..max_deg in
+    order, whose recurrence runs in the output."""
     rng = np.random.default_rng(3)
     for d in (1, 2, 3):
         for max_deg in (0, 1, 2, 9):
@@ -88,7 +89,7 @@ def _eval_cases():
             expo[-1] = expo[0]          # a repeated row
             expo[0, 0] = max_deg        # the top degree is always present
             in_order = np.arange(max_deg + 1)[:, None]
-            for n in (1, 257):
+            for n in (1, 257, 2 * _kernels.EVAL_BLOCK + 3):
                 yield rng.uniform(-1.0, 1.0, size=(n, d)), expo
                 if d == 1:
                     yield rng.uniform(-1.0, 1.0, size=(n, d)), in_order
@@ -96,11 +97,20 @@ def _eval_cases():
 
 def _check_against_reference(kernel, reference):
     for X, expo in _eval_cases():
+        want = reference(X, expo)
         got = kernel(X, expo)
-        np.testing.assert_array_equal(got, reference(X, expo))
+        np.testing.assert_array_equal(got, want)
         assert got.shape == (expo.shape[0], X.shape[0])
         assert got.flags.c_contiguous
         assert not np.shares_memory(got, X)
+        # into the first n columns of a wider buffer, as in the last chunk
+        # of a moment pass: nothing outside them is written
+        n = X.shape[0]
+        buf = np.full((expo.shape[0], n + 5), np.pi)
+        got = kernel(X, expo, buf[:, :n])
+        assert np.shares_memory(got, buf) and got.shape == want.shape
+        np.testing.assert_array_equal(buf[:, :n], want)
+        assert np.all(buf[:, n:] == np.pi)
 
 
 def test_monomial_eval_matches_reference():
@@ -115,11 +125,14 @@ def test_chebyshev_eval_matches_reference():
                          [(_kernels.monomial_eval, _reference_monomial),
                           (_kernels.chebyshev_eval, _reference_chebyshev)],
                          ids=["monomial", "chebyshev"])
-def test_product_kernel_allocates_only_output_and_table(kernel, reference):
+def test_product_kernel_allocates_only_output_and_table(kernel, reference,
+                                                         monkeypatch):
     # the full grlex total-degree-12 dictionary in d = 2 (91 rows), the psi of
-    # the largest Van der Pol fit: the traced peak may hold the output and the
-    # power table, but no second (n_basis, n) array
-    max_deg, n = 12, 4096
+    # the largest Van der Pol fit, on four blocks of points: the traced peak
+    # may hold the output and one block's power table, but no second
+    # (n_basis, n) array and no table over all n points
+    max_deg, n, block = 12, 4096, 1024
+    monkeypatch.setattr(_kernels, "EVAL_BLOCK", block)
     dictionary = total_degree_dictionary(MONOMIAL, 2, max_deg)
     expo = np.array(dictionary.indices, dtype=np.int64)
     X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
@@ -131,7 +144,7 @@ def test_product_kernel_allocates_only_output_and_table(kernel, reference):
         tracemalloc.stop()
     np.testing.assert_array_equal(got, reference(X, expo))
     assert got.shape == (91, n)
-    table_bytes = (max_deg + 1) * 2 * n * X.itemsize
+    table_bytes = (max_deg + 1) * 2 * block * X.itemsize
     assert peak <= 1.1 * (got.nbytes + table_bytes)
 
 

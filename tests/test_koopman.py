@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koopsos import koopman
+from koopsos import _kernels, koopman
 from koopsos.koopman import (analytic_circle_moments, circle_moment,
                              convergence_study, divergence_indicator,
                              fit_edmd, fit_gedmd, loglog_slope,
@@ -227,9 +227,9 @@ def _evaluated(monkeypatch):
     seen = []
     inner = koopman.evaluate
 
-    def spy(dictionary, x):
+    def spy(dictionary, x, out=None):
         seen.append(dictionary)
-        return inner(dictionary, x)
+        return inner(dictionary, x, out)
     monkeypatch.setattr(koopman, "evaluate", spy)
     return seen
 
@@ -250,6 +250,23 @@ def test_trajectory_moments_match_reference(monkeypatch, n):
             np.testing.assert_array_equal(mm.B, B)
             np.testing.assert_array_equal(mm.A_tau, A)
             np.testing.assert_array_equal(mm.D_tau, D)
+
+
+def test_moments_over_several_eval_blocks_match_reference(monkeypatch):
+    # chunks of 11 rows evaluated in blocks of 3 points: each chunk's values
+    # fill a view of the pass's buffer block by block, the last chunk (6
+    # rows) a narrower view; the reference evaluates at the default block
+    monkeypatch.setattr(koopman, "CHUNK_ROWS", 11)
+    cases = []
+    for s, phi, psi in _trajectory_cases(50):
+        for data in (s, _edited(s, _ulp_up(20))):
+            cases.append((data, phi, psi, _reference_moments(data, phi, psi)))
+    monkeypatch.setattr(_kernels, "EVAL_BLOCK", 3)
+    for data, phi, psi, (B, A, D) in cases:
+        mm = moment_matrices(data, phi, psi)
+        np.testing.assert_array_equal(mm.B, B)
+        np.testing.assert_array_equal(mm.A_tau, A)
+        np.testing.assert_array_equal(mm.D_tau, D)
 
 
 def test_trajectory_moments_never_evaluate_phi(monkeypatch):
