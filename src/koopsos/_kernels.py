@@ -7,10 +7,12 @@ jit-compiled (``njit(cache=True)``); setting the environment variable
 as plain Python.  Either way the floating-point operations are the same, so the
 trajectories are bit-identical.
 
-Each loop fills an output array that its public wrapper allocates, and reaches
-its arrays through one buffer adapter, ``_buffer``, chosen next to ``_jit``.
-Under numba the adapter is the identity and the loop sees the arrays.  On the
-plain-Python path it is ``memoryview``: a float64 memoryview reads and writes
+Each loop fills an output array that its public wrapper allocates, or that the
+caller passes as ``out`` (the logistic loop: the sampler hands it one slice of
+its states array per block of rates).  The loops reach their arrays through
+one buffer adapter, ``_buffer``, chosen next to ``_jit``.  Under numba the
+adapter is the identity and the loop sees the arrays.  On the plain-Python
+path it is ``memoryview``: a float64 memoryview reads and writes
 plain Python floats, where the array would box every read into an
 ``np.float64`` and send every write through numpy's setitem.  That boxing, not
 the arithmetic, was most of the loop's time.  The RK4 loop writes its states
@@ -124,10 +126,17 @@ def _rk4_trajectory(kind, x0, tau, n_steps, mu, out):
 
 # -- public kernels -----------------------------------------------------------
 
-def logistic_trajectory(x0: float, lams: np.ndarray) -> np.ndarray:
-    """Iterate x_{t+1} = lam_t x_t (1 - x_t); returns all states incl. x0."""
+def logistic_trajectory(x0: float, lams: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Iterate x_{t+1} = lam_t x_t (1 - x_t) from x0 into out, a
+    ``(len(lams) + 1,)`` float64 array (a slice of a longer one will do) that
+    is allocated when not given; returns out, all states incl. x0."""
     lams = np.ascontiguousarray(lams, dtype=np.float64)
-    out = np.empty(lams.shape[0] + 1)
+    if out is None:
+        out = np.empty(lams.shape[0] + 1)
+    elif out.shape != (lams.shape[0] + 1,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape "
+                         f"({lams.shape[0] + 1},), got {out.dtype} {out.shape}")
     _logistic_trajectory(float(x0), _buffer(lams), _buffer(out))
     return out
 

@@ -8,7 +8,6 @@ of each element of a basis dictionary at x_i (a length-q vector).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +22,61 @@ class SnapshotFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SnapshotSet:
-    """Immutable collection of snapshots with uniform row dimensions."""
+    """Immutable collection of snapshots with uniform row dimensions.
 
-    t: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    tau: float
-    kind: str
-    metadata: dict = field(default_factory=dict)
+    ``t`` is either the n sample times, an array that is kept as given, or
+    one number dt standing for the evenly spaced times t_i = i dt.  Sampled
+    sets pass dt, so that X and Y are their only data-sized arrays; reading
+    ``s.t`` then builds ``dt * np.arange(n)``, a fresh array on every read.
+    n is the number of rows of X.
+    """
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        if X.shape[0] != t.shape[0] or Y.shape[0] != t.shape[0]:
+    __slots__ = ("_t", "X", "Y", "tau", "kind", "metadata")
+
+    def __init__(self, t, X, Y, tau: float, kind: str,
+                 metadata: dict | None = None):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        n = X.shape[0]
+        t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+        if Y.shape[0] != n or (isinstance(t, np.ndarray) and t.shape[0] != n):
             raise SnapshotFormatError("t, X, Y must have the same number of rows")
-        if t.shape[0] == 0:
+        if n == 0:
             raise SnapshotFormatError("snapshot set must be nonempty")
-        if self.kind not in (KOOPMAN, GENERATOR):
-            raise SnapshotFormatError(f"unknown snapshot kind {self.kind!r}")
-        if self.kind == KOOPMAN and Y.shape[1] != X.shape[1]:
+        if kind not in (KOOPMAN, GENERATOR):
+            raise SnapshotFormatError(f"unknown snapshot kind {kind!r}")
+        if kind == KOOPMAN and Y.shape[1] != X.shape[1]:
             raise SnapshotFormatError(
                 "koopman snapshots need y with the state dimension")
-        if not (self.tau > 0):
+        if not (tau > 0):
             raise SnapshotFormatError("tau must be positive")
         for name, arr in (("t", t), ("X", X), ("Y", Y)):
             if not np.all(np.isfinite(arr)):
                 raise SnapshotFormatError(f"non-finite entries in {name}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        for name, value in (("_t", t), ("X", X), ("Y", Y), ("tau", tau),
+                            ("kind", kind),
+                            ("metadata", {} if metadata is None else metadata)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SnapshotSet is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the set through the constructor, since
+        # __setattr__ refuses the slot-by-slot restore they do by default
+        return (SnapshotSet, (self._t, self.X, self.Y, self.tau, self.kind,
+                              self.metadata))
+
+    @property
+    def t(self) -> np.ndarray:
+        if isinstance(self._t, float):
+            return self._t * np.arange(self.n)
+        return self._t
 
     @property
     def n(self) -> int:
-        return self.t.shape[0]
+        return self.X.shape[0]
 
     @property
     def d(self) -> int:
@@ -75,6 +93,10 @@ class SnapshotSet:
                 and np.array_equal(self.t, other.t)
                 and np.array_equal(self.X, other.X)
                 and np.array_equal(self.Y, other.Y))
+
+    def __repr__(self) -> str:
+        return (f"SnapshotSet(kind={self.kind!r}, n={self.n}, d={self.d}, "
+                f"q={self.q}, tau={self.tau!r})")
 
 
 def empirical_average(s: SnapshotSet, g: Poly) -> float:
@@ -103,13 +125,24 @@ def save_csv(s: SnapshotSet, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path) -> SnapshotSet:
-    """Read a snapshot CSV written by save_csv."""
+    """Read a snapshot CSV written by save_csv.
+
+    The rows are parsed into one float array of the sidecar's n rows; a file
+    that holds another number of rows is rejected.  The array grows as rows
+    arrive, doubling up to n, so a sidecar whose n is far above the file's
+    row count reserves no memory for rows that are not there.
+    """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise SnapshotFormatError(f"missing metadata sidecar {sidecar_path}")
     meta = json.loads(sidecar_path.read_text())
-    d, q = int(meta["d"]), int(meta["q"])
+    d, q, n = int(meta["d"]), int(meta["q"]), int(meta["n"])
+    if n < 0:
+        raise SnapshotFormatError(f"sidecar {sidecar_path}: n = {n} < 0")
+    width = 1 + d + q
+    data = np.empty((min(n, CHUNK_ROWS), width))
+    rows = 0
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         expected = (["t"] + [f"x_{j + 1}" for j in range(d)]
@@ -117,21 +150,28 @@ def load_csv(path: str | Path) -> SnapshotSet:
         if header != expected:
             raise SnapshotFormatError(
                 f"header {header} does not match expected columns {expected}")
-        rows = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.split(",")
-            if len(parts) != 1 + d + q:
+            if len(parts) != width:
                 raise SnapshotFormatError(
-                    f"row {lineno}: expected {1 + d + q} fields, got {len(parts)}")
+                    f"row {lineno}: expected {width} fields, got {len(parts)}")
             try:
-                rows.append([float(v) for v in parts])
+                values = [float(v) for v in parts]
             except ValueError as exc:
                 raise SnapshotFormatError(f"row {lineno}: {exc}") from None
-    data = np.array(rows)
-    if data.size == 0:
+            if rows < n:
+                if rows == data.shape[0]:
+                    # data owns its buffer and no view of it is held
+                    data.resize((min(2 * rows, n), width), refcheck=False)
+                data[rows] = values
+            rows += 1
+    if rows == 0:
         raise SnapshotFormatError("empty snapshot file")
+    if rows != n:
+        raise SnapshotFormatError(
+            f"{path} holds {rows} data rows, its sidecar says n = {n}")
     return SnapshotSet(
         t=data[:, 0], X=data[:, 1:1 + d], Y=data[:, 1 + d:],
         tau=float(meta["tau"]), kind=meta["kind"],

@@ -292,6 +292,15 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
     CircularOrbit only).  For ``generator`` kind the y rows hold exact Lie
     derivative values of each element of phi at x_i.  A given x0 must hold
     ``spec.dimension`` numbers; a wrong one raises ``ValueError``.
+
+    The set's times are the grid t_i = i dt, kept as the step dt and built
+    when ``t`` is read: dt is 0 for ``iid_uniform_box``, 1 for map and
+    logistic trajectories and tau for ODE trajectories and ``limit_cycle``.
+    The logistic trajectory draws its rates lam_i in blocks of
+    ``CHUNK_ROWS`` and iterates each block into its slice of one
+    ``(n + 1,)`` states array, whose views are X and Y; the draws, and the
+    state the generator is left in, are those of one ``rng.uniform(0, 4,
+    n)`` call.
     """
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
@@ -308,20 +317,27 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
         if spec.id != CIRCULAR_ORBIT:
             raise WrongSystemKind("limit_cycle sampling needs CircularOrbit")
         angles = tau * np.arange(n)
-        t = angles
+        dt = tau
         X = np.column_stack([np.cos(angles), np.sin(angles)])
         Y = np.column_stack([np.cos(angles + tau), np.sin(angles + tau)])
     elif mode == "trajectory":
         if spec.id == STOCHASTIC_LOGISTIC:
-            start = 0.51 if start is None else float(start[0])
-            states = _kernels.logistic_trajectory(start, rng.uniform(0.0, 4.0, n))
-            t = np.arange(n, dtype=float)
+            states = np.empty(n + 1)
+            states[0] = 0.51 if start is None else start[0]
+            # the generator gives the same doubles in the same order whatever
+            # the block sizes, so the rates are drawn one chunk at a time
+            # instead of as one n-long array
+            for i in range(0, n, CHUNK_ROWS):
+                m = min(CHUNK_ROWS, n - i)
+                _kernels.logistic_trajectory(
+                    states[i], rng.uniform(0.0, 4.0, m), states[i:i + m + 1])
+            dt = 1.0
             X = states[:n, None]
             Y = states[1:, None]
         elif spec.time_kind == CONTINUOUS:
             start = np.array([0.1, 0.2]) if start is None else start
             states = integrate_ode(spec, start, tau, n)
-            t = tau * np.arange(n)
+            dt = tau
             X = states[:n]
             Y = states[1:]
         else:
@@ -333,14 +349,14 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
                 X[i] = s
                 s = step_map(spec, s)
                 Y[i] = s
-            t = np.arange(n, dtype=float)
+            dt = 1.0
     elif mode == "iid_uniform_box":
         if bounds is None:
             raise ValueError("iid_uniform_box sampling requires bounds")
         lo = np.array([b[0] for b in bounds], dtype=float)
         hi = np.array([b[1] for b in bounds], dtype=float)
         X = rng.uniform(lo, hi, size=(n, spec.dimension))
-        t = np.zeros(n)
+        dt = 0.0
         if spec.id == MAP_LYAP_2D:
             Y = step_map(spec, X)
         elif spec.id == STOCHASTIC_LOGISTIC:
@@ -357,5 +373,5 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
 
     meta = {"system": spec.id, "mode": mode, "tau": float(tau), "n": int(n),
             "seed": seed, "snapshot_kind": snapshot_kind}
-    return SnapshotSet(t=t, X=X, Y=Y, tau=float(tau), kind=snapshot_kind,
+    return SnapshotSet(t=dt, X=X, Y=Y, tau=float(tau), kind=snapshot_kind,
                        metadata=meta)

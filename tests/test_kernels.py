@@ -168,6 +168,17 @@ def test_logistic_trajectory_takes_any_float_array():
         _reference_logistic(0.51, single.astype(np.float64)))
 
 
+def test_logistic_trajectory_fills_a_given_slice():
+    lams = np.random.default_rng(2).uniform(0.0, 4.0, 300)
+    states = np.full(400, -1.0)
+    out = _kernels.logistic_trajectory(0.51, lams, states[50:351])
+    assert np.shares_memory(out, states)
+    np.testing.assert_array_equal(out, _reference_logistic(0.51, lams))
+    assert np.all(states[:50] == -1.0) and np.all(states[351:] == -1.0)
+    with pytest.raises(ValueError, match="out must be"):
+        _kernels.logistic_trajectory(0.51, lams, states[:300])
+
+
 def test_trajectories_of_no_steps_hold_the_start():
     out = _kernels.logistic_trajectory(0.51, np.empty(0))
     np.testing.assert_array_equal(out, [0.51])

@@ -1,5 +1,10 @@
 """Tests for snapshot containers, CSV round trips, and empirical averages."""
 
+import copy
+import json
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,11 @@ from koopsos.polybasis import MONOMIAL, Poly, total_degree_dictionary
 from koopsos.snapshots import (GENERATOR, KOOPMAN, SnapshotFormatError,
                                SnapshotSet, empirical_average, load_csv,
                                save_csv)
+from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
+                             VAN_DER_POL, SystemSpec, make_rng,
+                             sample_snapshots)
+
+MIB = 1 << 20
 
 
 def _example(n=7, seed=0):
@@ -31,6 +41,106 @@ def test_generator_kind_round_trip(tmp_path):
     s = SnapshotSet(t=np.zeros(5), X=rng.uniform(size=(5, 1)),
                     Y=rng.uniform(size=(5, 3)), tau=1.0, kind=GENERATOR)
     path = tmp_path / "gen.csv"
+    save_csv(s, path)
+    assert load_csv(path) == s
+
+
+def test_sampled_round_trip(tmp_path):
+    s = sample_snapshots(SystemSpec(VAN_DER_POL), "trajectory", 0.01, 40,
+                         rng=make_rng(3))
+    path = tmp_path / "vdp.csv"
+    save_csv(s, path)
+    assert load_csv(path) == s
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _example(),
+    lambda: sample_snapshots(SystemSpec(VAN_DER_POL), "trajectory", 0.01, 40,
+                             rng=make_rng(3)),
+], ids=["array-times", "grid-times"])
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)),
+    copy.deepcopy,
+    copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_copies_and_pickles(make, clone):
+    s = make()
+    c = clone(s)
+    assert c == s and c.metadata == s.metadata
+    np.testing.assert_array_equal(c.t.view(np.int64), s.t.view(np.int64))
+    with pytest.raises(AttributeError):
+        c.tau = 2.0
+
+
+@pytest.mark.parametrize("system, mode, tau, times", [
+    (STOCHASTIC_LOGISTIC, "iid_uniform_box", 1.0, lambda n: np.zeros(n)),
+    (MAP_LYAP_2D, "iid_uniform_box", 1.0, lambda n: np.zeros(n)),
+    (STOCHASTIC_LOGISTIC, "trajectory", 1.0,
+     lambda n: np.arange(n, dtype=float)),
+    (MAP_LYAP_2D, "trajectory", 1.0, lambda n: np.arange(n, dtype=float)),
+    (VAN_DER_POL, "trajectory", 0.01, lambda n: 0.01 * np.arange(n)),
+    (CIRCULAR_ORBIT, "trajectory", 0.03, lambda n: 0.03 * np.arange(n)),
+    (CIRCULAR_ORBIT, "limit_cycle", 0.03, lambda n: 0.03 * np.arange(n)),
+], ids=["logistic-iid", "map-iid", "logistic", "map", "vdp", "circle",
+        "limit_cycle"])
+def test_sampled_times_are_built_bit_for_bit(system, mode, tau, times):
+    # sampled sets keep their time step and build t when it is read; int64
+    # views make a -0.0 differ from 0.0
+    n = 300
+    bounds = [(0.0, 1.0)] * SystemSpec(system).dimension
+    s = sample_snapshots(SystemSpec(system), mode, tau, n, rng=make_rng(1),
+                         bounds=bounds)
+    assert s.n == n and s.t.dtype == np.float64
+    np.testing.assert_array_equal(s.t.view(np.int64), times(n).view(np.int64))
+
+
+def test_sampled_logistic_holds_only_its_states():
+    n = 1 << 20
+    states_bytes = (n + 1) * 8
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    sample_snapshots(spec, "trajectory", 1.0, 10)  # lazy imports load here
+    tracemalloc.start()
+    try:
+        s = sample_snapshots(spec, "trajectory", 1.0, n, rng=make_rng(0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.n == n
+    assert held <= states_bytes + MIB
+    assert peak < states_bytes + 3 * MIB
+
+
+@pytest.mark.parametrize("edit, rows", [
+    (lambda lines: lines[:-1], 6),
+    (lambda lines: lines + lines[-1:], 8),
+], ids=["fewer", "more"])
+def test_row_count_must_match_sidecar(tmp_path, edit, rows):
+    path = tmp_path / "snaps.csv"
+    save_csv(_example(), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(SnapshotFormatError,
+                       match=f"holds {rows} data rows, its sidecar says n = 7"):
+        load_csv(path)
+
+
+def test_oversized_sidecar_count_is_a_format_error(tmp_path):
+    # rows are stored as they arrive, so an n far beyond the file reserves
+    # nothing and the count check names both numbers
+    path = tmp_path / "snaps.csv"
+    save_csv(_example(), path)
+    sidecar = tmp_path / "snaps.csv.json"
+    meta = json.loads(sidecar.read_text())
+    meta["n"] = 10 ** 12
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(SnapshotFormatError,
+                       match="holds 7 data rows, its sidecar says n = 10{12}"):
+        load_csv(path)
+
+
+def test_load_grows_through_several_doublings(tmp_path, monkeypatch):
+    monkeypatch.setattr("koopsos.snapshots.CHUNK_ROWS", 2)
+    s = _example(n=13)
+    path = tmp_path / "snaps.csv"
     save_csv(s, path)
     assert load_csv(path) == s
 

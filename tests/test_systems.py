@@ -8,8 +8,9 @@ from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from koopsos import _kernels, systems
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
-                               TargetTooSmall, evaluate, poly_from_index,
+from koopsos.polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL,
+                               DimensionMismatch, Poly, TargetTooSmall,
+                               evaluate, poly_from_index,
                                total_degree_dictionary)
 from koopsos.snapshots import GENERATOR
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
@@ -111,6 +112,20 @@ def test_sample_snapshots_deterministic():
 def test_sample_snapshots_rejects_wrong_length_x0(system, x0):
     with pytest.raises(ValueError, match="x0 must hold"):
         sample_snapshots(SystemSpec(system), "trajectory", 1e-3, 10, x0=x0)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                               2 * CHUNK_ROWS + 3])
+def test_logistic_rates_drawn_per_chunk_are_bit_identical(n):
+    # the sampler draws its rates one chunk at a time; the states and the
+    # generator left behind must be those of a single n-long draw
+    rng, ref_rng = make_rng(4), make_rng(4)
+    s = sample_snapshots(SystemSpec(STOCHASTIC_LOGISTIC), "trajectory", 1.0,
+                         n, rng=rng)
+    ref = _kernels.logistic_trajectory(0.51, ref_rng.uniform(0.0, 4.0, n))
+    states = np.append(s.X[:, 0], s.Y[-1, 0])
+    np.testing.assert_array_equal(states.view(np.int64), ref.view(np.int64))
+    assert rng.random() == ref_rng.random()
 
 
 def test_sample_snapshots_logistic_x0_scalar_or_one_entry():
