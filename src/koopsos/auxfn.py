@@ -33,11 +33,16 @@ DATA_VALIDITY_NOTE = ("bound certified against the approximate Lie derivative; "
 
 
 def _solver_state(solution: sos.SosSolution | None) -> dict:
-    """The SDP's stop reason and iteration count, for a result's JSON."""
+    """The SDP's stop reason, iteration count, blocks and equality rows,
+    for a result's JSON; a program split by parity shows two PSD blocks per
+    Gram term."""
     if solution is None:
-        return {"reason": None, "iterations": None}
+        return {"reason": None, "iterations": None, "sdp_blocks": None,
+                "sdp_rows": None}
     return {"reason": solution.sdp.reason,
-            "iterations": solution.sdp.iterations}
+            "iterations": solution.sdp.iterations,
+            "sdp_blocks": [list(block) for block in solution.sdp_blocks],
+            "sdp_rows": solution.sdp_rows}
 
 
 @dataclass

@@ -260,12 +260,6 @@ class Poly:
     __rmul__ = __mul__
 
 
-def poly_from_index(dictionary: Dictionary, idx: MultiIndex) -> Poly:
-    c = np.zeros(dictionary.size)
-    c[dictionary.position(tuple(idx))] = 1.0
-    return Poly(dictionary, c)
-
-
 def poly_from_terms(terms: dict[MultiIndex, float], family: str = MONOMIAL,
                     box: Sequence[Sequence[float]] | None = None,
                     deg: int | None = None) -> Poly:

@@ -19,6 +19,18 @@ term (s_j, w_j) per inequality of S.  Matching is done directly in the
 working polynomial family (monomial or Chebyshev): the weighted phi and Lie
 columns are placed by inclusion, and the Gram columns use exact product
 structure constants.
+
+A program invariant under the reflection x -> -x (about the box centre for
+Chebyshev) is split by parity, the parity of a basis element being its total
+degree mod 2.  It is invariant when, in every constraint, each phi column
+lands only in E rows of its own parity, the constant and scalar columns are
+even, every domain weight s_k is even and ``c_fixed`` has no odd part; the
+test is exact, with no tolerance, so a fitted Lie matrix never passes it.
+The odd phi coefficients are then 0 at a symmetrised optimum and each Gram
+matrix is block diagonal by parity, so only the even E rows and the even phi
+coefficients are kept, and each term (s, w) becomes (s, w_even) and
+(s, w_odd), with s cut to its even basis elements.  ``solve`` returns phi
+with zeros in the odd places and one Gram per split term.
 """
 
 from __future__ import annotations
@@ -114,7 +126,7 @@ class SosProgram:
 @dataclass
 class _CompiledConstraint:
     E: Dictionary
-    terms: list                  # [(s_k or None, w_k)], as from auto_bases
+    terms: list                  # [(s_k or None, w_k)], parity-split if even
     blocks: list                 # per term, its index into the block list
     dec_matrix: np.ndarray       # (|E|, n_dec)
     const: np.ndarray            # (|E|,)
@@ -127,12 +139,13 @@ class CompiledSos:
     per_constraint: list
     sense: float                 # +1 minimize, -1 (maximize encoded negated)
     dec_slice: slice
+    phi_dec: np.ndarray          # positions in phi of its decision variables
 
 
 def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
-    """Coefficient-matching columns of one constraint over the E basis that
-    spans all of its products: the decision-variable columns, the constant
-    column and, per Gram term, the columns of s_k <Q_k, w_k w_k^T>."""
+    """Coefficient matching of one constraint over the E basis that spans
+    all of its products: its Gram terms and its phi, scalar and constant
+    columns."""
     phi = con.phi
     D, terms = auto_bases(con)
     deg_E = max(D, *[(0 if s is None else s.basis.max_degree)
@@ -156,9 +169,11 @@ def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
         if name in con.c_scalars:
             c = con.c_scalars[name]
             scalar_cols[:, k] += c.coeffs @ inclusion_matrix(c.basis, E)
-    dec_matrix = (scalar_cols if prog.c_fixed is not None
-                  else np.hstack([phi_cols, scalar_cols]))
+    return E, terms, phi_cols, scalar_cols, const
 
+
+def _gram_columns(terms, E: Dictionary) -> list:
+    """Per Gram term, the svec columns over E of s_k <Q_k, w_k w_k^T>."""
     gram_cols = []
     for s, w in terms:
         if s is None:
@@ -166,34 +181,88 @@ def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
         else:
             ww = total_degree_dictionary(w.family, w.dimension,
                                          2 * w.max_degree, w.box)
-            G = np.tensordot(multiplication_matrix(s, ww, E),
-                             product_tensor(w, w, ww), axes=([1], [0]))
+            T = product_tensor(w, w, ww)
+            # only the products w_i w_j that occur: all of ww for a full w
+            hit = T.any(axis=(1, 2))
+            G = np.tensordot(multiplication_matrix(s, _part(ww, hit), E),
+                             T[hit], axes=([1], [0]))
         gram_cols.append(svec(G))
-    return E, terms, dec_matrix, const, gram_cols
+    return gram_cols
+
+
+def _odd(dic: Dictionary) -> np.ndarray:
+    """Whether each basis element changes sign under x -> -x."""
+    return np.array([sum(idx) % 2 == 1 for idx in dic.indices], dtype=bool)
+
+
+def _part(dic: Dictionary, keep) -> Dictionary:
+    """The sub-dictionary of the indices of dic where the mask keep holds."""
+    return Dictionary(dic.family, dic.dimension,
+                      tuple(idx for idx, k in zip(dic.indices, keep) if k),
+                      dic.box)
+
+
+def _is_even(prog: SosProgram, con: InequalityConstraint, E: Dictionary,
+             phi_cols, scalar_cols, const) -> bool:
+    """Exact test that a matched constraint is invariant under x -> -x."""
+    odd_E, odd_phi = _odd(E), _odd(prog.phi)
+    return not (phi_cols[odd_E[:, None] != odd_phi].any()
+                or const[odd_E].any() or scalar_cols[odd_E].any()
+                or any(s.coeffs[_odd(s.basis)].any()
+                       for s in con.domain.s_list)
+                or (prog.c_fixed is not None
+                    and prog.c_fixed[odd_phi].any()))
+
+
+def _even_part(E: Dictionary, terms, phi_cols, scalar_cols, const,
+               even_phi: np.ndarray):
+    """The even E rows and even phi columns of a matched constraint, with
+    each Gram term (s, w) split into (s, w_even) and (s, w_odd) and each
+    even domain weight s cut to its even basis elements."""
+    even_E = ~_odd(E)
+    split = []
+    for s, w in terms:
+        if s is not None:
+            even_s = ~_odd(s.basis)
+            s = Poly(_part(s.basis, even_s), s.coeffs[even_s])
+        odd_w = _odd(w)
+        split += [(s, _part(w, keep)) for keep in (~odd_w, odd_w)
+                  if keep.any()]
+    return (_part(E, even_E), split, phi_cols[even_E][:, even_phi],
+            scalar_cols[even_E], const[even_E])
 
 
 def compile(prog: SosProgram) -> CompiledSos:
     """Lower the program to an SdpProblem plus an index map back to Grams."""
     phi = prog.phi
     fixed = prog.c_fixed
-    dec_names = ([] if fixed is not None
-                 else [f"c_{j}" for j in range(phi.size)]) + list(prog.scalars)
+    for con in prog.constraints:
+        if con.phi != phi:
+            raise ValueError("all constraints must use the program's phi")
+    matched = [_match_coefficients(con, prog) for con in prog.constraints]
+    phi_dec = np.arange(phi.size if fixed is None else 0)
+    if all(_is_even(prog, con, E, phi_cols, scalar_cols, const)
+           for con, (E, _, phi_cols, scalar_cols, const)
+           in zip(prog.constraints, matched)):
+        even_phi = ~_odd(phi)
+        matched = [_even_part(*m, even_phi) for m in matched]
+        if fixed is None:
+            phi_dec = np.flatnonzero(even_phi)
+    dec_names = [f"c_{j}" for j in phi_dec] + list(prog.scalars)
     n_dec = len(dec_names)
 
     per_con, gram_cols_per_con = [], []
     blocks = [(FREE, n_dec)] if n_dec else []
 
-    for con in prog.constraints:
-        if con.phi != phi:
-            raise ValueError("all constraints must use the program's phi")
-        E, terms, dec_matrix, const, gram_cols = _match_coefficients(
-            con, prog)
+    for E, terms, phi_cols, scalar_cols, const in matched:
+        dec_matrix = (scalar_cols if fixed is not None
+                      else np.hstack([phi_cols, scalar_cols]))
         term_blocks = list(range(len(blocks), len(blocks) + len(terms)))
         blocks += [(PSD, w.size) for _, w in terms]
         per_con.append(_CompiledConstraint(
             E=E, terms=terms, blocks=term_blocks, dec_matrix=dec_matrix,
             const=const))
-        gram_cols_per_con.append(gram_cols)
+        gram_cols_per_con.append(_gram_columns(terms, E))
 
     # optional l1 objective on the phi coefficients: free t_j with nonneg
     # slacks t_j - c_j >= 0 and t_j + c_j >= 0, minimize sum t_j
@@ -202,16 +271,16 @@ def compile(prog: SosProgram) -> CompiledSos:
         if fixed is not None:
             raise ValueError("l1 objective needs free phi coefficients")
         t_block = len(blocks)
-        blocks.append((FREE, phi.size))
+        blocks.append((FREE, phi_dec.size))
         slack_block = len(blocks)
-        blocks.append((NONNEG, 2 * phi.size))
+        blocks.append((NONNEG, 2 * phi_dec.size))
 
     layout = block_layout(blocks)
     total = sum(block_dim(kind, size) for kind, size in blocks)
 
     # the Gram columns are written into A and not kept: A is their one copy
     A = np.zeros((sum(cc.E.size for cc in per_con)
-                  + (2 * phi.size if l1 else 0), total))
+                  + (2 * phi_dec.size if l1 else 0), total))
     b = np.zeros(A.shape[0])
     start = 0
     for cc, gram_cols in zip(per_con, gram_cols_per_con):
@@ -224,7 +293,7 @@ def compile(prog: SosProgram) -> CompiledSos:
     if l1:
         t_off = layout[t_block][2].start
         s_off = layout[slack_block][2].start
-        ell = phi.size
+        ell = phi_dec.size
         rows = A[start:]
         for j in range(ell):
             # t_j - c_j - slack_minus_j = 0
@@ -247,7 +316,7 @@ def compile(prog: SosProgram) -> CompiledSos:
 
     return CompiledSos(problem=SdpProblem(blocks, cost, A, b), program=prog,
                        per_constraint=per_con, sense=sense,
-                       dec_slice=slice(0, n_dec))
+                       dec_slice=slice(0, n_dec), phi_dec=phi_dec)
 
 
 @dataclass
@@ -258,33 +327,38 @@ class SosSolution:
     objective: float | None
     grams: list          # per constraint, the Gram Q_k of each term
     sdp: SdpSolution
+    sdp_blocks: tuple    # the solved problem's (kind, size) blocks
+    sdp_rows: int
 
 
 def solve(compiled: CompiledSos, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SosSolution:
     """Solve the lowered SDP and lift the solution back to SOS objects."""
-    sol = sdp_solve(compiled.problem, tol=tol, max_iter=max_iter)
+    problem = compiled.problem
+    sol = sdp_solve(problem, tol=tol, max_iter=max_iter)
     prog = compiled.program
+    sdp_shape = (problem.blocks, problem.A.shape[0])
     if sol.status != OPTIMAL:
-        return SosSolution(sol.status, None, {}, None, [], sol)
+        return SosSolution(sol.status, None, {}, None, [], sol, *sdp_shape)
     z = sol.z
     dec = z[compiled.dec_slice]
+    ell = compiled.phi_dec.size
     if prog.c_fixed is not None:
         phi_coeffs = prog.c_fixed.copy()
-        scalar_values = {n: float(dec[k]) for k, n in enumerate(prog.scalars)}
     else:
-        ell = prog.phi.size
-        phi_coeffs = dec[:ell].copy()
-        scalar_values = {n: float(dec[ell + k])
-                         for k, n in enumerate(prog.scalars)}
-    slices = block_layout(compiled.problem.blocks)
+        # a split program's odd phi coefficients are 0
+        phi_coeffs = np.zeros(prog.phi.size)
+        phi_coeffs[compiled.phi_dec] = dec[:ell]
+    scalar_values = {n: float(dec[ell + k])
+                     for k, n in enumerate(prog.scalars)}
+    slices = block_layout(problem.blocks)
     grams = [[smat(z[slices[bi][2]]) for bi in cc.blocks]
              for cc in compiled.per_constraint]
     objective = None
     if prog.objective[0] in ("min", "max", "l1_phi"):
         objective = compiled.sense * sol.objective
     return SosSolution(sol.status, phi_coeffs, scalar_values, objective,
-                       grams, sol)
+                       grams, sol, *sdp_shape)
 
 
 def certificate_values(compiled: CompiledSos, solution: SosSolution,
@@ -295,7 +369,7 @@ def certificate_values(compiled: CompiledSos, solution: SosSolution,
     prog = compiled.program
     dec = []
     if prog.c_fixed is None:
-        dec.append(solution.phi_coeffs)
+        dec.append(solution.phi_coeffs[compiled.phi_dec])
     dec.append(np.array([solution.scalar_values[n] for n in prog.scalars]))
     dec = np.concatenate(dec) if dec else np.zeros(0)
     coeffs = cc.dec_matrix @ dec + cc.const

@@ -7,8 +7,7 @@ from koopsos.auxfn import (circle_dictionaries, circular_orbit_casestudy,
                            ergodic_bound, find_lyapunov)
 from koopsos.koopman import fit_edmd, fit_gedmd
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
-                               monomial_to_cheb, poly_from_index,
-                               total_degree_dictionary)
+                               monomial_to_cheb, total_degree_dictionary)
 from koopsos.snapshots import GENERATOR, SnapshotSet, empirical_average
 from koopsos.sos import SemialgebraicSet
 from koopsos.systems import (MAP_LYAP_2D, STOCHASTIC_LOGISTIC, VAN_DER_POL,
@@ -72,8 +71,8 @@ def test_constant_observable_bounds():
     # both directions of a constant observable must return the constant
     spec, phi, psi, _, domain = _logistic_setup(4)
     lie = exact_lie_matrix(spec, phi, psi)
-    five = 5.0 * poly_from_index(
-        total_degree_dictionary(CHEBYSHEV, 1, 0, BOX), (0,))
+    five = Poly(total_degree_dictionary(CHEBYSHEV, 1, 0, BOX),
+                np.array([5.0]))
     up = ergodic_bound("upper", five, lie, psi, phi, domain=domain)
     lo = ergodic_bound("lower", five, lie, psi, phi, domain=domain)
     assert up.bound == pytest.approx(5.0, abs=1e-6)

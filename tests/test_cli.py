@@ -113,6 +113,26 @@ def test_bound_exact_logistic(tmp_path):
     assert abs(out["bound"] - 0.3125) < 2e-4
     assert out["version"] == __version__
     assert len(out["config_hash"]) == 16
+    # x - x^2 >= 0 is not even: one PSD block per Gram term, unsplit
+    assert [kind for kind, _ in out["sdp_blocks"]] == ["free", "psd", "psd"]
+    assert out["sdp_rows"] == 9
+
+
+def test_bound_json_shows_parity_split(tmp_path):
+    # exact Van der Pol is odd and |x|^2 even: the even V coefficients and
+    # an even and an odd Gram block, on the 25 even rows of the 45
+    cfg = _write(tmp_path, "bound.json", {
+        "system": "VanDerPol", "lie_source": "exact",
+        "dictionaries": {"family": "monomial", "alpha": 6},
+        "output": {"path": str(tmp_path / "bound.json.out")},
+    })
+    assert main(["bound", cfg]) == EXIT_OK
+    out = json.loads((tmp_path / "bound.json.out").read_text())
+    assert out["sdp_blocks"] == [["free", 17], ["psd", 9], ["psd", 6]]
+    assert out["sdp_rows"] == 25
+    odd = [k for k, idx in enumerate(
+        total_degree_dictionary(MONOMIAL, 2, 6).indices) if sum(idx) % 2]
+    assert all(out["V_coeffs"][k] == 0.0 for k in odd)
 
 
 def test_fit_writes_operators(tmp_path):
@@ -168,6 +188,8 @@ def test_lyapunov_then_verify(tmp_path, capsys):
     payload = json.loads(Path(result).read_text())
     assert payload["feasible"] is True
     assert payload["reason"] == "optimal"
+    # MapLyap2D is not odd: the rows of degree 4 and 8 and the l1 rows
+    assert payload["sdp_rows"] == 15 + 45 + 2 * 15
     assert payload["epsilon_posterior"] >= 0.99
     vcfg = _write(tmp_path, "verify.json", {
         "system": "MapLyap2D",

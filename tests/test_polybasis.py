@@ -12,7 +12,7 @@ from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
                                DimensionMismatch, Poly, SmallNotContained,
                                TargetTooSmall, evaluate, grlex_key,
                                inclusion_matrix, monomial_to_cheb,
-                               norm_squared, poly_from_index, poly_from_terms,
+                               norm_squared, poly_from_terms,
                                product_expand, product_tensor, project,
                                total_degree_dictionary)
 
@@ -154,8 +154,8 @@ def test_product_one_minus_x_squared():
 
 def test_product_target_too_small():
     dic = total_degree_dictionary(MONOMIAL, 1, 2)
-    x = poly_from_index(dic, (1,))
-    sq = poly_from_index(dic, (2,))
+    x = Poly(dic, np.array([0.0, 1.0, 0.0]))
+    sq = Poly(dic, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(TargetTooSmall):
         product_expand(x, sq, dic)
 
@@ -163,8 +163,8 @@ def test_product_target_too_small():
 def test_product_expand_ignores_zero_terms_outside_target():
     # x^2 is in the basis of both factors, but with coefficient 0
     dic = total_degree_dictionary(MONOMIAL, 1, 2)
-    one = poly_from_index(dic, (0,))
-    x = poly_from_index(dic, (1,))
+    one = Poly(dic, np.array([1.0, 0.0, 0.0]))
+    x = Poly(dic, np.array([0.0, 1.0, 0.0]))
     np.testing.assert_array_equal(product_expand(x, one, dic).coeffs,
                                   x.coeffs)
 

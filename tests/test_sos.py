@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from koopsos import sos
+from koopsos import auxfn, sos
 from koopsos.auxfn import circle_dictionaries, posterior_verify
 from koopsos.koopman import fit_edmd
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, monomial_to_cheb,
-                               norm_squared, poly_from_index, poly_from_terms,
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, evaluate,
+                               monomial_to_cheb, norm_squared, poly_from_terms,
                                total_degree_dictionary)
 from koopsos.sdp import svec
 from koopsos.snapshots import KOOPMAN
@@ -51,7 +51,7 @@ def test_globally_negative_poly_infeasible():
 
 def test_x_nonneg_on_half_line():
     dic = total_degree_dictionary(MONOMIAL, 1, 1)
-    x = poly_from_index(dic, (1,))
+    x = Poly(dic, np.array([0.0, 1.0]))
     domain = SemialgebraicSet((x,))
     sol = solve(_fixed_feasibility(x, domain))
     assert sol.status == "Optimal"
@@ -59,7 +59,7 @@ def test_x_nonneg_on_half_line():
 
 def test_x_not_globally_nonneg():
     dic = total_degree_dictionary(MONOMIAL, 1, 1)
-    x = poly_from_index(dic, (1,))
+    x = Poly(dic, np.array([0.0, 1.0]))
     sol = solve(_fixed_feasibility(x))
     assert sol.status == "Infeasible"
 
@@ -121,15 +121,19 @@ def _logistic_interval_program():
     return _logistic_program("upper", ((0.0, 1.0, 0.0), (1.0, -1.0, 0.0)))
 
 
-def _vdp_exact_program():
-    """Upper bound on the mean of |x|^2 for Van der Pol, exact Lie, alpha=6."""
-    spec = SystemSpec(VAN_DER_POL)
-    phi = total_degree_dictionary(MONOMIAL, 2, 6)
-    psi = total_degree_dictionary(MONOMIAL, 2, 8)
+def _vdp_exact_program(alpha=6, system=VAN_DER_POL, g=None,
+                       family=MONOMIAL, box=None, domain=None):
+    """Upper bound on the mean of g (by default |x|^2) for Van der Pol, or
+    another 2-D ODE, with its exact Lie matrix, on the domain if given."""
+    spec = SystemSpec(system)
+    phi = total_degree_dictionary(family, 2, alpha, box)
+    psi = total_degree_dictionary(family, 2, alpha + 2, box)
+    g = norm_squared(family, 2, box) if g is None else g
+    one = poly_from_terms({(0, 0): 1.0}, family, box)
     con = InequalityConstraint(
         phi=phi, b=-1.0, lie_matrix=exact_lie_matrix(spec, phi, psi),
-        lie_basis=psi, c_const=-1.0 * norm_squared(MONOMIAL, 2),
-        c_scalars={"bound": ONE_2D})
+        lie_basis=psi, c_const=-1.0 * g, c_scalars={"bound": one},
+        domain=domain or SemialgebraicSet())
     return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
                       objective=("min", {"bound": 1.0}))
 
@@ -217,6 +221,13 @@ def _dict_product(family, a, b):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def _dict_in_E(E, sp):
+    out = np.zeros(E.size)
+    for idx, c in sp.items():
+        out[E.position(idx)] = c
+    return out
+
+
 def _dict_match_coefficients(con, prog):
     """Stand-in for sos._match_coefficients built from dict products."""
     phi, fam = con.phi, con.phi.family
@@ -228,61 +239,75 @@ def _dict_match_coefficients(con, prog):
     def unit(basis, j):
         return {basis.indices[j]: 1.0}
 
-    def in_E(sp):
-        out = np.zeros(E.size)
-        for idx, c in sp.items():
-            out[E.position(idx)] = c
-        return out
-
     # the constant weights a and b, as terms of degree 0
     zero = (0,) * phi.dimension
     phi_cols = np.zeros((E.size, phi.size))
     if con.a:
         for j in range(phi.size):
-            phi_cols[:, j] += in_E(_dict_product(fam, {zero: con.a},
-                                                 unit(phi, j)))
+            phi_cols[:, j] += _dict_in_E(E, _dict_product(
+                fam, {zero: con.a}, unit(phi, j)))
     if con.b:
-        bpsi = np.array([in_E(_dict_product(fam, {zero: con.b},
-                                            unit(con.lie_basis, m)))
-                         for m in range(con.lie_basis.size)])
+        bpsi = np.array([_dict_in_E(E, _dict_product(
+            fam, {zero: con.b}, unit(con.lie_basis, m)))
+            for m in range(con.lie_basis.size)])
         phi_cols += (con.lie_matrix @ bpsi).T
     const = np.zeros(E.size)
     if con.c_const is not None:
-        const += in_E(_terms(con.c_const))
+        const += _dict_in_E(E, _terms(con.c_const))
     if prog.c_fixed is not None:
         const += phi_cols @ prog.c_fixed
     scalar_cols = np.zeros((E.size, len(prog.scalars)))
     for k, name in enumerate(prog.scalars):
         if name in con.c_scalars:
-            scalar_cols[:, k] = in_E(_terms(con.c_scalars[name]))
-    dec_matrix = (scalar_cols if prog.c_fixed is not None
-                  else np.hstack([phi_cols, scalar_cols]))
+            scalar_cols[:, k] = _dict_in_E(E, _terms(con.c_scalars[name]))
+    return E, terms, phi_cols, scalar_cols, const
+
+
+def _dict_gram_columns(terms, E):
+    """Stand-in for sos._gram_columns built from dict products."""
+    fam = E.family
 
     def gram(w, s_sp):
         G = np.zeros((E.size, w.size, w.size))
         for jj in range(w.size):
             for ii in range(jj, w.size):
-                sp = _dict_product(fam, unit(w, ii), unit(w, jj))
+                sp = _pair_product(fam, w.indices[ii], w.indices[jj])
                 if s_sp is not None:
                     sp = _dict_product(fam, s_sp, sp)
-                G[:, ii, jj] = in_E(sp)
+                G[:, ii, jj] = _dict_in_E(E, sp)
         return svec(G)
 
-    gram_cols = [gram(w, None if s is None else _terms(s)) for s, w in terms]
-    return E, terms, dec_matrix, const, gram_cols
+    return [gram(w, None if s is None else _terms(s)) for s, w in terms]
 
 
-@pytest.mark.parametrize("make", [_vdp_exact_program, _logistic_program,
-                                  _lyapunov_program, _posterior_program,
-                                  _circle_program, _logistic_interval_program],
+@pytest.mark.parametrize("make, split",
+                         [(_vdp_exact_program, True),
+                          (_logistic_program, False),
+                          (_lyapunov_program, False),
+                          (_posterior_program, False),
+                          (_circle_program, True),
+                          (_logistic_interval_program, False)],
                          ids=["vdp_exact_alpha6", "logistic_alpha4",
                               "lyapunov_l1", "posterior_eps",
                               "circle_fixed_v", "logistic_interval"])
-def test_compile_matches_dict_reference(make, monkeypatch):
+def test_compile_matches_dict_reference(make, split, monkeypatch):
     prog = make()
     got = compile(prog).problem
+    seen = []
+
+    def reference_grams(terms, E):
+        seen.append(terms)
+        return _dict_gram_columns(terms, E)
+
     monkeypatch.setattr(sos, "_match_coefficients", _dict_match_coefficients)
+    monkeypatch.setattr(sos, "_gram_columns", reference_grams)
     ref = compile(prog).problem
+    # the reference built the Gram columns of the terms compile used: one
+    # parity per Gram basis exactly when the program was split
+    assert len(seen) == len(prog.constraints)
+    one_parity = [len({sum(idx) % 2 for idx in w.indices}) == 1
+                  for terms in seen for _, w in terms]
+    assert all(one_parity) is split
     assert got.blocks == ref.blocks
     np.testing.assert_array_equal(got.A, ref.A)
     np.testing.assert_array_equal(got.b, ref.b)
@@ -368,3 +393,128 @@ def test_b_without_lie_matrix_rejected():
     phi = total_degree_dictionary(MONOMIAL, 1, 2)
     with pytest.raises(ValueError):
         InequalityConstraint(phi=phi, b=1.0)
+
+
+# -- parity split of programs invariant under x -> -x ---------------------------
+
+def _linear_lie(phi):
+    """Exact Lie matrix over phi of dx/dt = -x - y, dy/dt = x - y: an odd,
+    globally stable field that keeps every monomial's degree."""
+    L = np.zeros((phi.size, phi.size))
+    for k, (a, b) in enumerate(phi.indices):
+        L[k, k] = -(a + b)
+        if a:
+            L[k, phi.position((a - 1, b + 1))] -= a
+        if b:
+            L[k, phi.position((a + 1, b - 1))] += b
+    return L
+
+
+def _linear_lyapunov_program():
+    """The l1-minimal Lyapunov search for the linear field, alpha=4."""
+    phi = total_degree_dictionary(MONOMIAL, 2, 4)
+    return auxfn._lyapunov_program(phi, _linear_lie(phi), phi)
+
+
+def _linear_posterior_program():
+    """The posterior check of V = 1 + 2 |x|^2 + |x|^4 (c_fixed) for the
+    linear field: the largest margin is 4."""
+    phi = total_degree_dictionary(MONOMIAL, 2, 4)
+    V = poly_from_terms({(0, 0): 1.0, (2, 0): 2.0, (0, 2): 2.0, (4, 0): 1.0,
+                         (2, 2): 2.0, (0, 4): 1.0})
+    return auxfn._lyapunov_program(phi, _linear_lie(phi), phi, V)
+
+
+def _vdp_ball_program():
+    """The VdP alpha=8 bound on the ball 16 - |x|^2 >= 0: an even domain
+    weight stored over a full basis, its odd coefficients 0."""
+    ball = poly_from_terms({(0, 0): 16.0, (2, 0): -1.0, (0, 2): -1.0})
+    return _vdp_exact_program(8, domain=SemialgebraicSet((ball,)))
+
+
+def _no_split(monkeypatch):
+    monkeypatch.setattr(sos, "_is_even", lambda *args: False)
+
+
+def _n_psd(problem):
+    return sum(kind == "psd" for kind, _ in problem.blocks)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _vdp_exact_program(6), lambda: _vdp_exact_program(8),
+    lambda: _vdp_exact_program(10), lambda: _vdp_exact_program(12),
+    lambda: _vdp_exact_program(6, CIRCULAR_ORBIT),
+    _vdp_ball_program, _linear_lyapunov_program, _linear_posterior_program],
+    ids=["vdp6", "vdp8", "vdp10", "vdp12", "circle_orbit6", "vdp8_ball",
+         "l1_phi", "c_fixed"])
+def test_parity_split_keeps_the_optimum(make, monkeypatch):
+    prog = make()
+    tol = 1e-8
+    split = compile(prog)
+    sol = solve(split, tol=tol)
+    _no_split(monkeypatch)
+    full = compile(prog)
+    ref = solve(full, tol=tol)
+    # each Gram term becomes two, on fewer equality rows
+    assert _n_psd(split.problem) == 2 * _n_psd(full.problem)
+    assert split.problem.A.shape[0] < full.problem.A.shape[0]
+    assert sol.status == ref.status == "Optimal"
+    assert sol.objective == pytest.approx(
+        ref.objective, abs=10 * tol * (1 + abs(ref.objective)))
+    odd = np.array([sum(idx) % 2 == 1 for idx in prog.phi.indices])
+    assert not sol.phi_coeffs[odd].any()
+    # one Gram per split term, each PSD
+    assert len(sol.grams[0]) == len(split.per_constraint[0].terms)
+    assert min(np.linalg.eigvalsh(Q)[0] for Q in sol.grams[0]) > -1e-8
+
+
+def _vdp_edmd_program():
+    """The VdP upper-bound program over a fitted alpha=4 Lie matrix."""
+    phi = total_degree_dictionary(MONOMIAL, 2, 4)
+    psi = total_degree_dictionary(MONOMIAL, 2, 6)
+    data = sample_snapshots(SystemSpec(VAN_DER_POL), "trajectory", 1e-3,
+                            20_000, x0=(0.1, 0.2))
+    con = InequalityConstraint(
+        phi=phi, b=-1.0, lie_matrix=fit_edmd(data, phi, psi).L,
+        lie_basis=psi, c_const=-1.0 * norm_squared(MONOMIAL, 2),
+        c_scalars={"bound": ONE_2D})
+    return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
+                      objective=("min", {"bound": 1.0}))
+
+
+@pytest.mark.parametrize("make", [
+    _vdp_edmd_program,
+    lambda: _vdp_exact_program(6, g=poly_from_terms({(1, 0): 1.0,
+                                                     (0, 2): 1.0})),
+    _logistic_interval_program,
+    lambda: _vdp_exact_program(8, family=CHEBYSHEV,
+                               box=((-3.0, 3.0), (-3.0, 3.0)))],
+    ids=["vdp_edmd", "odd_g", "odd_domain_weight", "vdp_chebyshev"])
+def test_programs_without_symmetry_compile_unsplit(make, monkeypatch):
+    # a fitted L, an odd observable, an odd domain weight, and a Chebyshev
+    # Lie matrix whose parity-mismatched entries hold interpolation noise
+    prog = make()
+    got = compile(prog).problem
+    _no_split(monkeypatch)
+    ref = compile(prog).problem
+    assert got.blocks == ref.blocks
+    for name in ("A", "b", "c"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_certificate_matches_gram_reconstruction_when_split():
+    compiled = compile(_vdp_exact_program(8))
+    assert len(compiled.per_constraint[0].terms) == 2
+    sol = solve(compiled)
+    assert sol.status == "Optimal"
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(500, 2))
+    cert = certificate_values(compiled, sol, 0, X)
+    gram = gram_values(compiled, sol, 0, X)
+    scale = 1 + np.abs(cert).max()
+    np.testing.assert_allclose(cert, gram, atol=1e-6 * scale)
+    # the certified polynomial of the reduced program is U - g - LV in full
+    prog = compiled.program
+    con = prog.constraints[0]
+    lv = (sol.phi_coeffs @ con.lie_matrix) @ evaluate(con.lie_basis, X)
+    full = sol.scalar_values["bound"] - norm_squared(MONOMIAL, 2)(X) - lv
+    np.testing.assert_allclose(cert, full, rtol=0, atol=1e-12 * scale)

@@ -10,8 +10,7 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 from koopsos import _kernels, systems
 from koopsos.polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL,
                                DimensionMismatch, Poly, TargetTooSmall,
-                               evaluate, poly_from_index,
-                               total_degree_dictionary)
+                               evaluate, total_degree_dictionary)
 from koopsos.snapshots import GENERATOR
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              VAN_DER_POL, StateOutOfDomain, SystemSpec,
@@ -23,6 +22,13 @@ from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
 BOX = ((0.0, 1.0),)
 BOX03 = ((0.0, 3.0), (0.0, 3.0))
 BOX22 = ((-2.0, 2.0), (-2.0, 2.0))
+
+
+def _unit_poly(dictionary, idx):
+    """The basis element idx of dictionary, as a polynomial."""
+    c = np.zeros(dictionary.size)
+    c[dictionary.position(idx)] = 1.0
+    return Poly(dictionary, c)
 
 
 def test_map_single_step():
@@ -257,7 +263,7 @@ def test_logistic_lie_monte_carlo():
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 8, BOX)
-    p = poly_from_index(phi, (3,))
+    p = _unit_poly(phi, (3,))
     lie = _lie(spec, p, psi)
     rng = np.random.default_rng(11)
     lam = rng.uniform(0.0, 4.0, 400_000)
@@ -273,7 +279,7 @@ def test_logistic_lie_quadrature_high_degree():
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 14, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 28, BOX)
-    p = poly_from_index(phi, (14,))
+    p = _unit_poly(phi, (14,))
     lie = _lie(spec, p, psi)
     nodes, weights = np.polynomial.legendre.leggauss(40)
     u = 0.5 * (nodes + 1.0)
@@ -417,7 +423,7 @@ def test_logistic_chebyshev_lie_matrix_bit_identical(alpha):
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, alpha, BOX)
     psi = total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, BOX)
-    ref = np.array([_logistic_interpolated_lie(poly_from_index(phi, idx),
+    ref = np.array([_logistic_interpolated_lie(_unit_poly(phi, idx),
                                                psi).coeffs
                     for idx in phi.indices])
     np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
@@ -477,7 +483,7 @@ def test_chebyshev_lie_matrix_bit_identical(system, box, alpha):
     phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, box)
     psi = total_degree_dictionary(CHEBYSHEV, 2, lie_image_degree(spec, alpha),
                                   box)
-    ref = np.array([_tensor_interpolated_lie(spec, poly_from_index(phi, idx),
+    ref = np.array([_tensor_interpolated_lie(spec, _unit_poly(phi, idx),
                                              psi).coeffs
                     for idx in phi.indices])
     np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
@@ -511,7 +517,7 @@ def test_logistic_chebyshev_lie_without_box_uses_unit_box():
     # a Chebyshev dictionary without a box is in T_k(x) on [-1, 1]
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
     phi = total_degree_dictionary(CHEBYSHEV, 1, 4)
-    p = poly_from_index(phi, (3,))
+    p = _unit_poly(phi, (3,))
     lie = _lie(spec, p, total_degree_dictionary(CHEBYSHEV, 1, 8))
     nodes, weights = np.polynomial.legendre.leggauss(20)
     u = 0.5 * (nodes + 1.0)
