@@ -234,6 +234,21 @@ def _evaluated(monkeypatch):
     return seen
 
 
+def _assert_matches_reference(mm, psi, reference):
+    """A^tau bitwise equal to the reference pass; B and D^tau bitwise too,
+    except for a 1-D psi, whose B is assembled from its moments instead of
+    the product Psi Psi^T: those agree within rounding, 1e-13 max |B|."""
+    B, A, D = reference
+    np.testing.assert_array_equal(mm.A_tau, A)
+    if psi.dimension > 1:
+        np.testing.assert_array_equal(mm.B, B)
+        np.testing.assert_array_equal(mm.D_tau, D)
+    else:
+        atol = 1e-13 * np.max(np.abs(B))
+        np.testing.assert_allclose(mm.B, B, rtol=0, atol=atol)
+        np.testing.assert_allclose(mm.D_tau, D, rtol=0, atol=atol)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 50])
 def test_trajectory_moments_match_reference(monkeypatch, n):
     # chunks of 7 rows: n=7 is an exact multiple, n=8 leaves a 1-row last
@@ -245,11 +260,8 @@ def test_trajectory_moments_match_reference(monkeypatch, n):
             variants += [_edited(s, _ulp_up(n // 2)),
                          _edited(s, _signed_zero(n // 2))]
         for data in variants:
-            mm = moment_matrices(data, phi, psi)
-            B, A, D = _reference_moments(data, phi, psi)
-            np.testing.assert_array_equal(mm.B, B)
-            np.testing.assert_array_equal(mm.A_tau, A)
-            np.testing.assert_array_equal(mm.D_tau, D)
+            _assert_matches_reference(moment_matrices(data, phi, psi), psi,
+                                      _reference_moments(data, phi, psi))
 
 
 def test_moments_over_several_eval_blocks_match_reference(monkeypatch):
@@ -262,11 +274,70 @@ def test_moments_over_several_eval_blocks_match_reference(monkeypatch):
         for data in (s, _edited(s, _ulp_up(20))):
             cases.append((data, phi, psi, _reference_moments(data, phi, psi)))
     monkeypatch.setattr(_kernels, "EVAL_BLOCK", 3)
-    for data, phi, psi, (B, A, D) in cases:
-        mm = moment_matrices(data, phi, psi)
-        np.testing.assert_array_equal(mm.B, B)
-        np.testing.assert_array_equal(mm.A_tau, A)
-        np.testing.assert_array_equal(mm.D_tau, D)
+    for data, phi, psi, reference in cases:
+        _assert_matches_reference(moment_matrices(data, phi, psi), psi,
+                                  reference)
+
+
+@pytest.mark.parametrize("family", [CHEBYSHEV, MONOMIAL])
+def test_one_dimensional_gram_comes_from_its_moments(monkeypatch, family):
+    # a 1-D psi with exponents 0..D: the fits' B is assembled from the
+    # 2D + 1 moments, so entries made of the same moments are the same bits,
+    # which the product Psi Psi^T does not give; trajectory, iid and
+    # generator data all take that route
+    monkeypatch.setattr(koopman, "CHUNK_ROWS", 700)
+    built = []
+    inner = koopman._gram_from_moments
+
+    def spy(P, T):
+        built.append(inner(P, T))
+        return built[-1]
+    monkeypatch.setattr(koopman, "_gram_from_moments", spy)
+    box = ((0.0, 1.0),) if family == CHEBYSHEV else None
+    phi, psi = (total_degree_dictionary(family, 1, deg, box) for deg in (4, 8))
+    D = psi.max_degree
+    rng = np.random.default_rng(11)
+    n = 2000
+    X = rng.uniform(0.0, 1.0, size=(n, 1))
+    iid = SnapshotSet(t=1.0, X=X, Y=rng.uniform(0.0, 1.0, size=(n, 1)),
+                      tau=1.0, kind=KOOPMAN)
+    cases = [
+        (fit_edmd, sample_snapshots(SystemSpec(STOCHASTIC_LOGISTIC),
+                                    "trajectory", 1.0, n, rng=make_rng(1))),
+        (fit_edmd, iid),
+        (fit_gedmd, SnapshotSet(t=1.0, X=X,
+                                Y=rng.standard_normal((n, phi.size)),
+                                tau=1.0, kind=GENERATOR)),
+    ]
+    i, j = np.indices((psi.size, psi.size))
+    for fit, s in cases:
+        built.clear()
+        fit(s, phi, psi)
+        [B] = built
+        if family == MONOMIAL:
+            # Hankel: B[i, j] = mu_{i+j}, one value per antidiagonal
+            bits = B.view(np.int64)
+            for k in range(2 * D + 1):
+                assert np.all(bits[i + j == k]
+                              == bits[k - min(k, D), min(k, D)])
+        else:
+            # B[i, j] = (mu_{i+j} + mu_{|i-j|}) / 2 with B[0, k] = mu_k
+            low = i + j <= D
+            np.testing.assert_array_equal(
+                B[low], (B[0, (i + j)[low]] + B[0, abs(i - j)[low]]) / 2)
+        Psi = evaluate(psi, s.X).astype(np.longdouble)
+        B_ld = Psi @ Psi.T / s.n
+        assert np.max(np.abs(B - B_ld)) <= 1e-14 * np.max(np.abs(B_ld))
+    # a gap in the exponents: the full product, bit for bit
+    gaps = Dictionary(family, 1, ((0,), (1,), (3,), (4,)), box)
+    phi_gaps = Dictionary(family, 1, ((0,), (1,)), box)
+    built.clear()
+    B, A, D_tau = _reference_moments(iid, phi_gaps, gaps)
+    mm = moment_matrices(iid, phi_gaps, gaps)
+    assert not built
+    np.testing.assert_array_equal(mm.B, B)
+    np.testing.assert_array_equal(mm.A_tau, A)
+    np.testing.assert_array_equal(mm.D_tau, D_tau)
 
 
 def test_trajectory_moments_never_evaluate_phi(monkeypatch):
