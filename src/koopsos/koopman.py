@@ -44,25 +44,26 @@ class NonFiniteInput(ValueError):
     pass
 
 
-def pinv(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, truncating singular values below
-    REL_TOL * sigma_max * max(rows, cols)."""
+def _pinv_svd(M: np.ndarray):
+    """The pseudoinverse of M, its singular values and the number of them
+    kept, all from one SVD: singular values below
+    REL_TOL * sigma_max * max(rows, cols) are truncated."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise NonFiniteInput("matrix has non-finite entries")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(M.T)
-    cutoff = REL_TOL * s[0] * max(M.shape)
-    inv = np.where(s >= cutoff,
+        return np.zeros_like(M.T), s, 0
+    keep = s >= REL_TOL * s[0] * max(M.shape)
+    inv = np.where(keep,
                    np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
-    return (Vt.T * inv) @ U.T
+    return (Vt.T * inv) @ U.T, s, int(np.sum(keep))
 
 
-def _numerical_rank(s: np.ndarray, shape) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= REL_TOL * s[0] * max(shape)))
+def pinv(M: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, truncating singular values below
+    REL_TOL * sigma_max * max(rows, cols)."""
+    return _pinv_svd(M)[0]
 
 
 class _KahanAccumulator:
@@ -118,7 +119,7 @@ def _refined_ls(num: np.ndarray, B: np.ndarray):
     solution the residual lies in the kernel of B^+, so the corrections
     vanish instead of drifting.
     """
-    Bp = pinv(B)
+    Bp, svals, rank = _pinv_svd(B)
     X = num @ Bp
     num_ld = num.astype(np.longdouble)
     B_ld = B.astype(np.longdouble)
@@ -130,9 +131,7 @@ def _refined_ls(num: np.ndarray, B: np.ndarray):
                        dtype=float)
         if np.linalg.norm(corr) <= 1e-15 * (1.0 + np.linalg.norm(X)):
             break
-    svals = np.linalg.svd(B, compute_uv=False)
-    return X, {"singular_values": svals.tolist(),
-               "rank": _numerical_rank(svals, B.shape),
+    return X, {"singular_values": svals.tolist(), "rank": rank,
                "rel_tol": REL_TOL}
 
 

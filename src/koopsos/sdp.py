@@ -7,8 +7,10 @@ Symmetric matrix variables are scalarized to their lower triangle with
 off-diagonal entries multiplied by sqrt(2), so the cone inner product equals
 the Euclidean dot product of the scalarized vectors.
 
-Free variables are eliminated analytically, then the remaining problem is
-solved with a homogeneous self-dual embedding and a Nesterov-Todd scaled
+Free variables are eliminated through one SVD of the free columns A_f and
+one rank cut, and their values are read back from that SVD's kept factors,
+so none lies along a direction the cut declared null.  The remaining problem
+is solved with a homogeneous self-dual embedding and a Nesterov-Todd scaled
 Mehrotra predictor-corrector iteration.  The embedding yields trustworthy
 infeasibility and unboundedness certificates instead of a stalled iterate.
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +165,6 @@ class SdpSolution:
     objective: float | None
     kkt_residuals: tuple
     iterations: int = 0
-    certificate: dict = field(default_factory=dict)
     reason: str = ""
 
 
@@ -299,79 +300,92 @@ class _Scaling:
 
 # -- free-variable elimination -------------------------------------------------
 
-def _eliminate_free(prob: SdpProblem):
-    """Split off free columns; returns the reduced conic problem plus the
-    data needed to recover full primal/dual points."""
-    free_cols, cone_cols, cone_blocks = [], [], []
-    for kind, size, sl in block_layout(prob.blocks):
-        idx = list(range(sl.start, sl.stop))
-        if kind == FREE:
-            free_cols += idx
-        else:
-            cone_cols += idx
-            cone_blocks.append((kind, size))
-    A_f = prob.A[:, free_cols]
+def _split_cols(blocks):
+    """The free and the cone columns of a block list, and its cone blocks."""
+    cols = {True: [], False: []}
+    for kind, _, sl in block_layout(blocks):
+        cols[kind == FREE] += range(sl.start, sl.stop)
+    return cols[True], cols[False], [kb for kb in blocks if kb[0] != FREE]
+
+
+def _rank(sig, shape) -> int:
+    """The count of sig above 1e-12 sigma_max max(shape): the one cut."""
+    return int(np.sum(sig > 1e-12 * (sig[0] if sig.size else 1.0)
+                      * max(shape)))
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    """The conic problem (blocks, A, b, c) left by eliminating the free
+    columns A_f, and what recovers full points: A_f's kept SVD factors
+    (U_r, sig_r, Vt_r), None without free columns, the null basis Q2 of
+    A_f^T, the dual shift y0 and the kept equality row basis."""
+
+    blocks: list
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    free_cols: list
+    cone_cols: list
+    factors: tuple | None
+    Q2: np.ndarray
+    y0: np.ndarray
+    row_basis: np.ndarray
+    inconsistent: bool
+    free_unbounded: bool
+
+
+def _eliminate_free(prob: SdpProblem) -> _Elimination:
+    """Split off the free columns and drop dependent equality rows."""
+    free_cols, cone_cols, cone_blocks = _split_cols(prob.blocks)
     A_k = prob.A[:, cone_cols]
-    c_f = prob.c[free_cols]
     c_k = prob.c[cone_cols]
-    b = prob.b
 
     if free_cols:
+        A_f = prob.A[:, free_cols]
+        c_f = prob.c[free_cols]
         U, sig, Vt = np.linalg.svd(A_f, full_matrices=True)
-        r = int(np.sum(sig > 1e-12 * (sig[0] if sig.size else 1.0)
-                       * max(A_f.shape)))
+        r = _rank(sig, A_f.shape)
+        factors = U_r, sig_r, Vt_r = U[:, :r], sig[:r], Vt[:r]
         Q2 = U[:, r:]
-        pinv_AfT = (U[:, :r] / sig[:r]) @ Vt[:r]
         # objective unbounded along null(A_f) unless c_f lies in range(A_f^T)
-        cf_resid = c_f - Vt[:r].T @ (Vt[:r] @ c_f)
+        cf_resid = c_f - Vt_r.T @ (Vt_r @ c_f)
         free_unbounded = np.linalg.norm(cf_resid) > 1e-9 * (1 + np.linalg.norm(c_f))
-        y0 = pinv_AfT @ c_f
+        y0 = ((U_r / sig_r) @ Vt_r) @ c_f
         A_red = Q2.T @ A_k
-        b_red = Q2.T @ b
+        b_red = Q2.T @ prob.b
         c_red = c_k - A_k.T @ y0
-        shift = float(y0 @ b)
     else:
-        Q2 = np.eye(prob.A.shape[0])
-        y0 = np.zeros(prob.A.shape[0])
-        A_red, b_red, c_red, shift = A_k, b.copy(), c_k.copy(), 0.0
-        free_unbounded = False
+        factors, free_unbounded = None, False
+        Q2, y0 = np.eye(prob.A.shape[0]), np.zeros(prob.A.shape[0])
+        A_red, b_red, c_red = A_k, prob.b, c_k
 
     # drop linearly dependent equality rows; detect outright inconsistency
     if A_red.shape[0]:
         Ur, sr, _ = np.linalg.svd(A_red, full_matrices=False)
-        rr = int(np.sum(sr > 1e-12 * (sr[0] if sr.size else 1.0)
-                        * max(A_red.shape)))
-        resid = b_red - Ur[:, :rr] @ (Ur[:, :rr].T @ b_red)
+        row_basis = Ur[:, :_rank(sr, A_red.shape)]
+        resid = b_red - row_basis @ (row_basis.T @ b_red)
         inconsistent = np.linalg.norm(resid) > 1e-9 * (1 + np.linalg.norm(b_red))
-        row_basis = Ur[:, :rr]
         A_red = row_basis.T @ A_red
         b_red = row_basis.T @ b_red
     else:
-        inconsistent = False
-        row_basis = np.eye(0)
+        inconsistent, row_basis = False, np.eye(0)
 
-    recover = {
-        "free_cols": free_cols, "cone_cols": cone_cols,
-        "A_f": A_f, "A_k": A_k, "Q2": Q2, "y0": y0,
-        "row_basis": row_basis, "shift": shift,
-    }
-    reduced = {"blocks": cone_blocks, "A": A_red, "b": b_red, "c": c_red}
-    return reduced, recover, inconsistent, free_unbounded
+    return _Elimination(cone_blocks, A_red, b_red, c_red, free_cols,
+                        cone_cols, factors, Q2, y0, row_basis,
+                        inconsistent, free_unbounded)
 
 
-def _recover_full(prob: SdpProblem, recover, z_cone, y_red):
+def _recover_full(prob: SdpProblem, elim: _Elimination, z_cone, y_red):
     z = np.zeros(prob.dim)
-    if z_cone is not None:
-        z[recover["cone_cols"]] = z_cone
-    if recover["free_cols"]:
-        rhs = prob.b if z_cone is None else prob.b - recover["A_k"] @ z_cone
-        z[recover["free_cols"]] = np.linalg.lstsq(
-            recover["A_f"], rhs, rcond=None)[0]
-    if y_red is None:
-        y = None
-    else:
-        y = recover["y0"] + recover["Q2"] @ (recover["row_basis"] @ y_red)
-    return z, y
+    z[elim.cone_cols] = z_cone
+    if elim.free_cols:
+        # z_f = A_f^+ rhs through the factors the elimination kept, so
+        # nothing lands along a direction whose singular value it cut
+        U_r, sig_r, Vt_r = elim.factors
+        rhs = prob.b - prob.A[:, elim.cone_cols] @ z_cone
+        z[elim.free_cols] = Vt_r.T @ ((U_r.T @ rhs) / sig_r)
+    return z, elim.y0 + elim.Q2 @ (elim.row_basis @ y_red)
 
 
 # -- the interior-point iteration ---------------------------------------------
@@ -510,46 +524,37 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL,
     Raises ValueError on options that ``check_options`` rejects."""
     check_options(tol, max_iter)
     no_point = (None, None, None, (np.inf, np.inf, np.inf))
-    reduced, recover, inconsistent, free_unbounded = _eliminate_free(prob)
-    if inconsistent:
+    elim = _eliminate_free(prob)
+    if elim.inconsistent:
         return SdpSolution(INFEASIBLE, *no_point,
                            reason="inconsistent equalities")
 
-    cone = _Cone(reduced["blocks"])
-    A, b, c = reduced["A"], reduced["b"], reduced["c"]
-
+    cone = _Cone(elim.blocks)
     if cone.dim == 0:
-        # purely free problem: feasible iff the reduced equalities vanished
-        if np.linalg.norm(b) > 1e-9 * (1 + np.linalg.norm(prob.b)):
-            return SdpSolution(INFEASIBLE, *no_point,
-                               reason="inconsistent equalities")
-        if free_unbounded:
+        # purely free problem, consistent: the elimination left no equality
+        if elim.free_unbounded:
             return SdpSolution(UNBOUNDED, None, None, None, (0.0, 0.0, np.inf),
                                reason="free unbounded")
-        z, y = _recover_full(prob, recover, None, np.zeros(A.shape[0]))
+        z, y = _recover_full(prob, elim, np.zeros(0), np.zeros(0))
         return SdpSolution(OPTIMAL, z, y, float(prob.c @ z),
                            verify_kkt(prob, z, y), 0, reason="optimal")
 
-    if free_unbounded:
+    if elim.free_unbounded:
         # objective decreases along a free null direction from any feasible
         # point, so the verdict reduces to a feasibility question
-        feas = solve(SdpProblem(reduced["blocks"], np.zeros(cone.dim), A, b),
-                     tol, max_iter)
+        feas = solve(SdpProblem(elim.blocks, np.zeros(cone.dim), elim.A,
+                                elim.b), tol, max_iter)
         if feas.status == OPTIMAL:
             return SdpSolution(UNBOUNDED, *no_point, reason="free unbounded")
         return SdpSolution(INFEASIBLE, *no_point, reason=feas.reason)
 
     with np.errstate(over="ignore", invalid="ignore"):
         status, reason, x, y, s, tau, kappa, iters = _hsde_solve(
-            cone, A, b, c, tol, max_iter)
+            cone, elim.A, elim.b, elim.c, tol, max_iter)
 
     if status in (INFEASIBLE, UNBOUNDED) or reason == "tau collapse":
-        return SdpSolution(status, *no_point, iters,
-                           certificate={"tau": tau, "kappa": kappa},
-                           reason=reason)
-    z_cone = x / tau
-    y_red = y / tau
-    z, y_full = _recover_full(prob, recover, z_cone, y_red)
+        return SdpSolution(status, *no_point, iters, reason=reason)
+    z, y_full = _recover_full(prob, elim, x / tau, y / tau)
     if not (np.isfinite(z).all() and np.isfinite(y_full).all()):
         if reason != "non-finite iterate":
             reason = "non-finite recovery"
@@ -581,15 +586,9 @@ def verify_kkt(prob: SdpProblem, z, y=None) -> tuple:
     if not (np.isfinite(primal_eq) and np.isfinite(s).all()
             and np.isfinite(gap)):
         return (np.inf, np.inf, np.inf)
-    cone_viol = 0.0
-    for kind, size, sl in block_layout(prob.blocks):
-        if kind == FREE:
-            cone_viol = max(cone_viol, float(np.max(np.abs(s[sl]))))
-        elif kind == NONNEG:
-            cone_viol = max(cone_viol, float(np.max(-np.minimum(z[sl], 0))),
-                            float(np.max(-np.minimum(s[sl], 0))))
-        else:
-            cone_viol = max(cone_viol,
-                            max(0.0, -float(np.linalg.eigvalsh(smat(z[sl]))[0])),
-                            max(0.0, -float(np.linalg.eigvalsh(smat(s[sl]))[0])))
+    # the free part of s must vanish; z and s must lie in the cone
+    free_cols, cone_cols, cone_blocks = _split_cols(prob.blocks)
+    cone = _Cone(cone_blocks)
+    cone_viol = max(float(np.max(np.abs(s[free_cols]), initial=0.0)),
+                    -cone.min_eig(z[cone_cols]), -cone.min_eig(s[cone_cols]))
     return (float(primal_eq), float(cone_viol), float(gap))

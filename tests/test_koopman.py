@@ -89,6 +89,33 @@ def test_moment_identities_randomized():
                 / (1.0 + np.linalg.norm(gops.G)) < 1e-9)
 
 
+def test_each_fit_factors_B_once_and_reports_the_rank_pinv_kept(monkeypatch):
+    # 8 rows against 10 dictionary elements: B has rank at most 8
+    rng = np.random.default_rng(3)
+    phi = total_degree_dictionary(MONOMIAL, 2, 2)
+    psi = total_degree_dictionary(MONOMIAL, 2, 3)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    for kind, fit in ((KOOPMAN, fit_edmd), (GENERATOR, fit_gedmd)):
+        s = _random_snapshots(rng, n=8, kind=kind, q=phi.size)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls.clear()
+        rep = fit(s, phi, psi).svd_report
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert calls == [(psi.size, psi.size)]
+        sv = np.array(rep["singular_values"])
+        kept = int(np.sum(sv >= rep["rel_tol"] * sv[0] * psi.size))
+        assert rep["rank"] == kept <= 8
+        # B B^+ projects onto the kept singular directions
+        B = moment_matrices(s, phi, psi).B
+        assert np.trace(B @ pinv(B)) == pytest.approx(kept, abs=1e-6)
+
+
 def test_identity_dynamics_gives_theta_and_zero_lie():
     rng = np.random.default_rng(1)
     X = rng.uniform(-1, 1, size=(200, 2))

@@ -303,3 +303,19 @@ def test_verify_kkt_huge_point_is_unverifiable_without_warnings():
         warnings.simplefilter("error")
         res = verify_kkt(prob, np.full(2, 1e200), np.array([1e200]))
     assert res == (np.inf, np.inf, np.inf)
+
+
+@pytest.mark.parametrize("delta", [1e-13, 1e-14])
+def test_free_part_has_nothing_along_a_cut_direction(delta):
+    # A_f = diag(1, delta): delta lies below the elimination's rank cut
+    # 1e-12 * sigma_max * 2, so z[1] is a direction the cut declared null.
+    # A second least-squares solve with a finer cut would invert delta and
+    # turn the O(1e-14) rounding left in row 2 into an O(1e-14 / delta) z[1]
+    prob = SdpProblem([(FREE, 2), (NONNEG, 2)], np.array([0.0, 0.0, 1.0, 1.0]),
+                      np.array([[1.0, 0.0, 1.0, 0.0], [0.0, delta, 0.0, 1.0]]),
+                      np.array([1.0, 1.0]))
+    tol = 1e-8
+    sol = solve(prob, tol=tol)
+    assert sol.status == "Optimal"
+    assert abs(sol.z[1]) <= 1e-9
+    assert max(sol.kkt_residuals) <= 10 * tol
