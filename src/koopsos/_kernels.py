@@ -68,7 +68,9 @@ __all__ = [
 
 # points per block of the dictionary evaluation kernels: the block's power
 # or recurrence table, (max_deg + 1) * d * EVAL_BLOCK floats, stays in cache
-# while its basis products are written out (8192 and 16384 measured alike)
+# while its basis products are written out (8192 and 16384 measured alike).
+# It also sets the chunk of a 1-D moment pass (koopman.moment_matrices), so
+# that pass's sums are grouped by it
 EVAL_BLOCK = 1 << 13
 
 # Vector-field ids for rk4_trajectory

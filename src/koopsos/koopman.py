@@ -5,7 +5,8 @@ so only m-by-m Gram matrices are held in memory regardless of the number of
 snapshots.  Gram accumulation streams over fixed-size row chunks with Kahan
 compensated summation, which keeps results reproducible and accurate for runs
 with up to 1e7 rows.  The dictionary values live in one buffer per pass, which
-each chunk overwrites and which is unmapped when the pass ends.
+each chunk overwrites and which is unmapped when the pass ends.  Chunks are
+``CHUNK_ROWS`` rows, except on the 1-D route below.
 
 A 1-D dictionary with exponents 0..D (every 1-D total-degree dictionary)
 spans products of degree at most 2D, so its Gram B = avg psi psi^T is fixed
@@ -14,13 +15,18 @@ degree-2D dictionary: B = sum_k mu_k T[k] with T from
 ``polybasis.product_tensor``, Hankel for monomials and Toeplitz-plus-Hankel
 for Chebyshev.  For such psi the pass streams only the two columns
 avg psi psi_0 and avg psi psi_D, O(m) work per row instead of the O(m^2) of
-the full product, and recovers the moments from them.  Every other
+the full product, and recovers the moments from them.  Its chunks are one
+evaluation block, ``_kernels.EVAL_BLOCK`` rows, so the values are still in
+cache when the two columns and the A product read them.  Every other
 dictionary streams the full product.
 
 Snapshots sampled along one trajectory have y_i bitwise equal to x_{i+1}.
-``moment_matrices`` checks that property of the data and then evaluates each
-state once: phi(y) is read from the psi values of the next state, since phi
-is contained in psi.  The results are bit-identical to evaluating phi at y.
+``moment_matrices`` takes that from the memory layout when X and Y are views
+of one states array, as ``sample_snapshots`` makes them, and compares the
+data otherwise.  It then evaluates each state once: phi(y) is read from the
+psi values of the next state, since phi is contained in psi, and a chunk's
+first state is the last one of the chunk before.  The results are
+bit-identical to evaluating phi at y.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .polybasis import (CHUNK_ROWS, MONOMIAL, Dictionary, Poly, evaluate,
                         inclusion_matrix, product_tensor,
                         total_degree_dictionary)
@@ -222,6 +229,20 @@ def _gram_from_moments(P: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.tensordot(mu, T, axes=1)
 
 
+def _is_trajectory(X: np.ndarray, Y: np.ndarray) -> bool:
+    """Whether y_i is bitwise x_{i+1} for every row but the last.
+
+    ``sample_snapshots`` makes X and Y views of one states array, Y starting
+    one row after X: such a pair is the same memory and needs no compare.
+    Any other pair is compared as int64 bit patterns, because a float
+    compare would take -0.0 for +0.0.
+    """
+    if (X.shape == Y.shape and X.strides == Y.strides
+            and Y.ctypes.data == X.ctypes.data + X.strides[0]):
+        return True
+    return np.array_equal(Y[:-1].view(np.int64), X[1:].view(np.int64))
+
+
 def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
                     ) -> MomentMatrices:
     """Empirical moment matrices of the snapshot set, streamed in one pass.
@@ -230,18 +251,19 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     phi(y) psi(x)^T and D^tau = (A^tau - Theta B) / tau; generator data adds
     C = avg y psi(x)^T.
 
-    B is the Kahan-summed product Psi Psi^T, except for a 1-D psi with
-    exponents 0..D, D >= 1 (see the module docstring): there each chunk adds
-    Psi psi_0 and Psi psi_D, two matrix-vector products, and B is assembled
-    from the moments after the pass.
+    B is the Kahan-summed product Psi Psi^T over chunks of CHUNK_ROWS rows,
+    except for a 1-D psi with exponents 0..D, D >= 1 (see the module
+    docstring): there each chunk of EVAL_BLOCK rows adds Psi (psi_0, psi_D),
+    and B is assembled from the moments after the pass.
 
     When the koopman snapshots are one trajectory (y_i is bitwise x_{i+1}),
-    each row is evaluated once: psi is evaluated on a chunk's rows plus the
-    next state, and phi(y) is read from the phi rows of that table shifted by
-    one column (phi is contained in psi, so its values there are the same
-    bits).  Other data evaluate psi at x and phi at y.  Each chunk's
-    values are written into views of one buffer per pass (one more for phi
-    at y), so no chunk allocates its own.
+    each row is evaluated once: the psi table of a chunk holds its rows plus
+    the next state, whose column the next chunk starts from, and phi(y) is
+    read from the phi rows of that table shifted by one column (phi is
+    contained in psi, so its values there are the same bits).  Other data
+    evaluate psi at x and phi at y.  Each chunk's values are written into
+    views of one buffer per pass (one more for phi at y), so no chunk
+    allocates its own.
     """
     theta = inclusion_matrix(phi, psi)
     if phi.dimension != s.d:
@@ -249,10 +271,7 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     koopman = s.kind == KOOPMAN
     if not koopman and s.q != phi.size:
         raise ValueError("generator snapshot y-dimension must equal phi size")
-    # one trajectory: y_i is bitwise x_{i+1}, compared as int64 bit patterns
-    # because a float compare would take -0.0 for +0.0
-    trajectory = koopman and np.array_equal(s.Y[:-1].view(np.int64),
-                                            s.X[1:].view(np.int64))
+    trajectory = koopman and _is_trajectory(s.X, s.Y)
     if trajectory:
         # positions of phi's elements in psi: a slice when phi is a prefix
         at = theta.argmax(axis=1)
@@ -262,29 +281,38 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     T = _moment_structure(psi)
     acc_b = _KahanAccumulator((psi.size, psi.size if T is None else 2))
     acc_a = _KahanAccumulator((phi.size, psi.size))
+    # the chunk length groups the Kahan sums, so it is part of the results:
+    # the d >= 2 sums keep CHUNK_ROWS and their recorded bits.  The 1-D
+    # moment sums are checked at printed precision only, so each of their
+    # chunks is one evaluation block, still in cache when the B columns and
+    # Phi Psi^T read it
+    chunk = CHUNK_ROWS if T is None else min(CHUNK_ROWS, _kernels.EVAL_BLOCK)
     # one buffer per pass, each chunk's values written into a view of it
-    rows = min(CHUNK_ROWS, s.n) + 1
+    rows = min(chunk, s.n) + 1
     psi_buf = _pass_buffer(psi.size, rows)
     phi_buf = (_pass_buffer(phi.size, rows) if koopman and not trajectory
                else None)
-    for start in range(0, s.n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, s.n)
+    for start in range(0, s.n, chunk):
+        stop = min(start + chunk, s.n)
         if trajectory:
-            # x_start .. x_stop, where x_n is y_{n-1}
-            Psi = evaluate(psi, s.X[start:stop + 1] if stop < s.n
-                           else np.concatenate((s.X[start:], s.Y[-1:])),
-                           psi_buf[:, :stop - start + 1])
-            Phi = Psi[at, 1:]
-            Psi = Psi[:, :-1]
+            # x_start .. x_stop, where x_n is y_{n-1}; x_start was the last
+            # state of the chunk before, so its column is carried over
+            first = 0 if start == 0 else 1
+            if first:
+                psi_buf[:, 0] = psi_buf[:, chunk]
+            evaluate(psi, s.X[start + first:stop + 1] if stop < s.n
+                     else np.concatenate((s.X[start + first:], s.Y[-1:])),
+                     psi_buf[:, first:stop - start + 1])
+            Phi = psi_buf[at, 1:stop - start + 1]
+            Psi = psi_buf[:, :stop - start]
         else:
             Psi = evaluate(psi, s.X[start:stop], psi_buf[:, :stop - start])
             Phi = (evaluate(phi, s.Y[start:stop], phi_buf[:, :stop - start])
                    if koopman else s.Y[start:stop].T)
-        # two matrix-vector products rather than one (m, 2) matrix product:
-        # at m = 29 on one Xeon core, 1.8 ms per 65536-row chunk against
-        # 2.8 ms (and 7.7 ms for the full Psi Psi^T)
-        acc_b.add(Psi @ Psi.T if T is None
-                  else np.stack((Psi @ Psi[0], Psi @ Psi[-1]), axis=1))
+        # a 1-D psi's two columns as one (m, 2) matrix product: at m = 29 on
+        # one Xeon core, 72 us per 8192-row chunk against 130 us for two
+        # matrix-vector products (and 820 us for the full Psi Psi^T)
+        acc_b.add(Psi @ (Psi if T is None else Psi[[0, -1]]).T)
         acc_a.add(Phi @ Psi.T)
     B, A = acc_b.total / s.n, acc_a.total / s.n
     if T is not None:

@@ -149,10 +149,11 @@ def _grlex_degree(d: int, total: int):
             yield (first,) + rest
 
 
-# Rows per evaluate() call in every streaming pass.  The chunk size sets the
+# Rows per evaluate() call in the streaming passes.  The chunk size sets the
 # grouping of the Kahan-compensated Gram sums, so it is part of the results.
 # Within a chunk the kernels work in blocks of _kernels.EVAL_BLOCK points,
-# which only sets how much of the table is in cache: no result depends on it.
+# which only sets how much of the table is in cache: no value depends on it.
+# A 1-D moment pass (koopman.moment_matrices) streams chunks of one block.
 CHUNK_ROWS = 1 << 16
 
 

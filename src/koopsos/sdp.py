@@ -392,7 +392,7 @@ def _recover_full(prob: SdpProblem, elim: _Elimination, z_cone, y_red):
 
 def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
     """HSDE predictor-corrector loop over the conic variables only; returns
-    (status, reason, x, y, s, tau, kappa, iterations)."""
+    (status, reason, x, y, tau, iterations)."""
     p = A.shape[0]
     x = cone.identity()
     s = cone.identity()
@@ -427,16 +427,14 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
 
         # infeasibility certificates from the homogeneous variables
         if by > tol and np.linalg.norm(A.T @ y + s) <= tol * by:
-            return (INFEASIBLE, "infeasible certificate",
-                    x, y, s, tau, kappa, iters)
+            return INFEASIBLE, "infeasible certificate", x, y, tau, iters
         if -cx > tol and np.linalg.norm(A @ x) <= tol * (-cx) \
                 and cone.min_eig(x) >= -tol * (-cx):
-            return (UNBOUNDED, "unbounded certificate",
-                    x, y, s, tau, kappa, iters)
+            return UNBOUNDED, "unbounded certificate", x, y, tau, iters
         # tau below the rounding of kappa: the iterate heads for a ray
         # that missed both certificates, and further steps only rescale it
         if tau <= np.finfo(float).eps * kappa:
-            return MAXITER, "tau collapse", x, y, s, tau, kappa, iters
+            return MAXITER, "tau collapse", x, y, tau, iters
 
         try:
             scaling = _Scaling(cone, x, s)
@@ -514,7 +512,7 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    return status, reason, x, y, s, tau, kappa, iters
+    return status, reason, x, y, tau, iters
 
 
 def solve(prob: SdpProblem, tol: float = DEFAULT_TOL,
@@ -549,7 +547,7 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL,
         return SdpSolution(INFEASIBLE, *no_point, reason=feas.reason)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        status, reason, x, y, s, tau, kappa, iters = _hsde_solve(
+        status, reason, x, y, tau, iters = _hsde_solve(
             cone, elim.A, elim.b, elim.c, tol, max_iter)
 
     if status in (INFEASIBLE, UNBOUNDED) or reason == "tau collapse":

@@ -1,5 +1,6 @@
 """Tests for the EDMD / gEDMD fits, moment matrices, and diagnostics."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -195,14 +196,19 @@ def test_fit_invariant_under_row_reorder_and_duplication():
 
 # -- trajectory moments ---------------------------------------------------------
 
-def _reference_moments(s, phi, psi):
+def _reference_moments(s, phi, psi, block=None):
     """The two-evaluation moment pass: psi at every x and phi at every y,
-    chunked by koopman.CHUNK_ROWS and Kahan-summed like moment_matrices."""
+    chunked and Kahan-summed like moment_matrices: by koopman.CHUNK_ROWS, or
+    for a 1-D psi on the moment route by min(CHUNK_ROWS, block), block
+    _kernels.EVAL_BLOCK unless given."""
+    chunk = koopman.CHUNK_ROWS
+    if koopman._moment_structure(psi) is not None:
+        chunk = min(chunk, block or _kernels.EVAL_BLOCK)
     theta = inclusion_matrix(phi, psi)
     acc_b = koopman._KahanAccumulator((psi.size, psi.size))
     acc_a = koopman._KahanAccumulator((phi.size, psi.size))
-    for start in range(0, s.n, koopman.CHUNK_ROWS):
-        rows = slice(start, start + koopman.CHUNK_ROWS)
+    for start in range(0, s.n, chunk):
+        rows = slice(start, start + chunk)
         Psi = evaluate(psi, s.X[rows])
         acc_b.add(Psi @ Psi.T)
         acc_a.add(evaluate(phi, s.Y[rows]) @ Psi.T)
@@ -250,12 +256,13 @@ def _signed_zero(row):
 
 
 def _evaluated(monkeypatch):
-    """Record every dictionary that moment_matrices evaluates."""
+    """Record every dictionary that moment_matrices evaluates, with the
+    number of points, as (dictionary, points) pairs."""
     seen = []
     inner = koopman.evaluate
 
     def spy(dictionary, x, out=None):
-        seen.append(dictionary)
+        seen.append((dictionary, len(x)))
         return inner(dictionary, x, out)
     monkeypatch.setattr(koopman, "evaluate", spy)
     return seen
@@ -294,12 +301,14 @@ def test_trajectory_moments_match_reference(monkeypatch, n):
 def test_moments_over_several_eval_blocks_match_reference(monkeypatch):
     # chunks of 11 rows evaluated in blocks of 3 points: each chunk's values
     # fill a view of the pass's buffer block by block, the last chunk (6
-    # rows) a narrower view; the reference evaluates at the default block
+    # rows) a narrower view; a 1-D psi streams chunks of one block, 3 rows.
+    # The reference evaluates at the default block
     monkeypatch.setattr(koopman, "CHUNK_ROWS", 11)
     cases = []
     for s, phi, psi in _trajectory_cases(50):
         for data in (s, _edited(s, _ulp_up(20))):
-            cases.append((data, phi, psi, _reference_moments(data, phi, psi)))
+            cases.append((data, phi, psi,
+                          _reference_moments(data, phi, psi, block=3)))
     monkeypatch.setattr(_kernels, "EVAL_BLOCK", 3)
     for data, phi, psi, reference in cases:
         _assert_matches_reference(moment_matrices(data, phi, psi), psi,
@@ -373,13 +382,111 @@ def test_trajectory_moments_never_evaluate_phi(monkeypatch):
     for s, phi, psi in _trajectory_cases(30):
         seen.clear()
         fit_edmd(s, phi, psi)
-        assert seen and all(d == psi for d in seen)
+        assert seen and all(d == psi for d, _ in seen)
+        # each state once, x_n being y_{n-1}: a chunk's first state is the
+        # last one of the chunk before
+        assert sum(points for _, points in seen) == s.n + 1
         # off the trajectory by 1 ulp or by the sign of a zero: phi is
         # evaluated at y again
         for edit in (_ulp_up(3), _signed_zero(3)):
             seen.clear()
             fit_edmd(_edited(s, edit), phi, psi)
-            assert phi in seen
+            assert phi in (d for d, _ in seen)
+
+
+def test_one_dimensional_pass_streams_one_eval_block(monkeypatch):
+    # a 1-D psi on the moment route streams chunks of one evaluation block,
+    # so its pass buffers are EVAL_BLOCK + 1 columns wide; a d >= 2 psi keeps
+    # the CHUNK_ROWS chunks that group its Kahan sums
+    monkeypatch.setattr(koopman, "CHUNK_ROWS", 100)
+    monkeypatch.setattr(_kernels, "EVAL_BLOCK", 16)
+    widths = []
+    inner = koopman._pass_buffer
+
+    def spy(rows, cols):
+        widths.append(cols)
+        return inner(rows, cols)
+    monkeypatch.setattr(koopman, "_pass_buffer", spy)
+    for s, phi, psi in _trajectory_cases(300):
+        for data in (s, _edited(s, _ulp_up(5))):
+            widths.clear()
+            moment_matrices(data, phi, psi)
+            if psi.dimension == 1:
+                assert widths and max(widths) <= 16 + 1
+            else:
+                assert widths and set(widths) == {100 + 1}
+
+
+@pytest.mark.parametrize("family", [CHEBYSHEV, MONOMIAL])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_one_dimensional_moments_over_block_chunks(monkeypatch, family,
+                                                   extra):
+    # chunks of one 8-point block for n one short of a block, one block, and
+    # one block and a row: B and A^tau (C on generator data) of trajectory,
+    # iid and generator data are the long-double sums of the same values
+    # within 1e-14 of their largest entry
+    block = 8
+    monkeypatch.setattr(_kernels, "EVAL_BLOCK", block)
+    n = block + extra
+    box = ((0.0, 1.0),) if family == CHEBYSHEV else None
+    phi, psi = (total_degree_dictionary(family, 1, deg, box) for deg in (3, 6))
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(n, 1))
+    cases = [
+        sample_snapshots(SystemSpec(STOCHASTIC_LOGISTIC), "trajectory", 1.0,
+                         n, rng=make_rng(2)),
+        SnapshotSet(t=1.0, X=X, Y=rng.uniform(0.0, 1.0, size=(n, 1)),
+                    tau=1.0, kind=KOOPMAN),
+        SnapshotSet(t=1.0, X=X, Y=rng.standard_normal((n, phi.size)),
+                    tau=1.0, kind=GENERATOR),
+    ]
+    for s in cases:
+        mm = moment_matrices(s, phi, psi)
+        koop = s.kind == KOOPMAN
+        Psi = evaluate(psi, s.X).astype(np.longdouble)
+        Phi = (evaluate(phi, s.Y) if koop else s.Y.T).astype(np.longdouble)
+        for got, ref in ((mm.B, Psi @ Psi.T / s.n),
+                         (mm.A_tau if koop else mm.C, Phi @ Psi.T / s.n)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_sampled_trajectory_is_detected_without_a_compare(monkeypatch):
+    # sample_snapshots makes X and Y views of one states array, Y one row
+    # on: that pair is a trajectory with no data-sized compare.  A pickled
+    # copy holds X and Y apart and is found by comparing them; views two
+    # rows apart are no trajectory
+    n = 500
+    box = ((0.0, 1.0),)
+    phi, psi = (total_degree_dictionary(CHEBYSHEV, 1, deg, box)
+                for deg in (2, 4))
+    s = sample_snapshots(SystemSpec(STOCHASTIC_LOGISTIC), "trajectory", 1.0,
+                         n, rng=make_rng(4))
+    compared = []
+    array_equal = np.array_equal
+
+    def spy(a, b, *args, **kwargs):
+        compared.append(np.size(a))
+        return array_equal(a, b, *args, **kwargs)
+    monkeypatch.setattr(np, "array_equal", spy)
+    seen = _evaluated(monkeypatch)
+
+    def moments(data):
+        seen.clear()
+        compared.clear()
+        mm = moment_matrices(data, phi, psi)
+        return mm, {d for d, _ in seen}
+
+    view, evaluated = moments(s)
+    assert evaluated == {psi} and max(compared) < n - 1
+    copy, evaluated = moments(pickle.loads(pickle.dumps(s)))
+    assert evaluated == {psi} and n - 1 in compared
+    for name in ("B", "A_tau", "D_tau"):
+        np.testing.assert_array_equal(getattr(copy, name), getattr(view, name))
+    states = np.random.default_rng(6).uniform(0.0, 1.0, n + 2)
+    _, evaluated = moments(SnapshotSet(t=1.0, X=states[:n, None],
+                                       Y=states[2:, None], tau=1.0,
+                                       kind=KOOPMAN))
+    assert phi in evaluated
 
 
 def test_circle_moment_wallis_vs_quadrature():
