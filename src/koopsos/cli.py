@@ -142,9 +142,8 @@ def _dictionaries(cfg, spec: SystemSpec):
     if box is None and family == CHEBYSHEV:
         box = [[0.0, 1.0]] * spec.dimension
     try:  # a negative degree or a bad box
-        phi = total_degree_dictionary(family, spec.dimension, alpha,
-                                      box or None)
-        psi = total_degree_dictionary(family, spec.dimension, beta, box or None)
+        phi = total_degree_dictionary(family, spec.dimension, alpha, box)
+        psi = total_degree_dictionary(family, spec.dimension, beta, box)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dictionaries: {exc}") from None
     return phi, psi

@@ -202,8 +202,7 @@ def _moment_structure(psi: Dictionary) -> np.ndarray | None:
     psi is 1-D with exponents 0..D in order, D >= 1; None for any other psi.
     """
     D = psi.max_degree
-    if psi.dimension != 1 or D < 1 or psi.indices != tuple(
-            (k,) for k in range(D + 1)):
+    if D < 1 or not np.array_equal(psi.exponents, np.arange(D + 1)[:, None]):
         return None
     E = total_degree_dictionary(psi.family, 1, 2 * D, psi.box)
     return product_tensor(psi, psi, E)

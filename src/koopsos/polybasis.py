@@ -3,9 +3,11 @@
 A :class:`Dictionary` is an ordered list of multi-indices over ``R^d`` in
 graded lexicographic order.  For the Chebyshev family the basis functions are
 tensor products ``prod_j T_{k_j}(z_j)`` of Chebyshev polynomials of the first
-kind, evaluated in rescaled coordinates ``z = rescale(x)`` mapping a reference
-box onto ``[-1, 1]^d``.  The rescaling box is stored on the dictionary itself
-so that downstream code cannot silently mix incompatible domains.
+kind, evaluated in rescaled coordinates ``z = (2 x - (lo + hi)) / (hi - lo)``
+mapping the dictionary's box onto ``[-1, 1]^d`` (a Chebyshev dictionary
+without a box is evaluated at x itself).  The box is stored on the dictionary
+so that downstream code cannot silently mix incompatible domains; a monomial
+dictionary may carry one too, which does not change its values.
 
 Polynomials are coefficient vectors over a dictionary.  Every product goes
 through one set of structure constants, ``product_tensor``, and ``project``
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +59,13 @@ def grlex_key(idx: MultiIndex):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered polynomial dictionary over R^d."""
+    """Ordered polynomial dictionary over R^d.
+
+    What is derived from it (``exponents``, ``positions``, ``bounds``) is
+    built here once, on first use, for every consumer.  Those facts are not
+    part of the state: equality, hashing, pickling and copying see the four
+    fields only.
+    """
 
     family: str
     dimension: int
@@ -81,9 +91,15 @@ class Dictionary:
                 raise ValueError(f"bad multi-index {idx}")
         if self.box is not None and (
                 len(self.box) != self.dimension
-                or not all(len(b) == 2 and b[0] < b[1] for b in self.box)):
-            raise ValueError("box must have one (lo, hi) pair with lo < hi "
-                             "per coordinate")
+                or not all(len(b) == 2 and -math.inf < b[0] < b[1] < math.inf
+                           for b in self.box)):
+            raise ValueError("box must have one finite (lo, hi) pair with "
+                             "lo < hi per coordinate")
+
+    def __getstate__(self):
+        # the cached facts stay out of pickles and copies: a mapping proxy
+        # does not pickle, and an unpickled table would be writeable
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def size(self) -> int:
@@ -93,16 +109,34 @@ class Dictionary:
     def max_degree(self) -> int:
         return max((sum(i) for i in self.indices), default=0)
 
-    def position(self, idx: MultiIndex) -> int:
-        return self.indices.index(tuple(idx))
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The indices as a read-only (size, dimension) int64 array."""
+        table = np.array(self.indices, dtype=np.int64).reshape(
+            self.size, self.dimension)
+        table.flags.writeable = False
+        return table
 
-    def rescale(self, X: np.ndarray) -> np.ndarray:
-        """Map states into [-1, 1]^d using the stored box (Chebyshev only)."""
-        if self.box is None:
-            return X
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return (2.0 * X - (lo + hi)) / (hi - lo)
+    @cached_property
+    def positions(self) -> Mapping[MultiIndex, int]:
+        """Read-only map from each index to its position."""
+        return MappingProxyType({idx: k for k, idx in enumerate(self.indices)})
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """The box as a read-only (2, dimension) array of its lo and hi
+        rows; [-1, 1] per coordinate when there is no box."""
+        box = ((-1.0, 1.0),) * self.dimension if self.box is None else self.box
+        table = np.array(box, dtype=float).T
+        table.flags.writeable = False
+        return table
+
+    def position(self, idx: MultiIndex) -> int:
+        try:
+            return self.positions[tuple(idx)]
+        except KeyError:
+            raise ValueError(f"index {tuple(idx)} is not in the dictionary"
+                             ) from None
 
     def to_json(self) -> str:
         payload = {
@@ -172,14 +206,19 @@ def evaluate(dictionary: Dictionary, x: np.ndarray,
         raise DimensionMismatch(
             f"state dimension {X.shape[1]} != dictionary dimension "
             f"{dictionary.dimension}")
-    expo = np.array(dictionary.indices, dtype=np.int64).reshape(
-        dictionary.size, dictionary.dimension)
     # out goes by position: perfbench's tracer passes a wrapped kernel's
     # result to its counters as their own ``out`` argument
     if dictionary.family == MONOMIAL:
-        out = _kernels.monomial_eval(X, expo, out)
+        out = _kernels.monomial_eval(X, dictionary.exponents, out)
     else:
-        out = _kernels.chebyshev_eval(dictionary.rescale(X), expo, out)
+        if dictionary.box is not None:
+            # z = (2 x - (lo + hi)) / (hi - lo): the same operations in the
+            # same order as that expression, in one new array
+            lo, hi = dictionary.bounds
+            X = np.multiply(X, 2.0)
+            X -= lo + hi
+            X /= hi - lo
+        out = _kernels.chebyshev_eval(X, dictionary.exponents, out)
     return out[:, 0] if single else out
 
 
@@ -202,7 +241,7 @@ def project(indices: Sequence[MultiIndex], coeffs: np.ndarray,
     TargetTooSmall naming the indices.  With rtol 0 every nonzero must fit.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    lookup = {idx: e for e, idx in enumerate(target.indices)}
+    lookup = target.positions
     pos = np.array([lookup.get(tuple(idx), -1) for idx in indices],
                    dtype=np.int64)
     rows = coeffs.reshape(-1, pos.size)
@@ -220,7 +259,7 @@ def inclusion_matrix(small: Dictionary, big: Dictionary) -> np.ndarray:
     """0/1 selection matrix Theta with small(x) = Theta @ big(x) for all x."""
     _check_same_space(small, big)
     theta = np.zeros((small.size, big.size))
-    lookup = {idx: j for j, idx in enumerate(big.indices)}
+    lookup = big.positions
     for i, idx in enumerate(small.indices):
         if idx not in lookup:
             raise SmallNotContained(f"index {idx} not present in big dictionary")
@@ -265,10 +304,10 @@ def poly_from_terms(terms: dict[MultiIndex, float], family: str = MONOMIAL,
                     box: Sequence[Sequence[float]] | None = None,
                     deg: int | None = None) -> Poly:
     """sum c x^idx over the {idx: c} terms, in the total-degree dictionary of
-    degree deg (by default the highest term degree) of the family."""
+    degree deg (by default the highest term degree) of the family and box."""
     d = len(next(iter(terms)))
     deg = max(map(sum, terms)) if deg is None else deg
-    mono = total_degree_dictionary(MONOMIAL, d, deg)
+    mono = total_degree_dictionary(MONOMIAL, d, deg, box)
     p = Poly(mono, project(list(terms), list(terms.values()), mono))
     if family == MONOMIAL:
         return p
@@ -295,8 +334,8 @@ def product_tensor(u: Dictionary, w: Dictionary, target: Dictionary
     """
     _check_same_space(u, w, target)
     d = u.dimension
-    U = np.array(u.indices, dtype=np.int64).reshape(u.size, 1, 1, d)
-    W = np.array(w.indices, dtype=np.int64).reshape(1, w.size, 1, d)
+    U = u.exponents.reshape(u.size, 1, 1, d)
+    W = w.exponents.reshape(1, w.size, 1, d)
     if u.family == MONOMIAL:
         signs, weight = np.ones((1, d), dtype=np.int64), 1.0
     else:
@@ -306,7 +345,7 @@ def product_tensor(u: Dictionary, w: Dictionary, target: Dictionary
     prod = np.abs(U + signs * W)
     distinct, inverse = np.unique(prod.reshape(-1, d), axis=0,
                                   return_inverse=True)
-    lookup = {idx: e for e, idx in enumerate(target.indices)}
+    lookup = target.positions
     keys = [tuple(row) for row in distinct.tolist()]
     missing = [k for k in keys if k not in lookup]
     if missing:
@@ -367,13 +406,11 @@ def monomial_to_cheb(p: Poly, target: Dictionary) -> Poly:
     """
     if p.basis.family != MONOMIAL or target.family != CHEBYSHEV:
         raise DimensionMismatch("expects monomial source and chebyshev target")
-    d = p.basis.dimension
-    box = target.box or tuple((-1.0, 1.0) for _ in range(d))
-    degs = [max(i[j] for i in p.basis.indices) for j in range(d)]
+    expo = p.basis.exponents
+    degs = expo.max(axis=0).tolist()
     tensor = np.zeros([dg + 1 for dg in degs])
-    for idx, c in zip(p.basis.indices, p.coeffs):
-        tensor[idx] += c
-    for axis, (deg, (lo, hi)) in enumerate(zip(degs, box)):
+    tensor[tuple(expo.T)] += p.coeffs
+    for axis, (deg, lo, hi) in enumerate(zip(degs, *target.bounds.tolist())):
         S = _affine_power_matrix(deg, (hi - lo) / 2.0, (lo + hi) / 2.0)
         Minv = np.linalg.solve(_cheb_to_mono_matrix(deg).T, np.eye(deg + 1))
         tensor = np.moveaxis(np.tensordot(

@@ -192,7 +192,7 @@ def _gram_columns(terms, E: Dictionary) -> list:
 
 def _odd(dic: Dictionary) -> np.ndarray:
     """Whether each basis element changes sign under x -> -x."""
-    return np.array([sum(idx) % 2 == 1 for idx in dic.indices], dtype=bool)
+    return dic.exponents.sum(axis=1) % 2 == 1
 
 
 def _part(dic: Dictionary, keep) -> Dictionary:

@@ -158,14 +158,13 @@ def _monomial_lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
         u = total_degree_dictionary(MONOMIAL, d, max(degp - 1, 0))
         E = total_degree_dictionary(
             MONOMIAL, d, u.max_degree + max(fj.basis.max_degree for fj in f))
-        lookup = {idx: i for i, idx in enumerate(u.indices)}
         rows = 0.0
         for j, fj in enumerate(f):
             D = np.zeros((phi.size, u.size))
             for k, idx in enumerate(phi.indices):
                 if idx[j]:
                     lower = idx[:j] + (idx[j] - 1,) + idx[j + 1:]
-                    D[k, lookup[lower]] = idx[j]
+                    D[k, u.positions[lower]] = idx[j]
             rows = rows + D @ multiplication_matrix(fj, u, E).T
         return E, rows
     if spec.id == MAP_LYAP_2D:
@@ -224,14 +223,14 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
     d, degp = spec.dimension, phi.max_degree
     N = max(lie_image_degree(spec, degp), 1)
     zs = np.cos(np.pi * np.arange(N + 1) / N)
-    lo, hi = np.array(phi.box or ((-1.0, 1.0),) * d).T
+    lo, hi = phi.bounds
     grid = np.meshgrid(*[lo[j] + (zs + 1.0) * (hi[j] - lo[j]) / 2.0
                          for j in range(d)], indexing="ij")
     X = np.stack(grid, axis=-1).reshape(-1, d)
     if spec.time_kind == CONTINUOUS:
         # element k of phi is the unit tensor at its index, on a trailing axis
         tensor = np.zeros((degp + 1,) * d + (phi.size,))
-        tensor[tuple(np.array(phi.indices).T) + (np.arange(phi.size),)] = 1.0
+        tensor[tuple(phi.exponents.T) + (np.arange(phi.size),)] = 1.0
         vals = 0.0
         for j, fj in enumerate(_vector_field_terms(spec)):
             grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))

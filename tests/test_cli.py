@@ -135,6 +135,39 @@ def test_bound_json_shows_parity_split(tmp_path):
     assert all(out["V_coeffs"][k] == 0.0 for k in odd)
 
 
+def test_bound_monomial_box_matches_boxless(tmp_path):
+    # a box does not change monomial values, so it does not change the bound
+    outs = []
+    for name, extra in [("plain", {}), ("boxed", {"box": [[-3, 3], [-3, 3]]})]:
+        cfg = _write(tmp_path, f"{name}.json", {
+            "system": "VanDerPol", "lie_source": "exact",
+            "dictionaries": {"family": "monomial", "alpha": 6, **extra},
+            "output": {"path": str(tmp_path / f"{name}.json.out")},
+        })
+        assert main(["bound", cfg]) == EXIT_OK
+        outs.append(json.loads((tmp_path / f"{name}.json.out").read_text()))
+    plain, boxed = outs
+    assert boxed["status"] == "Optimal"
+    assert boxed["bound"] == plain["bound"]
+    assert boxed["sdp_blocks"] == plain["sdp_blocks"]
+    assert boxed["iterations"] == plain["iterations"]
+
+
+@pytest.mark.parametrize("lie_source", ["edmd", "exact"])
+def test_non_finite_box_is_config_error(tmp_path, capsys, lie_source):
+    cfg = _write(tmp_path, "bound.json", {
+        "system": "StochasticLogistic", "lie_source": lie_source,
+        "sampling": {"n": 200},
+        "dictionaries": {"family": "chebyshev", "alpha": 4,
+                         "box": [[0, float("inf")]]},
+        "output": {"path": str(tmp_path / "bound.json.out")},
+    })
+    assert "Infinity" in (tmp_path / "bound.json").read_text()
+    assert main(["bound", cfg]) == EXIT_CONFIG
+    assert "config error: dictionaries" in capsys.readouterr().err
+    assert not (tmp_path / "bound.json.out").exists()
+
+
 def test_fit_writes_operators(tmp_path):
     cfg = _write(tmp_path, "fit.json", {
         "system": "StochasticLogistic",
@@ -259,6 +292,7 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     ({"dictionaries": {"alpha": -1}}, "dictionaries"),
     ({"dictionaries": {"box": [[0]]}}, "dictionaries"),
     ({"dictionaries": {"box": [[1, 0], [0, 1]]}}, "dictionaries"),
+    ({"dictionaries": {"box": []}}, "dictionaries"),
     ({"sampling": {"n": "many"}}, "sampling.n"),
     ({"sampling": {"n": 1000.5}}, "sampling.n"),
     ({"solver": {"tol": "tight"}}, "solver.tol"),
@@ -275,9 +309,9 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     ({"system": "MapLyap2D", "dictionaries": {"alpha": -1}},
      "dictionaries.alpha"),
 ], ids=["alpha", "alpha-fraction", "alpha-negative", "box-short",
-        "box-reversed", "n", "n-fraction", "tol", "max_iter", "tol-negative",
-        "tol-nan", "tol-one", "max_iter-zero", "max_iter-bool", "observable",
-        "domain", "domain-2d", "map-alpha-negative"])
+        "box-reversed", "box-empty", "n", "n-fraction", "tol", "max_iter",
+        "tol-negative", "tol-nan", "tol-one", "max_iter-zero", "max_iter-bool",
+        "observable", "domain", "domain-2d", "map-alpha-negative"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
                                           update, key):
     def no_sampling(*args, **kwargs):

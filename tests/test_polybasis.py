@@ -1,13 +1,16 @@
 """Tests for dictionaries, polynomial arithmetic, and basis conversions."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koopsos import _kernels
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
                                DimensionMismatch, Poly, SmallNotContained,
                                TargetTooSmall, evaluate, grlex_key,
@@ -225,11 +228,15 @@ def test_project_drops_only_noise_outside_target():
 
 
 @pytest.mark.parametrize("family,box", [(MONOMIAL, None),
-                                        (CHEBYSHEV, ((0.0, 2.0),) * 2)])
+                                        (MONOMIAL, ((0.0, 2.0),) * 2),
+                                        (CHEBYSHEV, ((0.0, 2.0),) * 2)],
+                         ids=["monomial-None", "monomial-boxed",
+                              "chebyshev-box1"])
 def test_poly_from_terms_matches_hand_built(family, box):
     # |x|^2, x - x^2 and x on a degree-2 dictionary, against the coefficient
-    # arrays written out by hand and converted to the family
-    mono = total_degree_dictionary(MONOMIAL, 2, 2)
+    # arrays written out by hand and converted to the family; a monomial
+    # polynomial keeps the box, so it combines with boxed dictionaries
+    mono = total_degree_dictionary(MONOMIAL, 2, 2, box)
     for got, coeffs in [
             (norm_squared(family, 2, box), [0, 0, 0, 1, 0, 1]),
             (poly_from_terms({(1, 0): 1.0, (2, 0): -1.0}, family, box),
@@ -257,3 +264,118 @@ def test_poly_arithmetic():
     np.testing.assert_allclose((p + q).coeffs, [1, 3, 2])
     np.testing.assert_allclose((p - q).coeffs, [1, 1, 4])
     np.testing.assert_allclose((2.0 * p).coeffs, [2, 4, 6])
+
+
+def _chebyshev_reference(dic, X):
+    """(2x - (lo + hi)) / (hi - lo) written out, then T_k by the recurrence
+    and the product over coordinates, in the kernel's order."""
+    lo = np.array([b[0] for b in dic.box])
+    hi = np.array([b[1] for b in dic.box])
+    Z = (2.0 * X - (lo + hi)) / (hi - lo)
+    T = [np.ones_like(Z), Z]
+    for _ in range(2, dic.max_degree + 1):
+        T.append(2.0 * Z * T[-1] - T[-2])
+    rows = []
+    for idx in dic.indices:
+        row = T[idx[0]][:, 0]
+        for j in range(1, dic.dimension):
+            row = row * T[idx[j]][:, j]
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("box", [((-0.3, 1.9),), ((-0.3, 1.9), (0.1, 3.4))],
+                         ids=["d1", "d2"])
+def test_boxed_chebyshev_evaluate_is_the_explicit_rescale(monkeypatch, box):
+    # off-centre boxes whose lo + hi and hi - lo are not powers of two, over
+    # several evaluation blocks; the states themselves are left alone
+    monkeypatch.setattr(_kernels, "EVAL_BLOCK", 16)
+    dic = total_degree_dictionary(CHEBYSHEV, len(box), 6, box)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 4.0, size=(3 * 16 + 5, len(box)))
+    before = X.copy()
+    got = evaluate(dic, X)
+    np.testing.assert_array_equal(X, before)
+    ref = _chebyshev_reference(dic, X)
+    assert got.tobytes() == ref.tobytes()
+    assert evaluate(dic, X[7]).tobytes() == ref[:, 7].tobytes()
+
+
+def test_monomial_box_does_not_change_values():
+    X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(40, 2))
+    plain = total_degree_dictionary(MONOMIAL, 2, 5)
+    boxed = total_degree_dictionary(MONOMIAL, 2, 5, ((0.5, 1.5), (-2.0, 0.0)))
+    assert evaluate(boxed, X).tobytes() == evaluate(plain, X).tobytes()
+
+
+@pytest.mark.parametrize("dic", [total_degree_dictionary(MONOMIAL, 2, 4),
+                                 total_degree_dictionary(CHEBYSHEV, 1, 5,
+                                                         ((0.0, 1.0),)),
+                                 Dictionary(MONOMIAL, 3, ())],
+                         ids=["mono-2d", "cheb-1d", "empty"])
+def test_exponent_table_is_read_only_and_equals_indices(dic):
+    table = dic.exponents
+    assert table.dtype == np.int64 and table.shape == (dic.size, dic.dimension)
+    assert table.tolist() == [list(idx) for idx in dic.indices]
+    assert not table.flags.writeable
+    if dic.size:
+        with pytest.raises(ValueError):
+            table[0, 0] = 7
+    assert dic.exponents is table  # built once
+    assert all(dic.position(idx) == k for k, idx in enumerate(dic.indices))
+
+
+def test_box_bounds_and_their_checks():
+    dic = total_degree_dictionary(CHEBYSHEV, 2, 1, ((0.0, 1.0), (-2.0, 5.0)))
+    np.testing.assert_array_equal(dic.bounds, [[0.0, -2.0], [1.0, 5.0]])
+    assert not dic.bounds.flags.writeable
+    np.testing.assert_array_equal(
+        total_degree_dictionary(CHEBYSHEV, 2, 1).bounds, [[-1, -1], [1, 1]])
+    for box in [((0.0, math.inf),), ((-math.inf, 0.0),), ((math.nan, 1.0),),
+                ((1.0, 1.0),), ((0.0,),), ((0.0, 1.0), (0.0, 1.0))]:
+        with pytest.raises(ValueError, match="finite"):
+            total_degree_dictionary(CHEBYSHEV, 1, 2, box)
+
+
+def test_position_of_a_missing_index_raises():
+    dic = total_degree_dictionary(MONOMIAL, 2, 2)
+    with pytest.raises(ValueError):
+        dic.position((3, 0))
+    with pytest.raises(ValueError):
+        dic.position((0, 0, 0))
+    assert dic.position([1, 1]) == 4
+
+
+def test_missing_indices_are_named():
+    # every consumer of the position map reports what the target lacks
+    mono1 = total_degree_dictionary(MONOMIAL, 1, 2)
+    with pytest.raises(TargetTooSmall) as err:
+        project([(0,), (3,), (1,), (4,)], [1.0, 2.0, 3.0, 4.0], mono1)
+    assert err.value.missing == [(3,), (4,)]
+    with pytest.raises(TargetTooSmall) as err:
+        product_tensor(mono1, mono1, mono1)
+    assert err.value.missing == [(3,), (4,)]
+    cheb = total_degree_dictionary(CHEBYSHEV, 2, 2, BOX2)
+    with pytest.raises(TargetTooSmall) as err:
+        product_tensor(cheb, cheb, total_degree_dictionary(CHEBYSHEV, 2, 3,
+                                                           BOX2))
+    assert err.value.missing == [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+    with pytest.raises(SmallNotContained,
+                       match=r"index \(3, 0\) not present in big"):
+        inclusion_matrix(total_degree_dictionary(MONOMIAL, 2, 3),
+                         total_degree_dictionary(MONOMIAL, 2, 2))
+
+
+def test_dictionary_with_read_facts_pickles_copies_and_compares():
+    dic = total_degree_dictionary(CHEBYSHEV, 2, 3, ((0.0, 1.0), (-2.0, 5.0)))
+    X = np.random.default_rng(1).uniform(0.0, 1.0, size=(9, 2))
+    vals = evaluate(dic, X)
+    assert dic.position((1, 1)) == 4 and dic.bounds.shape == (2, 2)
+    for other in (pickle.loads(pickle.dumps(dic)), copy.copy(dic),
+                  copy.deepcopy(dic)):
+        assert other == dic and hash(other) == hash(dic)
+        assert not other.exponents.flags.writeable
+        assert other.positions == dic.positions
+        np.testing.assert_array_equal(other.bounds, dic.bounds)
+        assert evaluate(other, X).tobytes() == vals.tobytes()
+    assert Dictionary.from_json(dic.to_json()) == dic
