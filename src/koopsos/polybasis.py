@@ -233,20 +233,17 @@ def _check_same_space(first: Dictionary, *others: Dictionary) -> None:
 
 
 def project(indices: Sequence[MultiIndex], coeffs: np.ndarray,
-            target: Dictionary, rtol: float = 0.0) -> np.ndarray:
+            target: Dictionary) -> np.ndarray:
     """Rows of coefficients over ``indices`` rewritten over target.
 
-    A coefficient whose index target lacks is dropped when it is at most
-    rtol * (1 + max |row|), as interpolation noise; a larger one raises
-    TargetTooSmall naming the indices.  With rtol 0 every nonzero must fit.
+    Every nonzero must fit: one whose index target lacks raises
+    TargetTooSmall naming the indices.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     lookup = target.positions
     pos = np.array([lookup.get(tuple(idx), -1) for idx in indices],
                    dtype=np.int64)
-    rows = coeffs.reshape(-1, pos.size)
-    tol = rtol * (1.0 + np.max(np.abs(rows), axis=1, initial=0.0))
-    spill = (np.abs(rows) > tol[:, None]) & (pos < 0)
+    spill = (coeffs.reshape(-1, pos.size) != 0) & (pos < 0)
     if spill.any():
         raise TargetTooSmall(tuple(indices[i])
                              for i in np.flatnonzero(spill.any(axis=0)))

@@ -9,10 +9,9 @@ Four systems are provided:
 
 Exact Lie derivatives are f . grad p for ODEs, p o F - p for the map and
 E[p(lam x (1 - x))] - p(x) for the stochastic map.  ``exact_lie_matrix``
-builds those of every element of a dictionary at once: for monomials from
-the polynomial products of ``polybasis.product_tensor`` (with E[lam^k] =
-4^k / (k + 1)), and for Chebyshev dictionaries by interpolating their values
-on one tensor Chebyshev grid.
+builds those of every element of a dictionary at once, by exact polynomial
+algebra in the dictionary's own family and box: derivatives, and products
+through ``polybasis.product_tensor``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ import numpy as np
 from . import _kernels
 from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary, Poly,
                         _check_same_space, evaluate, multiplication_matrix,
-                        poly_from_terms, product_expand, project,
-                        total_degree_dictionary)
+                        poly_from_terms, project, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 MAP_LYAP_2D = "MapLyap2D"
@@ -138,56 +136,96 @@ def _vector_field_terms(spec: SystemSpec) -> list[dict]:
     raise WrongSystemKind(f"{spec.id} has no polynomial vector field")
 
 
-def _product(p: Poly, q: Poly) -> Poly:
-    """p * q over the total-degree monomial dictionary that holds it."""
-    return product_expand(p, q, total_degree_dictionary(
-        MONOMIAL, p.basis.dimension, p.basis.max_degree + q.basis.max_degree))
+_LOGISTIC = {(1,): 1.0, (2,): -1.0}  # x (1 - x), before the factor lam
 
 
-def _monomial_lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
-    """Monomial Lie images of the elements of phi, as (E, rows over E).
+def _derivative_terms(family: str, a: int) -> list:
+    """(b, c) with d/dz of element a equal to sum c * element b: a z^(a-1),
+    or T_a' = sum of 2a T_b over b < a with a - b odd (a T_0 for b = 0)."""
+    if family == MONOMIAL:
+        return [(a - 1, float(a))] if a else []
+    return [(b, float(a if b == 0 else 2 * a)) for b in range(a - 1, -1, -2)]
 
-    ODEs: sum_j D_j M(f_j), with D_j the d/dx_j matrix from phi to the
-    degree-(deg phi - 1) dictionary u and M(f_j) multiplication by f_j from
-    u.  Maps: x^a goes to prod_j F_j^(a_j) - x^a, and the logistic x^k to
-    E[lam^k] (x - x^2)^k - x^k with E[lam^k] = 4^k / (k + 1).
+
+def _argument(terms: dict, j: int, phi: Dictionary) -> Poly:
+    """The j-th map component F_j, from its {monomial index: coefficient}
+    terms, in phi's coordinates: F_j, or (2 F_j - lo - hi) / (hi - lo)."""
+    lo, hi = phi.bounds[:, j]
+    a, b = ((1.0, 0.0) if phi.family == MONOMIAL
+            else (2.0 / (hi - lo), -(lo + hi) / (hi - lo)))
+    z = {idx: a * c for idx, c in terms.items()}
+    z[(0,) * phi.dimension] = z.get((0,) * phi.dimension, 0.0) + b
+    return poly_from_terms(z, phi.family, phi.box)
+
+
+def _composition_rows(phi: Dictionary, args: list, E: Dictionary
+                      ) -> np.ndarray:
+    """Rows over E of every element of phi with each coordinate j replaced
+    by args[j], by a recurrence over the index with its last nonzero
+    exponent a lowered and one multiplication matrix M_j from degree
+    deg E - 2 into E: Q_a = M_j Q_(a-1) for monomials, Q_1 = M_j Q_0 and
+    Q_a = 2 M_j Q_(a-1) - Q_(a-2) for Chebyshev."""
+    family, d = phi.family, phi.dimension
+    full = total_degree_dictionary(family, d, phi.max_degree, phi.box)
+    u = total_degree_dictionary(family, d, E.max_degree - 2, phi.box)
+    M = [multiplication_matrix(arg, u, E).T for arg in args]
+    pos = full.positions
+    Q = np.zeros((full.size, E.size))
+    Q[0, 0] = 1.0
+    # graded-lex order puts every lowered index before the index itself
+    for r, idx in enumerate(full.indices[1:], 1):
+        j = max(i for i, e in enumerate(idx) if e)
+        a = idx[j]
+        Q[r] = Q[pos[idx[:j] + (a - 1,) + idx[j + 1:]], :u.size] @ M[j]
+        if family == CHEBYSHEV and a >= 2:
+            Q[r] = 2.0 * Q[r] - Q[pos[idx[:j] + (a - 2,) + idx[j + 1:]]]
+    return Q[[pos[idx] for idx in phi.indices]]
+
+
+def _lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
+    """Lie images of the elements of phi as (E, rows over E), in phi's own
+    family and box.  ODEs: sum_j D_j M(f_j), with D_j the d/dx_j matrix
+    from phi to degree deg phi - 1 and M(f_j) multiplication by f_j.  Maps:
+    each element composed with F, minus itself; the logistic's expectation
+    over lam is E[lam^k] = 4^k / (k + 1) for monomials, and a Gauss-Legendre
+    rule with deg(phi)//2 + 1 nodes, exact at degree deg(phi), for Chebyshev.
     """
-    d, degp = spec.dimension, phi.max_degree
+    d, degp, family = spec.dimension, phi.max_degree, phi.family
     if spec.time_kind == CONTINUOUS:
-        f = [poly_from_terms(t) for t in _vector_field_terms(spec)]
-        u = total_degree_dictionary(MONOMIAL, d, max(degp - 1, 0))
+        f = [poly_from_terms(t, family, phi.box)
+             for t in _vector_field_terms(spec)]
+        u = total_degree_dictionary(family, d, max(degp - 1, 0), phi.box)
         E = total_degree_dictionary(
-            MONOMIAL, d, u.max_degree + max(fj.basis.max_degree for fj in f))
+            family, d, u.max_degree + max(fj.basis.max_degree for fj in f),
+            phi.box)
+        lo, hi = phi.bounds
         rows = 0.0
         for j, fj in enumerate(f):
             D = np.zeros((phi.size, u.size))
             for k, idx in enumerate(phi.indices):
-                if idx[j]:
-                    lower = idx[:j] + (idx[j] - 1,) + idx[j + 1:]
-                    D[k, u.positions[lower]] = idx[j]
+                for b, c in _derivative_terms(family, idx[j]):
+                    D[k, u.positions[idx[:j] + (b,) + idx[j + 1:]]] = c
+            if family == CHEBYSHEV:  # times dz_j/dx_j
+                D *= 2.0 / (hi[j] - lo[j])
             rows = rows + D @ multiplication_matrix(fj, u, E).T
         return E, rows
+    # at least degree 2, so that the multiplication matrices have a source
+    E = total_degree_dictionary(
+        family, d, max(lie_image_degree(spec, degp), 2), phi.box)
     if spec.id == MAP_LYAP_2D:
-        F = [poly_from_terms({(1, 0): 0.3}),
-             poly_from_terms({(1, 0): -1.0, (0, 1): 0.5, (2, 0): 7.0 / 18.0})]
-    else:  # stochastic logistic: x^k -> E[lam^k] (x - x^2)^k
-        F = [poly_from_terms({(1,): 1.0, (2,): -1.0})]
-    one = poly_from_terms({(0,) * d: 1.0})
-    powers = [[one] for _ in F]
-    for Fj, pw in zip(F, powers):
-        while len(pw) <= degp:
-            pw.append(_product(pw[-1], Fj))
-    E = total_degree_dictionary(MONOMIAL, d, lie_image_degree(spec, degp))
-    rows = np.zeros((phi.size, E.size))
-    for k, idx in enumerate(phi.indices):
-        term = powers[0][idx[0]]
-        for pw, e in zip(powers[1:], idx[1:]):
-            if e:
-                term = _product(term, pw[e])
-        moment = (1.0 if spec.id == MAP_LYAP_2D
-                  else 4.0 ** idx[0] / (idx[0] + 1))
-        rows[k] = moment * project(term.basis.indices, term.coeffs, E)
-        rows[k, E.position(idx)] -= 1.0
+        F = [{(1, 0): 0.3}, {(1, 0): -1.0, (0, 1): 0.5, (2, 0): 7.0 / 18.0}]
+        rows = _composition_rows(
+            phi, [_argument(Fj, j, phi) for j, Fj in enumerate(F)], E)
+    elif family == MONOMIAL:  # x^k -> E[lam^k] (x - x^2)^k
+        k = phi.exponents[:, 0]
+        rows = _composition_rows(phi, [_argument(_LOGISTIC, 0, phi)], E)
+        rows *= (4.0 ** k / (k + 1))[:, None]
+    else:  # lam = 4u with u uniform on [0, 1]
+        nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
+        rows = sum(wi * _composition_rows(phi, [_argument(
+            {idx: 4.0 * ui * c for idx, c in _LOGISTIC.items()}, 0, phi)], E)
+            for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0))
+    rows[np.arange(phi.size), [E.positions[idx] for idx in phi.indices]] -= 1.0
     return E, rows
 
 
@@ -202,63 +240,20 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
     """Matrix of the exact generator restricted to span(phi), over psi: row k
     holds the Lie image of phi[k], so the image of p = c . phi is
     ``c @ exact_lie_matrix(spec, phi, psi)``.  psi must share phi's family,
-    dimension and box, and hold every index of the images.
+    dimension and box, and hold every nonzero of the images.
 
-    Monomial images are exact products of monomial polynomials (see
-    ``_monomial_lie_rows``), and every nonzero must fit in psi.  Chebyshev
-    images have degree N = lie_image_degree(deg phi), so their values on the tensor
-    Chebyshev-Lobatto grid of N + 1 points per axis of phi's box fix them
-    exactly (Trefethen, Approximation Theory and Approximation Practice,
-    2013), and they are O(1) there, where monomial coefficients grow like
-    4^deg and cancel.  The logistic expectation is a Gauss-Legendre
-    quadrature in lam with deg(phi)//2 + 1 nodes, exact at degree deg(phi).
+    One construction serves both families: exact polynomial algebra in
+    phi's own basis (``_lie_rows``).  Only the derivative of an element, the
+    recurrence step, the box coordinates and the logistic's expectation over
+    lam depend on the family.  Chebyshev coefficients stay O(1) on the box,
+    where monomial ones grow like 4^deg and cancel, and on a centred box the
+    entries that x -> -x symmetry makes 0 are exactly 0.
     """
     if phi.dimension != spec.dimension:
         raise WrongSystemKind("dictionary dimension does not match system")
     _check_same_space(phi, psi)
-    if phi.family != CHEBYSHEV:
-        E, rows = _monomial_lie_rows(spec, phi)
-        return project(E.indices, rows, psi)
-    cheb = np.polynomial.chebyshev  # loaded on first use, not at import
-    d, degp = spec.dimension, phi.max_degree
-    N = max(lie_image_degree(spec, degp), 1)
-    zs = np.cos(np.pi * np.arange(N + 1) / N)
-    lo, hi = phi.bounds
-    grid = np.meshgrid(*[lo[j] + (zs + 1.0) * (hi[j] - lo[j]) / 2.0
-                         for j in range(d)], indexing="ij")
-    X = np.stack(grid, axis=-1).reshape(-1, d)
-    if spec.time_kind == CONTINUOUS:
-        # element k of phi is the unit tensor at its index, on a trailing axis
-        tensor = np.zeros((degp + 1,) * d + (phi.size,))
-        tensor[tuple(phi.exponents.T) + (np.arange(phi.size),)] = 1.0
-        vals = 0.0
-        for j, fj in enumerate(_vector_field_terms(spec)):
-            grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
-            for _ in range(d):  # each call turns one coefficient axis to
-                grad = cheb.chebval(zs, grad)  # grid; phi's axis ends first
-            vals = vals + grad.reshape(phi.size, -1) * sum(
-                c * np.prod(X ** np.array(i), 1) for i, c in fj.items())
-    elif spec.id == MAP_LYAP_2D:
-        vals = evaluate(phi, step_map(spec, X)) - evaluate(phi, X)
-    else:  # stochastic logistic: E[p(lam x (1-x))] - p(x), lam = 4u
-        nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
-        xs = X[:, :1]
-        vals = -evaluate(phi, X)
-        for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0):
-            vals = vals + wi * evaluate(phi, 4.0 * ui * xs * (1.0 - xs))
-    shape = (N + 1,) * d
-    rows = np.empty((phi.size,) + shape)
-    for k in range(phi.size):  # one fit per image: a joint fit moves bits
-        coeffs = vals[k].reshape(shape)
-        for axis in range(d):
-            moved = np.moveaxis(coeffs, axis, 0)
-            coeffs = np.moveaxis(cheb.chebfit(zs, moved.reshape(N + 1, -1), N)
-                                 .reshape(moved.shape), 0, axis)
-        rows[k] = coeffs
-    # interpolation noise, at most ~1e-14 of the largest coefficient, is
-    # dropped outside psi; a real spill raises
-    return project(list(np.ndindex(shape)), rows.reshape(phi.size, -1), psi,
-                   rtol=1e-13)
+    E, rows = _lie_rows(spec, phi)
+    return project(E.indices, rows, psi)
 
 
 def exact_lie_values(spec: SystemSpec, phi: Dictionary, X: np.ndarray

@@ -217,11 +217,12 @@ def test_project_drops_only_noise_outside_target():
     target = total_degree_dictionary(MONOMIAL, 1, 1)
     indices = [(0,), (1,), (2,)]
     rows = np.array([[1.0, 2.0, 0.0], [4.0, -1.0, 1e-14]])
-    np.testing.assert_array_equal(project(indices, rows, target, rtol=1e-13),
-                                  rows[:, :2])
     with pytest.raises(TargetTooSmall) as err:
-        project(indices, rows, target)  # rtol 0: every nonzero must fit
+        project(indices, rows, target)  # every nonzero must fit, 1e-14 too
     assert err.value.missing == [(2,)]
+    # an exact zero outside the target is all that is dropped
+    np.testing.assert_array_equal(project(indices, rows[0], target),
+                                  [1.0, 2.0])
     np.testing.assert_array_equal(
         project(indices, rows[0], total_degree_dictionary(MONOMIAL, 1, 3)),
         [1.0, 2.0, 0.0, 0.0])

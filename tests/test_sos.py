@@ -21,6 +21,7 @@ from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
 BOX = ((0.0, 1.0),)
 ONE_1D = poly_from_terms({(0,): 1.0}, CHEBYSHEV, BOX)
 ONE_2D = poly_from_terms({(0, 0): 1.0})
+BOX33 = ((-3.0, 3.0), (-3.0, 3.0))
 
 
 def _fixed_feasibility(c_poly, domain=None):
@@ -444,9 +445,10 @@ def _n_psd(problem):
     lambda: _vdp_exact_program(6), lambda: _vdp_exact_program(8),
     lambda: _vdp_exact_program(10), lambda: _vdp_exact_program(12),
     lambda: _vdp_exact_program(6, CIRCULAR_ORBIT),
-    _vdp_ball_program, _linear_lyapunov_program, _linear_posterior_program],
+    _vdp_ball_program, _linear_lyapunov_program, _linear_posterior_program,
+    lambda: _vdp_exact_program(10, family=CHEBYSHEV, box=BOX33)],
     ids=["vdp6", "vdp8", "vdp10", "vdp12", "circle_orbit6", "vdp8_ball",
-         "l1_phi", "c_fixed"])
+         "l1_phi", "c_fixed", "vdp_chebyshev"])
 def test_parity_split_keeps_the_optimum(make, monkeypatch):
     prog = make()
     tol = 1e-8
@@ -486,13 +488,10 @@ def _vdp_edmd_program():
     _vdp_edmd_program,
     lambda: _vdp_exact_program(6, g=poly_from_terms({(1, 0): 1.0,
                                                      (0, 2): 1.0})),
-    _logistic_interval_program,
-    lambda: _vdp_exact_program(8, family=CHEBYSHEV,
-                               box=((-3.0, 3.0), (-3.0, 3.0)))],
-    ids=["vdp_edmd", "odd_g", "odd_domain_weight", "vdp_chebyshev"])
+    _logistic_interval_program],
+    ids=["vdp_edmd", "odd_g", "odd_domain_weight"])
 def test_programs_without_symmetry_compile_unsplit(make, monkeypatch):
-    # a fitted L, an odd observable, an odd domain weight, and a Chebyshev
-    # Lie matrix whose parity-mismatched entries hold interpolation noise
+    # a fitted L, an odd observable and an odd domain weight
     prog = make()
     got = compile(prog).problem
     _no_split(monkeypatch)
@@ -500,6 +499,23 @@ def test_programs_without_symmetry_compile_unsplit(make, monkeypatch):
     assert got.blocks == ref.blocks
     for name in ("A", "b", "c"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+# Mean of x^2 + y^2 over the Van der Pol (mu = 0.1) limit cycle, from
+# scipy's DOP853 at rtol = atol = 1e-12 (perfbench/workloads.py,
+# vdp_limit_cycle_mean)
+LC = 4.0012495207
+
+
+@pytest.mark.parametrize("alpha", [12, 18])
+def test_chebyshev_exact_vdp_bound_reaches_the_limit_cycle(alpha):
+    # the exact Chebyshev Lie matrix is parity-exact, so the program splits
+    # into an even and an odd Gram block and solves at the default tolerance
+    sol = solve(compile(_vdp_exact_program(alpha, family=CHEBYSHEV,
+                                           box=BOX33)), tol=1e-8)
+    assert sol.status == "Optimal"
+    assert LC <= sol.scalar_values["bound"] <= LC + 5e-8
+    assert [kind for kind, _ in sol.sdp_blocks].count("psd") == 2
 
 
 def test_certificate_matches_gram_reconstruction_when_split():

@@ -22,6 +22,7 @@ from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
 BOX = ((0.0, 1.0),)
 BOX03 = ((0.0, 3.0), (0.0, 3.0))
 BOX22 = ((-2.0, 2.0), (-2.0, 2.0))
+BOX33 = ((-3.0, 3.0), (-3.0, 3.0))
 
 
 def _unit_poly(dictionary, idx):
@@ -390,12 +391,12 @@ def test_chebyshev_lie_values_match_pointwise(system, box, alpha):
 
 
 def _logistic_interpolated_lie(p, target):
-    """The 1-D logistic interpolation that the tensor Chebyshev path
-    generalizes, kept verbatim as the bit-level reference."""
+    """The logistic image of p from its values on a Chebyshev-Lobatto grid
+    of 2 deg p + 1 points: an independent construction, by interpolation."""
     degp = p.basis.max_degree
     N = max(2 * degp, 1)
     zs = np.cos(np.pi * np.arange(N + 1) / N)
-    lo, hi = (p.basis.box or ((0.0, 1.0),))[0]
+    lo, hi = (p.basis.box or ((-1.0, 1.0),))[0]
     xs = lo + (zs + 1.0) * (hi - lo) / 2.0
     nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
     u = (nodes + 1.0) / 2.0
@@ -418,21 +419,28 @@ def _logistic_interpolated_lie(p, target):
     return Poly(target, out)
 
 
+def _agrees(L, ref):
+    """L within 1e-13 of ref, relative to the largest entry of ref."""
+    assert np.max(np.abs(L - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("box", [BOX, None], ids=["box", "no-box"])
 @pytest.mark.parametrize("alpha", range(2, 15))
-def test_logistic_chebyshev_lie_matrix_bit_identical(alpha):
+def test_logistic_chebyshev_lie_matrix_agrees_with_interpolation(alpha, box):
+    # the algebra and the interpolation are two constructions of one matrix
     spec = SystemSpec(STOCHASTIC_LOGISTIC)
-    phi = total_degree_dictionary(CHEBYSHEV, 1, alpha, BOX)
-    psi = total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, BOX)
+    phi = total_degree_dictionary(CHEBYSHEV, 1, alpha, box)
+    psi = total_degree_dictionary(CHEBYSHEV, 1, 2 * alpha, box)
     ref = np.array([_logistic_interpolated_lie(_unit_poly(phi, idx),
                                                psi).coeffs
                     for idx in phi.indices])
-    np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
+    _agrees(exact_lie_matrix(spec, phi, psi), ref)
 
 
 def _tensor_interpolated_lie(spec, p, target):
-    """The tensor interpolation of one polynomial at a time, which the
-    whole-matrix pass runs for every element of phi at once, kept verbatim
-    as the bit-level reference."""
+    """The Lie image of p from its values on a tensor Chebyshev-Lobatto grid
+    of N + 1 points per axis, N the image degree: an independent
+    construction, by interpolation."""
     cheb = np.polynomial.chebyshev
     d, degp = spec.dimension, p.basis.max_degree
     N = max(lie_image_degree(spec, degp), 1)
@@ -474,19 +482,38 @@ def _tensor_interpolated_lie(spec, p, target):
     return Poly(target, out)
 
 
-@pytest.mark.parametrize("system,box,alpha", [
-    (VAN_DER_POL, BOX03, 16), (CIRCULAR_ORBIT, BOX22, 14),
-    (MAP_LYAP_2D, ((-1.0, 3.0), (-1.0, 3.0)), 12)],
-    ids=["vdp", "circle", "map-off-centre"])
-def test_chebyshev_lie_matrix_bit_identical(system, box, alpha):
+@pytest.mark.parametrize("system,box,alphas", [
+    (VAN_DER_POL, BOX33, range(4, 19)), (VAN_DER_POL, BOX03, range(4, 19)),
+    (CIRCULAR_ORBIT, BOX22, range(4, 15)), (MAP_LYAP_2D, BOX22, range(2, 7)),
+    (MAP_LYAP_2D, ((-1.0, 3.0), (-1.0, 3.0)), [12])],
+    ids=["vdp", "vdp-off-centre", "circle", "map", "map-off-centre"])
+def test_chebyshev_lie_matrix_agrees_with_interpolation(system, box, alphas):
     spec = SystemSpec(system)
-    phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, box)
-    psi = total_degree_dictionary(CHEBYSHEV, 2, lie_image_degree(spec, alpha),
-                                  box)
-    ref = np.array([_tensor_interpolated_lie(spec, _unit_poly(phi, idx),
-                                             psi).coeffs
-                    for idx in phi.indices])
-    np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi), ref)
+    for alpha in alphas:
+        phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, box)
+        psi = total_degree_dictionary(
+            CHEBYSHEV, 2, lie_image_degree(spec, alpha), box)
+        ref = np.array([_tensor_interpolated_lie(spec, _unit_poly(phi, idx),
+                                                 psi).coeffs
+                        for idx in phi.indices])
+        _agrees(exact_lie_matrix(spec, phi, psi), ref)
+
+
+@pytest.mark.parametrize("system,box,alphas", [
+    (VAN_DER_POL, BOX33, range(4, 19)), (CIRCULAR_ORBIT, BOX22, range(4, 15))],
+    ids=["vdp", "circle"])
+def test_chebyshev_lie_matrix_parity_is_exact(system, box, alphas):
+    # on a centred box x -> -x is z -> -z, and T_a(-z) = (-1)^a T_a(z); an
+    # odd vector field keeps the parity of each element, so every entry
+    # between elements of opposite parity is exactly 0, as the parity split
+    # of sos.compile needs
+    spec = SystemSpec(system)
+    for alpha in alphas:
+        phi = total_degree_dictionary(CHEBYSHEV, 2, alpha, box)
+        psi = total_degree_dictionary(CHEBYSHEV, 2, alpha + 2, box)
+        odd_phi, odd_psi = (dic.exponents.sum(axis=1) % 2 for dic in (phi, psi))
+        L = exact_lie_matrix(spec, phi, psi)
+        assert not L[odd_phi[:, None] != odd_psi].any()
 
 
 def test_chebyshev_lie_spill_names_the_missing_indices():
