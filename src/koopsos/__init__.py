@@ -9,7 +9,7 @@ long-time averages, without ever identifying a dynamical model.
 __version__ = "0.1.0"
 
 from .polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, evaluate,
-                        inclusion_matrix, product_expand, product_tensor,
+                        inclusion_matrix, product_tensor,
                         total_degree_dictionary)
 from .snapshots import SnapshotSet, empirical_average, load_csv, save_csv
 from .systems import (SystemSpec, exact_lie_matrix, integrate_ode,

@@ -22,7 +22,7 @@ from . import sos
 from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
 from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
-                        poly_from_terms)
+                        total_degree_dictionary)
 from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .snapshots import GENERATOR, KOOPMAN
 from .systems import CIRCULAR_ORBIT, SystemSpec, sample_snapshots
@@ -158,7 +158,9 @@ def ergodic_bound(direction: str, g: Poly, lie_matrix: np.ndarray,
     """
     if direction not in ("upper", "lower"):
         raise ValueError("direction must be 'upper' or 'lower'")
-    one = poly_from_terms({(0,) * phi.dimension: 1.0}, phi.family, phi.box)
+    # 1 is the degree-0 element of both families
+    one = Poly(total_degree_dictionary(phi.family, phi.dimension, 0, phi.box),
+               [1.0])
     sign = -1.0 if direction == "upper" else 1.0
     # upper: c = U - g, Lie term -LV; lower: c = g - L, Lie term +LV
     con = sos.InequalityConstraint(

@@ -12,7 +12,9 @@ dictionary may carry one too, which does not change its values.
 Polynomials are coefficient vectors over a dictionary.  Every product goes
 through one set of structure constants, ``product_tensor``, and ``project``
 rewrites coefficients over a target dictionary, raising ``TargetTooSmall``
-when they do not fit.
+when they do not fit.  Every substitution goes through ``compose``: a map's
+image p o F and a change of basis, which is p with the coordinates written
+in the new basis (``monomial_to_cheb``).
 """
 
 from __future__ import annotations
@@ -355,16 +357,6 @@ def product_tensor(u: Dictionary, w: Dictionary, target: Dictionary
     return T.reshape(target.size, u.size, w.size)
 
 
-def product_expand(p: Poly, q: Poly, target: Dictionary) -> Poly:
-    """Coefficients of p*q in target; only its nonzero ones must fit."""
-    _check_same_space(p.basis, q.basis, target)
-    full = total_degree_dictionary(
-        p.basis.family, p.basis.dimension,
-        p.basis.max_degree + q.basis.max_degree, p.basis.box)
-    coeffs = product_tensor(p.basis, q.basis, full) @ q.coeffs @ p.coeffs
-    return Poly(target, project(full.indices, coeffs, target))
-
-
 def multiplication_matrix(p: Poly, u: Dictionary, target: Dictionary
                           ) -> np.ndarray:
     """(|target|, |u|) coefficients of p * u_i over target."""
@@ -372,45 +364,70 @@ def multiplication_matrix(p: Poly, u: Dictionary, target: Dictionary
                         axes=([0], [1]))
 
 
-# -- monomial to Chebyshev conversion ------------------------------------------
+# -- substitution --------------------------------------------------------------
 
-def _cheb_to_mono_matrix(deg: int) -> np.ndarray:
-    """M[k, j]: coefficient of z^j in T_k(z)."""
-    M = np.zeros((deg + 1, deg + 1))
-    M[0, 0] = 1.0
-    if deg >= 1:
-        M[1, 1] = 1.0
-    for k in range(2, deg + 1):
-        M[k, 1:] += 2.0 * M[k - 1, :-1]
-        M[k, :] -= M[k - 2, :]
-    return M
+def compose(src: Dictionary, args: Sequence[Poly], target: Dictionary
+            ) -> np.ndarray:
+    """(|src|, |target|) rows over target of every element of src with each
+    state coordinate x_j replaced by args[j], a Poly over target's family and
+    box.  A Chebyshev src first takes each argument to its own box
+    coordinate, (2 args[j] - lo - hi) / (hi - lo).
 
-
-def _affine_power_matrix(deg: int, a: float, b: float) -> np.ndarray:
-    """S[k, j]: coefficient of u^j in (a*u + b)^k."""
-    S = np.zeros((deg + 1, deg + 1))
-    for k in range(deg + 1):
-        for j in range(k + 1):
-            S[k, j] = math.comb(k, j) * (a ** j) * (b ** (k - j))
-    return S
+    A recurrence over the index with its last nonzero exponent a lowered,
+    with one multiplication matrix M_j from degree deg E - max deg args into
+    E: Q_a = M_j Q_(a-1) for monomials, Q_1 = M_j Q_0 and
+    Q_a = 2 M_j Q_(a-1) - Q_(a-2) for Chebyshev.  E is the total-degree
+    dictionary of target's family and box that holds every image; only its
+    nonzeros must fit target.
+    """
+    if len(args) != src.dimension:
+        raise DimensionMismatch(
+            f"{len(args)} arguments for {src.dimension} coordinates")
+    if src.family == CHEBYSHEV:
+        lo, hi = src.bounds
+        zs = []
+        for j, arg in enumerate(args):
+            z = arg.coeffs * (2.0 / (hi[j] - lo[j]))
+            z[arg.basis.position((0,) * arg.basis.dimension)] -= (
+                (lo[j] + hi[j]) / (hi[j] - lo[j]))
+            zs.append(Poly(arg.basis, z))
+        args = zs
+    degs = [arg.basis.max_degree for arg in args]
+    image = int((src.exponents @ degs).max(initial=0))
+    E = total_degree_dictionary(target.family, target.dimension,
+                                max(target.max_degree, image, *degs),
+                                target.box)
+    u = total_degree_dictionary(target.family, target.dimension,
+                                E.max_degree - max(degs), target.box)
+    M = [multiplication_matrix(arg, u, E).T for arg in args]
+    full = total_degree_dictionary(src.family, src.dimension, src.max_degree,
+                                   src.box)
+    pos = full.positions
+    Q = np.zeros((full.size, E.size))
+    Q[0, 0] = 1.0
+    # graded-lex order puts every lowered index before the index itself
+    for r, idx in enumerate(full.indices[1:], 1):
+        j = max(i for i, e in enumerate(idx) if e)
+        a = idx[j]
+        Q[r] = Q[pos[idx[:j] + (a - 1,) + idx[j + 1:]], :u.size] @ M[j]
+        if src.family == CHEBYSHEV and a >= 2:
+            Q[r] = 2.0 * Q[r] - Q[pos[idx[:j] + (a - 2,) + idx[j + 1:]]]
+    return project(E.indices, Q[[pos[idx] for idx in src.indices]], target)
 
 
 def monomial_to_cheb(p: Poly, target: Dictionary) -> Poly:
-    """Express a monomial-basis polynomial in a Chebyshev target dictionary.
-
-    Per axis of the coefficient tensor of p, x = ((hi - lo) z + lo + hi) / 2
-    goes to powers of z, and the powers of z go to T_k.
-    """
+    """Express a monomial-basis polynomial in a Chebyshev target dictionary:
+    p composed with x_j = ((hi - lo) T_1(z_j) + lo + hi) / 2."""
     if p.basis.family != MONOMIAL or target.family != CHEBYSHEV:
         raise DimensionMismatch("expects monomial source and chebyshev target")
-    expo = p.basis.exponents
-    degs = expo.max(axis=0).tolist()
-    tensor = np.zeros([dg + 1 for dg in degs])
-    tensor[tuple(expo.T)] += p.coeffs
-    for axis, (deg, lo, hi) in enumerate(zip(degs, *target.bounds.tolist())):
-        S = _affine_power_matrix(deg, (hi - lo) / 2.0, (lo + hi) / 2.0)
-        Minv = np.linalg.solve(_cheb_to_mono_matrix(deg).T, np.eye(deg + 1))
-        tensor = np.moveaxis(np.tensordot(
-            tensor, S @ Minv.T, axes=([axis], [0])), -1, axis)
-    return Poly(target, project(list(np.ndindex(*tensor.shape)),
-                                tensor.ravel(), target))
+    d = target.dimension
+    line = total_degree_dictionary(CHEBYSHEV, d, 1, target.box)
+    lo, hi = target.bounds
+    coords = []
+    for j in range(d):
+        c = np.zeros(line.size)
+        c[0], c[1 + j] = (lo[j] + hi[j]) / 2.0, (hi[j] - lo[j]) / 2.0
+        coords.append(Poly(line, c))
+    E = total_degree_dictionary(CHEBYSHEV, d, p.basis.max_degree, target.box)
+    coeffs = p.coeffs @ compose(p.basis, coords, E)
+    return Poly(target, project(E.indices, coeffs, target))

@@ -10,8 +10,9 @@ Four systems are provided:
 Exact Lie derivatives are f . grad p for ODEs, p o F - p for the map and
 E[p(lam x (1 - x))] - p(x) for the stochastic map.  ``exact_lie_matrix``
 builds those of every element of a dictionary at once, by exact polynomial
-algebra in the dictionary's own family and box: derivatives, and products
-through ``polybasis.product_tensor``.
+algebra in the dictionary's own family and box: derivatives and products
+through ``polybasis.product_tensor`` for the ODEs, and substitution through
+``polybasis.compose`` for the maps.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary, Poly,
-                        _check_same_space, evaluate, multiplication_matrix,
-                        poly_from_terms, project, total_degree_dictionary)
+from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary,
+                        _check_same_space, compose, evaluate,
+                        multiplication_matrix, poly_from_terms, project,
+                        total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 MAP_LYAP_2D = "MapLyap2D"
@@ -147,41 +149,6 @@ def _derivative_terms(family: str, a: int) -> list:
     return [(b, float(a if b == 0 else 2 * a)) for b in range(a - 1, -1, -2)]
 
 
-def _argument(terms: dict, j: int, phi: Dictionary) -> Poly:
-    """The j-th map component F_j, from its {monomial index: coefficient}
-    terms, in phi's coordinates: F_j, or (2 F_j - lo - hi) / (hi - lo)."""
-    lo, hi = phi.bounds[:, j]
-    a, b = ((1.0, 0.0) if phi.family == MONOMIAL
-            else (2.0 / (hi - lo), -(lo + hi) / (hi - lo)))
-    z = {idx: a * c for idx, c in terms.items()}
-    z[(0,) * phi.dimension] = z.get((0,) * phi.dimension, 0.0) + b
-    return poly_from_terms(z, phi.family, phi.box)
-
-
-def _composition_rows(phi: Dictionary, args: list, E: Dictionary
-                      ) -> np.ndarray:
-    """Rows over E of every element of phi with each coordinate j replaced
-    by args[j], by a recurrence over the index with its last nonzero
-    exponent a lowered and one multiplication matrix M_j from degree
-    deg E - 2 into E: Q_a = M_j Q_(a-1) for monomials, Q_1 = M_j Q_0 and
-    Q_a = 2 M_j Q_(a-1) - Q_(a-2) for Chebyshev."""
-    family, d = phi.family, phi.dimension
-    full = total_degree_dictionary(family, d, phi.max_degree, phi.box)
-    u = total_degree_dictionary(family, d, E.max_degree - 2, phi.box)
-    M = [multiplication_matrix(arg, u, E).T for arg in args]
-    pos = full.positions
-    Q = np.zeros((full.size, E.size))
-    Q[0, 0] = 1.0
-    # graded-lex order puts every lowered index before the index itself
-    for r, idx in enumerate(full.indices[1:], 1):
-        j = max(i for i, e in enumerate(idx) if e)
-        a = idx[j]
-        Q[r] = Q[pos[idx[:j] + (a - 1,) + idx[j + 1:]], :u.size] @ M[j]
-        if family == CHEBYSHEV and a >= 2:
-            Q[r] = 2.0 * Q[r] - Q[pos[idx[:j] + (a - 2,) + idx[j + 1:]]]
-    return Q[[pos[idx] for idx in phi.indices]]
-
-
 def _lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
     """Lie images of the elements of phi as (E, rows over E), in phi's own
     family and box.  ODEs: sum_j D_j M(f_j), with D_j the d/dx_j matrix
@@ -209,21 +176,22 @@ def _lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
                 D *= 2.0 / (hi[j] - lo[j])
             rows = rows + D @ multiplication_matrix(fj, u, E).T
         return E, rows
-    # at least degree 2, so that the multiplication matrices have a source
-    E = total_degree_dictionary(
-        family, d, max(lie_image_degree(spec, degp), 2), phi.box)
+    E = total_degree_dictionary(family, d, lie_image_degree(spec, degp),
+                                phi.box)
     if spec.id == MAP_LYAP_2D:
         F = [{(1, 0): 0.3}, {(1, 0): -1.0, (0, 1): 0.5, (2, 0): 7.0 / 18.0}]
-        rows = _composition_rows(
-            phi, [_argument(Fj, j, phi) for j, Fj in enumerate(F)], E)
+        rows = compose(
+            phi, [poly_from_terms(Fj, family, phi.box) for Fj in F], E)
     elif family == MONOMIAL:  # x^k -> E[lam^k] (x - x^2)^k
         k = phi.exponents[:, 0]
-        rows = _composition_rows(phi, [_argument(_LOGISTIC, 0, phi)], E)
+        rows = compose(phi, [poly_from_terms(_LOGISTIC, family, phi.box)], E)
         rows *= (4.0 ** k / (k + 1))[:, None]
     else:  # lam = 4u with u uniform on [0, 1]
         nodes, wts = np.polynomial.legendre.leggauss(degp // 2 + 1)
-        rows = sum(wi * _composition_rows(phi, [_argument(
-            {idx: 4.0 * ui * c for idx, c in _LOGISTIC.items()}, 0, phi)], E)
+        rows = sum(
+            wi * compose(phi, [poly_from_terms(
+                {idx: 4.0 * ui * c for idx, c in _LOGISTIC.items()},
+                family, phi.box)], E)
             for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0))
     rows[np.arange(phi.size), [E.positions[idx] for idx in phi.indices]] -= 1.0
     return E, rows
@@ -285,7 +253,8 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
     in bounds), ``limit_cycle`` (x_i on the unit circle at angles i*tau,
     CircularOrbit only).  For ``generator`` kind the y rows hold exact Lie
     derivative values of each element of phi at x_i.  A given x0 must hold
-    ``spec.dimension`` numbers; a wrong one raises ``ValueError``.
+    ``spec.dimension`` numbers, and bounds one finite (lo, hi) pair with
+    lo < hi per coordinate; a wrong one raises ``ValueError``.
 
     The set's times are the grid t_i = i dt, kept as the step dt and built
     when ``t`` is read: dt is 0 for ``iid_uniform_box``, 1 for map and
@@ -347,9 +316,16 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
     elif mode == "iid_uniform_box":
         if bounds is None:
             raise ValueError("iid_uniform_box sampling requires bounds")
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        X = rng.uniform(lo, hi, size=(n, spec.dimension))
+        try:
+            box = np.asarray(bounds, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            box = np.empty(0)
+        if (box.shape != (spec.dimension, 2) or not np.isfinite(box).all()
+                or not (box[:, 0] < box[:, 1]).all()):
+            raise ValueError(
+                f"bounds must hold one finite (lo, hi) pair with lo < hi per "
+                f"coordinate of {spec.id}, got {bounds!r}")
+        X = rng.uniform(box[:, 0], box[:, 1], size=(n, spec.dimension))
         dt = 0.0
         if spec.id == MAP_LYAP_2D:
             Y = step_map(spec, X)

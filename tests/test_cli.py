@@ -247,9 +247,20 @@ def test_lyapunov_then_verify(tmp_path, capsys):
     ({"n": 0}, "nonempty"),
     ({"tau": -1}, "tau must be positive"),
     ({"mode": "iid_uniform_box"}, "requires bounds"),
+    ({"mode": "iid_uniform_box", "bounds": [[-2, 2]]}, "bounds must hold"),
+    ({"mode": "iid_uniform_box", "bounds": [[-2, float("inf")], [-2, 2]]},
+     "bounds must hold"),
+    ({"mode": "iid_uniform_box", "bounds": [[2, -2], [-2, 2]]},
+     "bounds must hold"),
+    ({"mode": "iid_uniform_box", "bounds": {"lo": -2, "hi": 2}},
+     "bounds must hold"),
+    ({"mode": "iid_uniform_box", "bounds": [[-2, 2], [-2]]},
+     "bounds must hold"),
     ({"x0": [1, 2, 3]}, "x0 must hold 2 numbers"),
     ({"x0": [1]}, "x0 must hold 2 numbers"),
-], ids=["mode", "n", "tau", "bounds", "x0-long", "x0-short"])
+], ids=["mode", "n", "tau", "bounds", "bounds-short", "bounds-infinite",
+        "bounds-reversed", "bounds-not-pairs", "bounds-ragged", "x0-long",
+        "x0-short"])
 def test_sampling_error_is_config_error(tmp_path, capsys, sampling, message):
     cfg = _write(tmp_path, "bound.json", {
         "system": "VanDerPol",

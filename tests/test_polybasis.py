@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from koopsos import _kernels
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
                                DimensionMismatch, Poly, SmallNotContained,
-                               TargetTooSmall, evaluate, grlex_key,
+                               TargetTooSmall, compose, evaluate, grlex_key,
                                inclusion_matrix, monomial_to_cheb,
-                               norm_squared, poly_from_terms,
-                               product_expand, product_tensor, project,
+                               multiplication_matrix, norm_squared,
+                               poly_from_terms, product_tensor, project,
                                total_degree_dictionary)
 
 BOX1 = ((-1.0, 1.0),)
@@ -148,28 +148,19 @@ def test_product_tensor_checks_target_and_spaces():
 
 
 def test_product_one_minus_x_squared():
+    line = total_degree_dictionary(MONOMIAL, 1, 1)
     dic = total_degree_dictionary(MONOMIAL, 1, 2)
-    one_plus = Poly(dic, np.array([1.0, 1.0, 0.0]))
-    one_minus = Poly(dic, np.array([1.0, -1.0, 0.0]))
-    prod = product_expand(one_plus, one_minus, dic)
-    np.testing.assert_allclose(prod.coeffs, [1.0, 0.0, -1.0], atol=1e-15)
+    one_plus = Poly(line, np.array([1.0, 1.0]))
+    prod = multiplication_matrix(one_plus, line, dic) @ [1.0, -1.0]
+    np.testing.assert_allclose(prod, [1.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_product_target_too_small():
+    line = total_degree_dictionary(MONOMIAL, 1, 1)
     dic = total_degree_dictionary(MONOMIAL, 1, 2)
-    x = Poly(dic, np.array([0.0, 1.0, 0.0]))
-    sq = Poly(dic, np.array([0.0, 0.0, 1.0]))
+    x = Poly(line, np.array([0.0, 1.0]))
     with pytest.raises(TargetTooSmall):
-        product_expand(x, sq, dic)
-
-
-def test_product_expand_ignores_zero_terms_outside_target():
-    # x^2 is in the basis of both factors, but with coefficient 0
-    dic = total_degree_dictionary(MONOMIAL, 1, 2)
-    one = Poly(dic, np.array([1.0, 0.0, 0.0]))
-    x = Poly(dic, np.array([0.0, 1.0, 0.0]))
-    np.testing.assert_array_equal(product_expand(x, one, dic).coeffs,
-                                  x.coeffs)
+        multiplication_matrix(x, dic, dic)
 
 
 @given(st.data())
@@ -189,7 +180,7 @@ def test_product_evaluation_property(data):
     cq = np.array(data.draw(st.lists(
         st.floats(-2, 2), min_size=dic.size, max_size=dic.size)))
     p, q = Poly(dic, cp), Poly(dic, cq)
-    prod = product_expand(p, q, target)
+    prod = Poly(target, multiplication_matrix(p, dic, target) @ cq)
     lo, hi = np.array(box or ((-1.0, 1.0),) * d).T
     X = np.random.default_rng(0).uniform(lo, hi, size=(25, d))
     np.testing.assert_allclose(prod(X), p(X) * q(X), atol=1e-10, rtol=1e-10)
@@ -211,6 +202,61 @@ def test_monomial_to_cheb_respects_box():
     xs = np.linspace(0.0, 2.0, 11)[:, None]
     np.testing.assert_allclose(monomial_to_cheb(p, cheb)(xs), p(xs),
                                atol=1e-12)
+
+
+LOGISTIC_RATE = 3.2
+MAP_BOX = ((-1.0, 3.0), (-1.0, 3.0))
+
+
+@pytest.mark.parametrize("src, terms, target, F", [
+    (total_degree_dictionary(MONOMIAL, 2, 5),
+     [{(1, 0): 1.0}, {(0, 1): 1.0}],
+     total_degree_dictionary(CHEBYSHEV, 2, 5, ((0.0, 2.0), (-3.0, 0.5))),
+     lambda X: X),
+    (total_degree_dictionary(CHEBYSHEV, 2, 4, MAP_BOX),
+     [{(1, 0): 0.3}, {(1, 0): -1.0, (0, 1): 0.5, (2, 0): 7.0 / 18.0}],
+     total_degree_dictionary(CHEBYSHEV, 2, 8, MAP_BOX),
+     lambda X: np.column_stack([0.3 * X[:, 0], -X[:, 0] + 0.5 * X[:, 1]
+                                + 7.0 / 18.0 * X[:, 0] ** 2])),
+    (total_degree_dictionary(CHEBYSHEV, 1, 6, ((0.0, 1.0),)),
+     [{(1,): LOGISTIC_RATE, (2,): -LOGISTIC_RATE}],
+     total_degree_dictionary(CHEBYSHEV, 1, 12, ((0.0, 1.0),)),
+     lambda X: LOGISTIC_RATE * X * (1.0 - X)),
+], ids=["monomial-in-chebyshev-coordinates", "chebyshev-map2d-off-centre",
+        "chebyshev-logistic"])
+def test_compose_matches_pointwise_substitution(src, terms, target, F):
+    # row k of compose is src[k] o F over target: at any point of the box,
+    # the target values weighted by the row are src[k] evaluated at F(x)
+    args = [poly_from_terms(t, target.family, target.box) for t in terms]
+    rows = compose(src, args, target)
+    assert rows.shape == (src.size, target.size)
+    lo, hi = target.bounds
+    X = np.random.default_rng(5).uniform(lo, hi, size=(40, target.dimension))
+    expected = evaluate(src, F(X))
+    np.testing.assert_allclose(rows @ evaluate(target, X), expected,
+                               atol=1e-11 * np.abs(expected).max())
+
+
+def test_compose_target_must_hold_every_image():
+    # x^2 composed with x needs degree 2; only the nonzeros must fit
+    line = total_degree_dictionary(MONOMIAL, 1, 1)
+    x = poly_from_terms({(1,): 1.0}, deg=1)
+    np.testing.assert_array_equal(compose(line, [x], line), np.eye(2))
+    with pytest.raises(TargetTooSmall):
+        compose(total_degree_dictionary(MONOMIAL, 1, 2), [x], line)
+    with pytest.raises(DimensionMismatch):
+        compose(total_degree_dictionary(MONOMIAL, 2, 1), [x], line)
+
+
+def test_monomial_to_cheb_closed_forms_on_unit_interval():
+    # on [0, 1], x = (T_0 + T_1) / 2 and x - x^2 = (T_0 - T_2) / 8 with
+    # T_k of z = 2 x - 1, exactly
+    mono = total_degree_dictionary(MONOMIAL, 1, 2)
+    cheb = total_degree_dictionary(CHEBYSHEV, 1, 2, ((0.0, 1.0),))
+    g = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, 0.0])), cheb)
+    s = monomial_to_cheb(Poly(mono, np.array([0.0, 1.0, -1.0])), cheb)
+    np.testing.assert_array_equal(g.coeffs, [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(s.coeffs, [0.125, 0.0, -0.125])
 
 
 def test_project_drops_only_noise_outside_target():
