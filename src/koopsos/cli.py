@@ -21,8 +21,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, reference_values
 from .auxfn import (circular_orbit_casestudy, ergodic_bound, find_lyapunov,
                     posterior_verify)
@@ -32,8 +30,9 @@ from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
 from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, check_options
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
 from .sos import SemialgebraicSet
-from .systems import (STOCHASTIC_LOGISTIC, SystemSpec, exact_lie_matrix,
-                      lie_image_degree, make_rng, sample_snapshots)
+from .systems import (STOCHASTIC_LOGISTIC, SystemSpec, _finite_array,
+                      exact_lie_matrix, lie_image_degree, make_rng,
+                      sample_snapshots)
 
 EXIT_OK = 0
 EXIT_NONOPTIMAL = 1
@@ -159,7 +158,7 @@ def _sample(cfg, spec: SystemSpec, kind: str = KOOPMAN, phi=None):
     try:
         return sample_snapshots(spec, mode, tau, n, rng=make_rng(seed),
                                 snapshot_kind=kind, x0=sec.get("x0"),
-                                bounds=sec.get("bounds"), phi=phi, seed=seed)
+                                bounds=sec.get("bounds"), phi=phi)
     except ValueError as exc:  # SnapshotFormatError is a ValueError
         raise ConfigError(f"sampling: {exc}") from None
 
@@ -190,9 +189,15 @@ def _stamp(cfg, payload: dict) -> dict:
     return payload
 
 
-def _write_json(cfg, payload: dict, default_name: str) -> Path:
-    path = Path(cfg.get("output", {}).get("path", default_name))
+def _output_path(path: str | None, default_name: str) -> Path:
+    """path (default_name if unset), with its parent directory made."""
+    path = Path(path or default_name)
     path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_json(cfg, payload: dict, default_name: str) -> Path:
+    path = _output_path(cfg.get("output", {}).get("path"), default_name)
     path.write_text(json.dumps(_stamp(cfg, payload), indent=2))
     return path
 
@@ -207,10 +212,8 @@ def _verdict(status: str, reason: str | None) -> str:
 def cmd_simulate(cfg) -> int:
     spec = _system(cfg)
     data = _sample(cfg, spec)
-    path = Path(cfg.get("output", {}).get("path", "snapshots.csv"))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data.metadata["config_hash"] = config_hash(cfg)
-    data.metadata["version"] = __version__
+    _stamp(cfg, data.metadata)
+    path = _output_path(cfg.get("output", {}).get("path"), "snapshots.csv")
     save_csv(data, path)
     print(f"wrote {data.n} snapshots to {path}")
     return EXIT_OK
@@ -322,12 +325,9 @@ def cmd_verify(cfg) -> int:
     except json.JSONDecodeError:
         data = None
     phi, psi = _dictionaries(cfg, spec)
-    coeffs = data.get("V_coeffs") if isinstance(data, dict) else None
-    try:
-        coeffs = np.array(coeffs, dtype=float)  # None gives a 0-d NaN
-    except (TypeError, ValueError):  # non-numeric strings, ragged lists
-        coeffs = np.array(np.nan)
-    if coeffs.shape != (phi.size,) or not np.isfinite(coeffs).all():
+    coeffs = _finite_array(data.get("V_coeffs") if isinstance(data, dict)
+                           else None, (phi.size,))
+    if coeffs is None:
         raise ConfigError(f"output.path {result_path} holds no finite "
                           f"V_coeffs of length {phi.size}, the size of the "
                           f"config's phi dictionary")
@@ -457,8 +457,7 @@ def cmd_reproduce(table_id: str, out: str | None) -> int:
     if table_id not in _TABLES:
         raise ConfigError(f"unknown table {table_id!r}; choose from "
                           f"{sorted(_TABLES)}")
-    out_path = Path(out or f"{table_id}.csv")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _output_path(out, f"{table_id}.csv")
     rows = []
 
     def writer(row):

@@ -189,8 +189,9 @@ def _pass_buffer(rows: int, cols: int) -> np.ndarray:
 
     On the heap, each pass's buffer left a hole that the next, larger pass's
     buffer did not fit, and numpy advises huge pages for arrays this large,
-    so the kernel could later fill such a hole in: peak RSS of the logistic
-    benchmark rose by 10 MB in 8 of 18 runs.
+    so the kernel could later fill such a hole in.  With ``np.empty`` the
+    vdp_edmd benchmark (alpha = 10 buffer 91 x 65537 doubles, 47.7 MB)
+    peaked at 159.2 MB, not 138.3; a 1-D buffer (1.9 MB) pays ~1.4 MB.
     """
     size = rows * cols
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8, **_MAP_FLAGS),

@@ -10,11 +10,13 @@ so that downstream code cannot silently mix incompatible domains; a monomial
 dictionary may carry one too, which does not change its values.
 
 Polynomials are coefficient vectors over a dictionary.  Every product goes
-through one set of structure constants, ``product_tensor``, and ``project``
-rewrites coefficients over a target dictionary, raising ``TargetTooSmall``
-when they do not fit.  Every substitution goes through ``compose``: a map's
-image p o F and a change of basis, which is p with the coordinates written
-in the new basis (``monomial_to_cheb``).
+through one set of structure constants, ``product_tensor``.  Every placement
+goes through ``project``, which rewrites coefficients over a target
+dictionary and raises ``TargetTooSmall``, naming each missing index, when
+they do not fit; the inclusion matrix Theta is the identity placed by it.
+Every substitution goes through ``compose``: a map's image p o F and a
+change of basis, which is p with the coordinates written in the new basis
+(``monomial_to_cheb``).
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ MultiIndex = tuple[int, ...]
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class SmallNotContained(ValueError):
-    """An index of the small dictionary is missing from the big one."""
 
 
 class TargetTooSmall(ValueError):
@@ -132,13 +130,6 @@ class Dictionary:
         table = np.array(box, dtype=float).T
         table.flags.writeable = False
         return table
-
-    def position(self, idx: MultiIndex) -> int:
-        try:
-            return self.positions[tuple(idx)]
-        except KeyError:
-            raise ValueError(f"index {tuple(idx)} is not in the dictionary"
-                             ) from None
 
     def to_json(self) -> str:
         payload = {
@@ -245,25 +236,18 @@ def project(indices: Sequence[MultiIndex], coeffs: np.ndarray,
     lookup = target.positions
     pos = np.array([lookup.get(tuple(idx), -1) for idx in indices],
                    dtype=np.int64)
-    spill = (coeffs.reshape(-1, pos.size) != 0) & (pos < 0)
+    spill = ((coeffs != 0) & (pos < 0)).any(axis=tuple(range(coeffs.ndim - 1)))
     if spill.any():
-        raise TargetTooSmall(tuple(indices[i])
-                             for i in np.flatnonzero(spill.any(axis=0)))
+        raise TargetTooSmall(tuple(indices[i]) for i in np.flatnonzero(spill))
     out = np.zeros(coeffs.shape[:-1] + (target.size,))
     out[..., pos[pos >= 0]] = coeffs[..., pos >= 0]
     return out
 
 
 def inclusion_matrix(small: Dictionary, big: Dictionary) -> np.ndarray:
-    """0/1 selection matrix Theta with small(x) = Theta @ big(x) for all x."""
+    """Theta with small(x) = Theta @ big(x): the identity placed onto big."""
     _check_same_space(small, big)
-    theta = np.zeros((small.size, big.size))
-    lookup = big.positions
-    for i, idx in enumerate(small.indices):
-        if idx not in lookup:
-            raise SmallNotContained(f"index {idx} not present in big dictionary")
-        theta[i, lookup[idx]] = 1.0
-    return theta
+    return project(small.indices, np.eye(small.size), big)
 
 
 @dataclass(frozen=True)
@@ -387,9 +371,9 @@ def compose(src: Dictionary, args: Sequence[Poly], target: Dictionary
         lo, hi = src.bounds
         zs = []
         for j, arg in enumerate(args):
+            shift = (lo[j] + hi[j]) / (hi[j] - lo[j])
             z = arg.coeffs * (2.0 / (hi[j] - lo[j]))
-            z[arg.basis.position((0,) * arg.basis.dimension)] -= (
-                (lo[j] + hi[j]) / (hi[j] - lo[j]))
+            z -= project([(0,) * arg.basis.dimension], [shift], arg.basis)
             zs.append(Poly(arg.basis, z))
         args = zs
     degs = [arg.basis.max_degree for arg in args]

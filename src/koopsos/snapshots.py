@@ -133,13 +133,7 @@ def load_csv(path: str | Path) -> SnapshotSet:
     row count reserves no memory for rows that are not there.
     """
     path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise SnapshotFormatError(f"missing metadata sidecar {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text())
-    d, q, n = int(meta["d"]), int(meta["q"]), int(meta["n"])
-    if n < 0:
-        raise SnapshotFormatError(f"sidecar {sidecar_path}: n = {n} < 0")
+    d, q, n, tau, kind, metadata = _read_sidecar(Path(str(path) + ".json"))
     width = 1 + d + q
     data = np.empty((min(n, CHUNK_ROWS), width))
     rows = 0
@@ -167,12 +161,27 @@ def load_csv(path: str | Path) -> SnapshotSet:
                     data.resize((min(2 * rows, n), width), refcheck=False)
                 data[rows] = values
             rows += 1
-    if rows == 0:
-        raise SnapshotFormatError("empty snapshot file")
     if rows != n:
         raise SnapshotFormatError(
             f"{path} holds {rows} data rows, its sidecar says n = {n}")
-    return SnapshotSet(
-        t=data[:, 0], X=data[:, 1:1 + d], Y=data[:, 1 + d:],
-        tau=float(meta["tau"]), kind=meta["kind"],
-        metadata=meta.get("metadata", {}))
+    return SnapshotSet(t=data[:, 0], X=data[:, 1:1 + d], Y=data[:, 1 + d:],
+                       tau=tau, kind=kind, metadata=metadata)
+
+
+def _read_sidecar(path: Path) -> tuple:
+    """(d, q, n, tau, kind, metadata) of a save_csv sidecar; a missing or
+    malformed one raises SnapshotFormatError naming its path."""
+    if not path.exists():
+        raise SnapshotFormatError(f"missing metadata sidecar {path}")
+    try:
+        meta = json.loads(path.read_text())
+        d, q, n = int(meta["d"]), int(meta["q"]), int(meta["n"])
+        tau, kind = float(meta["tau"]), meta["kind"]
+        metadata = meta.get("metadata", {})
+    # a JSONDecodeError is a ValueError; a JSON list fails as a TypeError
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(
+            f"malformed sidecar {path}: {type(exc).__name__}: {exc}") from None
+    if n < 0:
+        raise SnapshotFormatError(f"sidecar {path}: n = {n} < 0")
+    return d, q, n, tau, kind, metadata

@@ -16,9 +16,10 @@ with every Q_k positive semidefinite, matched coefficient-by-coefficient in
 the dictionary spanning all of its products.  A certificate is one list of
 Gram terms (s_k, w_k): the unweighted term (None, w_0) comes first, then one
 term (s_j, w_j) per inequality of S.  Matching is done directly in the
-working polynomial family (monomial or Chebyshev): the weighted phi and Lie
-columns are placed by inclusion, and the Gram columns use exact product
-structure constants.
+working polynomial family (monomial or Chebyshev): the a phi column is the
+inclusion matrix Theta of phi in E, the Lie, constant and scalar columns are
+placed onto E by ``polybasis.project``, and the Gram columns use exact
+product structure constants.
 
 A program invariant under the reflection x -> -x (about the box centre for
 Chebyshev) is split by parity, the parity of a basis element being its total
@@ -40,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polybasis import (Dictionary, Poly, evaluate, inclusion_matrix,
-                        multiplication_matrix, product_tensor,
-                        total_degree_dictionary)
+from .polybasis import (Dictionary, Poly, _check_same_space, evaluate,
+                        inclusion_matrix, multiplication_matrix,
+                        product_tensor, project, total_degree_dictionary)
 from .sdp import (DEFAULT_MAX_ITER, DEFAULT_TOL, FREE, NONNEG, OPTIMAL, PSD,
                   SdpProblem, SdpSolution, block_dim, block_layout, smat,
                   solve as sdp_solve, svec)
@@ -145,30 +146,34 @@ class CompiledSos:
 def _match_coefficients(con: InequalityConstraint, prog: SosProgram):
     """Coefficient matching of one constraint over the E basis that spans
     all of its products: its Gram terms and its phi, scalar and constant
-    columns."""
+    columns, from bases that must all share phi's space."""
     phi = con.phi
+    polys = [con.c_const, *con.c_scalars.values(), *con.domain.s_list]
+    named = [con.lie_basis] + [p.basis for p in polys if p is not None]
+    _check_same_space(phi, *(dic for dic in named if dic is not None))
     D, terms = auto_bases(con)
     deg_E = max(D, *[(0 if s is None else s.basis.max_degree)
                      + 2 * w.max_degree for s, w in terms])
     E = total_degree_dictionary(phi.family, phi.dimension, deg_E, phi.box)
     nE = E.size
 
+    # columns are added onto zeros, which turns a placed -0.0 into 0.0: the
+    # sign of a zero in A or b can move the solver's last bits
     phi_cols = np.zeros((nE, phi.size))
     if con.a:
         phi_cols += con.a * inclusion_matrix(phi, E).T
     if con.b:
-        phi_cols += con.b * (con.lie_matrix
-                             @ inclusion_matrix(con.lie_basis, E)).T
+        phi_cols += con.b * project(con.lie_basis.indices, con.lie_matrix,
+                                    E).T
     const = np.zeros(nE)
     if con.c_const is not None:
-        const += con.c_const.coeffs @ inclusion_matrix(con.c_const.basis, E)
+        const += project(con.c_const.basis.indices, con.c_const.coeffs, E)
     if prog.c_fixed is not None:
         const += phi_cols @ prog.c_fixed
     scalar_cols = np.zeros((nE, len(prog.scalars)))
     for k, name in enumerate(prog.scalars):
-        if name in con.c_scalars:
-            c = con.c_scalars[name]
-            scalar_cols[:, k] += c.coeffs @ inclusion_matrix(c.basis, E)
+        if (c := con.c_scalars.get(name)) is not None:
+            scalar_cols[:, k] += project(c.basis.indices, c.coeffs, E)
     return E, terms, phi_cols, scalar_cols, const
 
 
@@ -291,19 +296,14 @@ def compile(prog: SosProgram) -> CompiledSos:
         b[rows] = -cc.const
         start = rows.stop
     if l1:
-        t_off = layout[t_block][2].start
-        s_off = layout[slack_block][2].start
+        # row j: t_j - c_j - slack_minus_j = 0; row ell + j:
+        # t_j + c_j - slack_plus_j = 0
         ell = phi_dec.size
+        j = np.arange(2 * ell)
         rows = A[start:]
-        for j in range(ell):
-            # t_j - c_j - slack_minus_j = 0
-            rows[j, t_off + j] = 1.0
-            rows[j, j] = -1.0
-            rows[j, s_off + j] = -1.0
-            # t_j + c_j - slack_plus_j = 0
-            rows[ell + j, t_off + j] = 1.0
-            rows[ell + j, j] = 1.0
-            rows[ell + j, s_off + ell + j] = -1.0
+        rows[j, layout[t_block][2].start + j % ell] = 1.0
+        rows[j, j % ell] = np.repeat([-1.0, 1.0], ell)
+        rows[j, layout[slack_block][2].start + j] = -1.0
 
     cost = np.zeros(total)
     sense = 1.0

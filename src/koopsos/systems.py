@@ -25,8 +25,8 @@ import numpy as np
 from . import _kernels
 from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary,
                         _check_same_space, compose, evaluate,
-                        multiplication_matrix, poly_from_terms, project,
-                        total_degree_dictionary)
+                        inclusion_matrix, multiplication_matrix,
+                        poly_from_terms, project, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 MAP_LYAP_2D = "MapLyap2D"
@@ -91,6 +91,15 @@ class SystemSpec:
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seed gives an identical stream."""
     return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+def _finite_array(value, shape: tuple) -> np.ndarray | None:
+    """value as a float array of that shape, all finite, or else None."""
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge
+        return None
+    return arr if arr.shape == shape and np.isfinite(arr).all() else None
 
 
 def step_map(spec: SystemSpec, x: np.ndarray) -> np.ndarray:
@@ -193,7 +202,7 @@ def _lie_rows(spec: SystemSpec, phi: Dictionary) -> tuple:
                 {idx: 4.0 * ui * c for idx, c in _LOGISTIC.items()},
                 family, phi.box)], E)
             for ui, wi in zip((nodes + 1.0) / 2.0, wts / 2.0))
-    rows[np.arange(phi.size), [E.positions[idx] for idx in phi.indices]] -= 1.0
+    rows -= inclusion_matrix(phi, E)
     return E, rows
 
 
@@ -245,16 +254,18 @@ def exact_lie_values(spec: SystemSpec, phi: Dictionary, X: np.ndarray
 def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
                      rng: np.random.Generator | None = None,
                      snapshot_kind: str = KOOPMAN,
-                     x0=None, bounds=None, phi: Dictionary | None = None,
-                     seed: int | None = None) -> SnapshotSet:
+                     x0=None, bounds=None, phi: Dictionary | None = None
+                     ) -> SnapshotSet:
     """Generate n snapshots.
 
     Modes: ``trajectory`` (iterate from x0), ``iid_uniform_box`` (x_i uniform
     in bounds), ``limit_cycle`` (x_i on the unit circle at angles i*tau,
     CircularOrbit only).  For ``generator`` kind the y rows hold exact Lie
     derivative values of each element of phi at x_i.  A given x0 must hold
-    ``spec.dimension`` numbers, and bounds one finite (lo, hi) pair with
-    lo < hi per coordinate; a wrong one raises ``ValueError``.
+    ``spec.dimension`` finite numbers, and bounds one finite (lo, hi) pair
+    with lo < hi per coordinate; a wrong one raises ``ValueError``.  rng
+    defaults to ``make_rng(0)``; the entropy of its seed sequence, the seed
+    for ``make_rng(seed)``, is recorded as ``metadata["seed"]``.
 
     The set's times are the grid t_i = i dt, kept as the step dt and built
     when ``t`` is read: dt is 0 for ``iid_uniform_box``, 1 for map and
@@ -266,13 +277,13 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
     n)`` call.
     """
     if rng is None:
-        rng = make_rng(0 if seed is None else seed)
+        rng = make_rng(0)
     if snapshot_kind not in (KOOPMAN, GENERATOR):
         raise ValueError(f"unknown snapshot kind {snapshot_kind!r}")
     if snapshot_kind == GENERATOR and phi is None:
         raise ValueError("generator snapshots require a phi dictionary")
-    start = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    if start is not None and start.shape != (spec.dimension,):
+    start = None if x0 is None else _finite_array(x0, (spec.dimension,))
+    if x0 is not None and start is None:
         raise ValueError(f"x0 must hold {spec.dimension} numbers for "
                          f"{spec.id}, got {x0!r}")
 
@@ -304,24 +315,17 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
             X = states[:n]
             Y = states[1:]
         else:
-            start = np.array([1.0, 0.0]) if start is None else start
-            X = np.empty((n, 2))
-            Y = np.empty((n, 2))
-            s = start
+            states = np.empty((n + 1, 2))
+            states[0] = [1.0, 0.0] if start is None else start
             for i in range(n):
-                X[i] = s
-                s = step_map(spec, s)
-                Y[i] = s
+                states[i + 1] = step_map(spec, states[i])
             dt = 1.0
+            X, Y = states[:n], states[1:]
     elif mode == "iid_uniform_box":
         if bounds is None:
             raise ValueError("iid_uniform_box sampling requires bounds")
-        try:
-            box = np.asarray(bounds, dtype=float)
-        except (TypeError, ValueError):  # not numbers, or ragged
-            box = np.empty(0)
-        if (box.shape != (spec.dimension, 2) or not np.isfinite(box).all()
-                or not (box[:, 0] < box[:, 1]).all()):
+        box = _finite_array(bounds, (spec.dimension, 2))
+        if box is None or not (box[:, 0] < box[:, 1]).all():
             raise ValueError(
                 f"bounds must hold one finite (lo, hi) pair with lo < hi per "
                 f"coordinate of {spec.id}, got {bounds!r}")
@@ -342,6 +346,7 @@ def sample_snapshots(spec: SystemSpec, mode: str, tau: float, n: int,
         Y = exact_lie_values(spec, phi, X)
 
     meta = {"system": spec.id, "mode": mode, "tau": float(tau), "n": int(n),
-            "seed": seed, "snapshot_kind": snapshot_kind}
+            "seed": rng.bit_generator.seed_seq.entropy,
+            "snapshot_kind": snapshot_kind}
     return SnapshotSet(t=dt, X=X, Y=Y, tau=float(tau), kind=snapshot_kind,
                        metadata=meta)

@@ -162,9 +162,9 @@ def test_criterion_05_circular_orbit_casestudy():
     _, psi = circle_dictionaries()
     expected = np.zeros(psi.size)
     scale = gamma / (3.0 * tau)
-    expected[psi.position((0, 0))] = scale
-    expected[psi.position((2, 0))] = -scale
-    expected[psi.position((0, 2))] = -scale
+    expected[psi.positions[(0, 0)]] = scale
+    expected[psi.positions[(2, 0)]] = -scale
+    expected[psi.positions[(0, 2)]] = -scale
     np.testing.assert_allclose(rep["edmd_lie_poly"].coeffs, expected,
                                atol=1e-8)
 
@@ -180,9 +180,9 @@ def test_criterion_05_divergence_indicator_published_scale():
     gamma = rep["gamma"]
     _, psi = circle_dictionaries()
     expected = np.zeros(psi.size)
-    expected[psi.position((0, 0))] = gamma
-    expected[psi.position((2, 0))] = -gamma
-    expected[psi.position((0, 2))] = -gamma
+    expected[psi.positions[(0, 0)]] = gamma
+    expected[psi.positions[(2, 0)]] = -gamma
+    expected[psi.positions[(0, 2)]] = -gamma
     np.testing.assert_allclose(rep["divergence_indicator"].coeffs, expected,
                                atol=1e-8)
 
@@ -203,9 +203,9 @@ def test_criterion_05_divergence_indicator_recomputed_scale():
     V = Poly(phi, gamma * np.ones(3))
     ind = divergence_indicator(B_quad, theta_mat, V, psi)
     expected = np.zeros(psi.size)
-    expected[psi.position((0, 0))] = gamma / 3.0
-    expected[psi.position((2, 0))] = -gamma / 3.0
-    expected[psi.position((0, 2))] = -gamma / 3.0
+    expected[psi.positions[(0, 0)]] = gamma / 3.0
+    expected[psi.positions[(2, 0)]] = -gamma / 3.0
+    expected[psi.positions[(0, 2)]] = -gamma / 3.0
     np.testing.assert_allclose(ind.coeffs, expected, atol=1e-6)
     np.testing.assert_allclose(rep["divergence_indicator"].coeffs, expected,
                                atol=1e-8)

@@ -162,9 +162,9 @@ def test_circular_orbit_casestudy_values():
     phi, psi = circle_dictionaries()
     lie = rep["edmd_lie_poly"]
     expected = np.zeros(psi.size)
-    expected[psi.position((0, 0))] = 1.0
-    expected[psi.position((2, 0))] = -1.0
-    expected[psi.position((0, 2))] = -1.0
+    expected[psi.positions[(0, 0)]] = 1.0
+    expected[psi.positions[(2, 0)]] = -1.0
+    expected[psi.positions[(0, 2)]] = -1.0
     np.testing.assert_allclose(lie.coeffs, expected, atol=1e-8)
     # the generator fit is exact on the circle: its Lie image vanishes there
     gl = rep["gedmd_lie_poly"]
@@ -181,9 +181,9 @@ def test_circle_divergence_indicator_scale():
     ind = rep["divergence_indicator"]
     _, psi = circle_dictionaries()
     expected = np.zeros(psi.size)
-    expected[psi.position((0, 0))] = gamma / 3.0
-    expected[psi.position((2, 0))] = -gamma / 3.0
-    expected[psi.position((0, 2))] = -gamma / 3.0
+    expected[psi.positions[(0, 0)]] = gamma / 3.0
+    expected[psi.positions[(2, 0)]] = -gamma / 3.0
+    expected[psi.positions[(0, 2)]] = -gamma / 3.0
     np.testing.assert_allclose(ind.coeffs, expected, atol=1e-8)
 
 

@@ -258,9 +258,11 @@ def test_lyapunov_then_verify(tmp_path, capsys):
      "bounds must hold"),
     ({"x0": [1, 2, 3]}, "x0 must hold 2 numbers"),
     ({"x0": [1]}, "x0 must hold 2 numbers"),
+    ({"x0": {"a": 1}}, "x0 must hold 2 numbers"),
+    ({"x0": [0.1, float("nan")]}, "x0 must hold 2 numbers"),
 ], ids=["mode", "n", "tau", "bounds", "bounds-short", "bounds-infinite",
         "bounds-reversed", "bounds-not-pairs", "bounds-ragged", "x0-long",
-        "x0-short"])
+        "x0-short", "x0-object", "x0-nan"])
 def test_sampling_error_is_config_error(tmp_path, capsys, sampling, message):
     cfg = _write(tmp_path, "bound.json", {
         "system": "VanDerPol",

@@ -172,6 +172,23 @@ def test_missing_sidecar(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text, error", [
+    (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "d"}),
+     "KeyError"),
+    (lambda meta: json.dumps(list(meta)), "TypeError"),
+    (lambda meta: "not json", "JSONDecodeError"),
+    (lambda meta: json.dumps({**meta, "d": "x"}), "ValueError"),
+], ids=["no-d", "list", "not-json", "d-not-int"])
+def test_malformed_sidecar_is_a_format_error(tmp_path, text, error):
+    path = tmp_path / "snaps.csv"
+    save_csv(_example(), path)
+    sidecar = tmp_path / "snaps.csv.json"
+    sidecar.write_text(text(json.loads(sidecar.read_text())))
+    with pytest.raises(SnapshotFormatError,
+                       match=f"malformed sidecar {sidecar}: {error}"):
+        load_csv(path)
+
+
 def test_wrong_header(tmp_path):
     path = tmp_path / "snaps.csv"
     save_csv(_example(), path)

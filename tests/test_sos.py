@@ -6,10 +6,10 @@ import pytest
 from koopsos import auxfn, sos
 from koopsos.auxfn import circle_dictionaries, posterior_verify
 from koopsos.koopman import fit_edmd
-from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Poly, evaluate,
-                               monomial_to_cheb, norm_squared, poly_from_terms,
-                               total_degree_dictionary)
-from koopsos.sdp import svec
+from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
+                               evaluate, monomial_to_cheb, norm_squared,
+                               poly_from_terms, total_degree_dictionary)
+from koopsos.sdp import block_layout, svec
 from koopsos.snapshots import KOOPMAN
 from koopsos.sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
                          auto_bases, certificate_values, compile,
@@ -225,7 +225,7 @@ def _dict_product(family, a, b):
 def _dict_in_E(E, sp):
     out = np.zeros(E.size)
     for idx, c in sp.items():
-        out[E.position(idx)] = c
+        out[E.positions[idx]] = c
     return out
 
 
@@ -315,6 +315,21 @@ def test_compile_matches_dict_reference(make, split, monkeypatch):
     np.testing.assert_array_equal(got.c, ref.c)
 
 
+def test_l1_rows_match_the_loop_reference():
+    # rows t_j - c_j - slack_minus_j = 0, then t_j + c_j - slack_plus_j = 0
+    compiled = compile(_lyapunov_program())
+    prob = compiled.problem
+    layout = block_layout(prob.blocks)
+    t_off, s_off = layout[-2][2].start, layout[-1][2].start
+    ell = compiled.phi_dec.size
+    ref = np.zeros((2 * ell, prob.A.shape[1]))
+    for j in range(ell):
+        ref[j, [t_off + j, j, s_off + j]] = 1.0, -1.0, -1.0
+        ref[ell + j, [t_off + j, j, s_off + ell + j]] = 1.0, 1.0, -1.0
+    np.testing.assert_array_equal(prob.A[-2 * ell:], ref)
+    np.testing.assert_array_equal(prob.b[-2 * ell:], 0.0)
+
+
 def test_bound_program_optimum():
     compiled = _bound_program("upper")
     sol = solve(compiled)
@@ -390,6 +405,35 @@ def test_posterior_verify_zero_candidate_gets_no_margin():
         assert report["epsilon"] <= 1e-7
 
 
+@pytest.mark.parametrize("other", [(MONOMIAL, BOX), (CHEBYSHEV, ((0.0, 2.0),))],
+                         ids=["family", "box"])
+@pytest.mark.parametrize("part", ["lie_basis", "c_const", "c_scalar",
+                                  "domain"])
+def test_compile_rejects_a_basis_of_another_space(part, other):
+    # every basis a constraint names must share phi's family and box
+    phi = total_degree_dictionary(CHEBYSHEV, 1, 2, BOX)
+
+    def program(spaces):
+        psi = total_degree_dictionary(spaces["lie_basis"][0], 1, 4,
+                                      spaces["lie_basis"][1])
+        s = poly_from_terms({(1,): 1.0, (2,): -1.0}, *spaces["domain"])
+        con = InequalityConstraint(
+            phi=phi, b=1.0, lie_matrix=np.zeros((phi.size, psi.size)),
+            lie_basis=psi,
+            c_const=poly_from_terms({(0,): 1.0}, *spaces["c_const"]),
+            c_scalars={"bound": poly_from_terms({(0,): 1.0},
+                                                *spaces["c_scalar"])},
+            domain=SemialgebraicSet((s,)))
+        return SosProgram(phi=phi, scalars=("bound",), constraints=[con],
+                          objective=("min", {"bound": 1.0}))
+
+    same = dict.fromkeys(("lie_basis", "c_const", "c_scalar", "domain"),
+                         (CHEBYSHEV, BOX))
+    compile(program(same))
+    with pytest.raises(DimensionMismatch):
+        compile(program({**same, part: other}))
+
+
 def test_b_without_lie_matrix_rejected():
     phi = total_degree_dictionary(MONOMIAL, 1, 2)
     with pytest.raises(ValueError):
@@ -405,9 +449,9 @@ def _linear_lie(phi):
     for k, (a, b) in enumerate(phi.indices):
         L[k, k] = -(a + b)
         if a:
-            L[k, phi.position((a - 1, b + 1))] -= a
+            L[k, phi.positions[(a - 1, b + 1)]] -= a
         if b:
-            L[k, phi.position((a + 1, b - 1))] += b
+            L[k, phi.positions[(a + 1, b - 1)]] += b
     return L
 
 

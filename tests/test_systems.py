@@ -28,7 +28,7 @@ BOX33 = ((-3.0, 3.0), (-3.0, 3.0))
 def _unit_poly(dictionary, idx):
     """The basis element idx of dictionary, as a polynomial."""
     c = np.zeros(dictionary.size)
-    c[dictionary.position(idx)] = 1.0
+    c[dictionary.positions[idx]] = 1.0
     return Poly(dictionary, c)
 
 
@@ -108,6 +108,13 @@ def test_sample_snapshots_deterministic():
     s1 = sample_snapshots(spec, "trajectory", 1.0, 100, rng=make_rng(9))
     s2 = sample_snapshots(spec, "trajectory", 1.0, 100, rng=make_rng(9))
     assert s1 == s2
+
+
+def test_sample_snapshots_records_the_seed_of_its_rng():
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    s = sample_snapshots(spec, "trajectory", 1.0, 10, rng=make_rng(7))
+    assert s.metadata["seed"] == 7
+    assert sample_snapshots(spec, "trajectory", 1.0, 10).metadata["seed"] == 0
 
 
 @pytest.mark.parametrize("system, x0", [
@@ -208,7 +215,7 @@ def _closed_form_rows(terms_of, phi, psi):
     for k, idx in enumerate(phi.indices):
         for image, c in terms_of(*idx):
             if c:
-                rows[k, psi.position(image)] += c
+                rows[k, psi.positions[image]] += c
     return rows
 
 
@@ -232,16 +239,16 @@ def test_circle_exact_lie_of_energy():
     phi = total_degree_dictionary(MONOMIAL, 2, 2)
     psi = total_degree_dictionary(MONOMIAL, 2, 4)
     c = np.zeros(phi.size)
-    c[phi.position((0, 0))] = 1.0
-    c[phi.position((2, 0))] = 1.0
-    c[phi.position((0, 2))] = 1.0
+    c[phi.positions[(0, 0)]] = 1.0
+    c[phi.positions[(2, 0)]] = 1.0
+    c[phi.positions[(0, 2)]] = 1.0
     lie = _lie(spec, Poly(phi, c), psi)
     expected = np.zeros(psi.size)
-    expected[psi.position((2, 0))] = 2.0
-    expected[psi.position((0, 2))] = 2.0
-    expected[psi.position((4, 0))] = -2.0
-    expected[psi.position((2, 2))] = -4.0
-    expected[psi.position((0, 4))] = -2.0
+    expected[psi.positions[(2, 0)]] = 2.0
+    expected[psi.positions[(0, 2)]] = 2.0
+    expected[psi.positions[(4, 0)]] = -2.0
+    expected[psi.positions[(2, 2)]] = -4.0
+    expected[psi.positions[(0, 4)]] = -2.0
     np.testing.assert_allclose(lie.coeffs, expected, atol=1e-12)
 
 
@@ -410,7 +417,7 @@ def _logistic_interpolated_lie(p, target):
     for k, ck in enumerate(coeffs):
         idx = (k,)
         if idx in target.indices:
-            out[target.position(idx)] = ck
+            out[target.positions[idx]] = ck
         else:
             spill = max(spill, abs(ck))
     if spill > 1e-9 * (1.0 + np.max(np.abs(coeffs))):
@@ -478,7 +485,7 @@ def _tensor_interpolated_lie(spec, p, target):
     out = np.zeros(target.size)
     for idx, c in np.ndenumerate(coeffs):
         if idx in keep or abs(c) > tol:
-            out[target.position(idx)] = c
+            out[target.positions[idx]] = c
     return Poly(target, out)
 
 
