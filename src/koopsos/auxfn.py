@@ -21,8 +21,8 @@ import numpy as np
 from . import sos
 from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
-from .polybasis import (MONOMIAL, Dictionary, Poly, norm_squared,
-                        total_degree_dictionary)
+from .polybasis import (MONOMIAL, Dictionary, Poly, inclusion_matrix,
+                        norm_squared, total_degree_dictionary)
 from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .snapshots import GENERATOR, KOOPMAN
 from .systems import CIRCULAR_ORBIT, SystemSpec, sample_snapshots
@@ -206,8 +206,8 @@ def circular_orbit_casestudy(tau: float = 0.01, n: int = 1000,
                               snapshot_kind=KOOPMAN)
     data_g = sample_snapshots(spec, "limit_cycle", tau, n,
                               snapshot_kind=GENERATOR, phi=phi)
-    ops_edmd = fit_edmd(data_k, phi, psi)
-    lie = {"edmd": ops_edmd.L, "gedmd": fit_gedmd(data_g, phi, psi).G}
+    lie = {"edmd": fit_edmd(data_k, phi, psi).L,
+           "gedmd": fit_gedmd(data_g, phi, psi).L}
     # 1 + x1^2 + x2^2 over phi
     V = Poly(phi, gamma * np.array([1.0, 1.0, 1.0]))
     g = norm_squared(MONOMIAL, 2)
@@ -226,5 +226,5 @@ def circular_orbit_casestudy(tau: float = 0.01, n: int = 1000,
         "edmd_lie_poly": Poly(psi, V.coeffs @ lie["edmd"]),
         "gedmd_lie_poly": Poly(psi, V.coeffs @ lie["gedmd"]),
         "divergence_indicator": divergence_indicator(
-            moments.B, ops_edmd.theta, V, psi),
+            moments.B, inclusion_matrix(phi, psi), V, psi),
     }

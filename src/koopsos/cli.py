@@ -248,8 +248,7 @@ def _fit_operators(cfg, spec, phi, psi, data):
         return exact_lie_matrix(spec, phi, psi), source, solver
     if source not in _DATA_SOURCES:
         raise ConfigError(f"unknown lie_source {cfg['lie_source']!r}")
-    ops = _fit_data(cfg, spec, source, phi, psi, data)
-    return ops.G if source == "gedmd" else ops.L, source, solver
+    return _fit_data(cfg, spec, source, phi, psi, data).L, source, solver
 
 
 def _bound_problem(cfg, spec, phi):

@@ -1,11 +1,13 @@
 """EDMD and gEDMD operator fitting, moment matrices, and diagnostics.
 
-Operators are built in normal-equations form, K = (Phi Psi^T)(Psi Psi^T)^+,
-so only m-by-m Gram matrices are held in memory regardless of the number of
-snapshots.  Gram accumulation streams over fixed-size row chunks with Kahan
-compensated summation, which keeps results reproducible and accurate for runs
-with up to 1e7 rows.  The dictionary values live in one buffer per pass, which
-each chunk overwrites and which is unmapped when the pass ends.  Chunks are
+Both estimators solve X = A B^+ on one moment pair, B = avg psi psi^T and
+A = avg phi(y) psi^T (the paper's A^tau) or, on generator snapshots,
+avg y psi^T (its C), and return one Lie matrix L: (K - Theta) / tau with
+K = X for EDMD, X for gEDMD.  Only m-by-m Gram matrices are ever held.
+Gram accumulation streams over fixed-size row chunks with Kahan compensated
+summation, which keeps results reproducible and accurate for runs with up
+to 1e7 rows.  The dictionary values live in one buffer per pass, which each
+chunk overwrites and which is unmapped when the pass ends.  Chunks are
 ``CHUNK_ROWS`` rows, except on the 1-D route below.
 
 A 1-D dictionary with exponents 0..D (every 1-D total-degree dictionary)
@@ -32,6 +34,7 @@ bit-identical to evaluating phi at y.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 from dataclasses import dataclass, field
 
@@ -89,28 +92,26 @@ class _KahanAccumulator:
 
 @dataclass(frozen=True)
 class EdmdOperators:
-    """Fitted operator matrices over a (phi, psi) dictionary pair."""
+    """Fitted operators over a (phi, psi) pair: the Lie matrix L of either
+    estimator and EDMD's Koopman matrix K (None for gEDMD)."""
 
     phi: Dictionary
     psi: Dictionary
     theta: np.ndarray
     tau: float
     K: np.ndarray | None
-    L: np.ndarray | None
-    G: np.ndarray | None
+    L: np.ndarray
     svd_report: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps({
             "phi": json.loads(self.phi.to_json()),
             "psi": json.loads(self.psi.to_json()),
             "tau": self.tau,
             "svd_report": self.svd_report,
-        }
-        for name in ("K", "L", "G"):
-            mat = getattr(self, name)
-            payload[name] = None if mat is None else mat.tolist()
-        return json.dumps(payload)
+            "K": None if self.K is None else self.K.tolist(),
+            "L": self.L.tolist(),
+        })
 
 
 def _refined_ls(num: np.ndarray, B: np.ndarray):
@@ -142,39 +143,36 @@ def _refined_ls(num: np.ndarray, B: np.ndarray):
                "rel_tol": REL_TOL}
 
 
+def _fit(s: SnapshotSet, phi: Dictionary, psi: Dictionary, kind: str,
+         name: str) -> EdmdOperators:
+    """X = A B^+: EDMD's K, with L = (K - Theta) / tau, or gEDMD's L."""
+    if s.kind != kind:
+        raise ValueError(f"{name} needs {kind}-kind snapshots")
+    mm = moment_matrices(s, phi, psi)
+    X, report = _refined_ls(mm.A, mm.B)
+    theta = inclusion_matrix(phi, psi)
+    K, L = (X, (X - theta) / s.tau) if kind == KOOPMAN else (None, X)
+    return EdmdOperators(phi, psi, theta, s.tau, K, L, report)
+
+
 def fit_edmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary
              ) -> EdmdOperators:
-    """Least-squares Koopman matrix K = (Phi Psi^T)(Psi Psi^T)^+ and the
-    finite-difference Lie matrix L = (K - Theta) / tau."""
-    if s.kind != KOOPMAN:
-        raise ValueError("fit_edmd needs koopman-kind snapshots")
-    mm = moment_matrices(s, phi, psi)
-    K, report = _refined_ls(mm.A_tau, mm.B)
-    theta = inclusion_matrix(phi, psi)
-    return EdmdOperators(phi, psi, theta, s.tau, K, (K - theta) / s.tau, None,
-                         report)
+    """Koopman matrix K = A B^+ and Lie matrix L = (K - Theta) / tau."""
+    return _fit(s, phi, psi, KOOPMAN, "fit_edmd")
 
 
 def fit_gedmd(s: SnapshotSet, phi: Dictionary, psi: Dictionary
               ) -> EdmdOperators:
-    """Generator matrix G = (Lambda Psi^T)(Psi Psi^T)^+ from sampled Lie
-    derivative values."""
-    if s.kind != GENERATOR:
-        raise ValueError("fit_gedmd needs generator-kind snapshots")
-    mm = moment_matrices(s, phi, psi)
-    G, report = _refined_ls(mm.C, mm.B)
-    return EdmdOperators(phi, psi, inclusion_matrix(phi, psi), s.tau, None,
-                         None, G, report)
+    """Lie matrix L = A B^+ from sampled Lie derivative values."""
+    return _fit(s, phi, psi, GENERATOR, "fit_gedmd")
 
 
 @dataclass(frozen=True)
 class MomentMatrices:
-    """The matrices A^tau, B, C, D^tau underlying the fitted operators."""
+    """B and A of ``moment_matrices``; A is None where there are no data."""
 
     B: np.ndarray
-    A_tau: np.ndarray | None
-    C: np.ndarray | None
-    D_tau: np.ndarray | None
+    A: np.ndarray | None
 
 
 # a private mapping, faulted in by one system call, where the platform has
@@ -247,9 +245,8 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
                     ) -> MomentMatrices:
     """Empirical moment matrices of the snapshot set, streamed in one pass.
 
-    B = avg psi(x) psi(x)^T always; koopman data adds A^tau = avg
-    phi(y) psi(x)^T and D^tau = (A^tau - Theta B) / tau; generator data adds
-    C = avg y psi(x)^T.
+    B = avg psi(x) psi(x)^T; A = avg phi(y) psi(x)^T on koopman data and
+    avg y psi(x)^T on generator data.
 
     B is the Kahan-summed product Psi Psi^T over chunks of CHUNK_ROWS rows,
     except for a 1-D psi with exponents 0..D, D >= 1 (see the module
@@ -314,41 +311,27 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
         # matrix-vector products (and 820 us for the full Psi Psi^T)
         acc_b.add(Psi @ (Psi if T is None else Psi[[0, -1]]).T)
         acc_a.add(Phi @ Psi.T)
-    B, A = acc_b.total / s.n, acc_a.total / s.n
-    if T is not None:
-        B = _gram_from_moments(B, T)
-    if koopman:
-        D = (A - theta @ B) / s.tau
-        return MomentMatrices(B=B, A_tau=A, C=None, D_tau=D)
-    return MomentMatrices(B=B, A_tau=None, C=A, D_tau=None)
-
-
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    B = acc_b.total / s.n
+    return MomentMatrices(B=B if T is None else _gram_from_moments(B, T),
+                          A=acc_a.total / s.n)
 
 
 def circle_moment(a: int, b: int) -> float:
-    """Average of cos^a sin^b over the unit circle (Wallis formula)."""
+    """Average of cos^a sin^b over the unit circle (Wallis formula), from
+    the double factorials k!! = k (k - 2) ... (1 or 2), 1 for k <= 0."""
     if a % 2 or b % 2:
         return 0.0
-    return (_double_factorial(a - 1) * _double_factorial(b - 1)
-            / _double_factorial(a + b))
+    df = [math.prod(range(k, 0, -2)) for k in (a - 1, b - 1, a + b)]
+    return df[0] * df[1] / df[2]
 
 
 def analytic_circle_moments(psi: Dictionary) -> MomentMatrices:
     """B for the uniform measure on the unit circle, in closed form."""
     if psi.family != MONOMIAL or psi.dimension != 2:
         raise ValueError("analytic circle moments need a 2D monomial dictionary")
-    m = psi.size
-    B = np.empty((m, m))
-    for i, (a1, b1) in enumerate(psi.indices):
-        for j, (a2, b2) in enumerate(psi.indices):
-            B[i, j] = circle_moment(a1 + a2, b1 + b2)
-    return MomentMatrices(B=B, A_tau=None, C=None, D_tau=None)
+    B = [[circle_moment(a1 + a2, b1 + b2) for a2, b2 in psi.indices]
+         for a1, b1 in psi.indices]
+    return MomentMatrices(B=np.array(B).reshape(psi.size, psi.size), A=None)
 
 
 def divergence_indicator(B: np.ndarray, theta: np.ndarray, p: Poly,

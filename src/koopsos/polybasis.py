@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -153,16 +153,25 @@ class Dictionary:
         )
 
 
+DICTIONARY_CACHE_SIZE = 256  # dictionaries total_degree_dictionary keeps
+
+
 def total_degree_dictionary(family: str, d: int, deg: int,
                             box: Sequence[Sequence[float]] | None = None
                             ) -> Dictionary:
-    """All multi-indices of total degree <= deg, in graded-lex order."""
+    """All multi-indices of total degree <= deg, in graded-lex order; equal
+    arguments (the box compared as floats) give one object, built once."""
     if d < 1 or deg < 0:
         raise ValueError("require d >= 1 and deg >= 0")
+    boxed = tuple(tuple(float(v) for v in b) for b in box) if box is not None else None
+    return _total_degree_dictionary(family, d, deg, boxed)
+
+
+@lru_cache(maxsize=DICTIONARY_CACHE_SIZE)
+def _total_degree_dictionary(family: str, d: int, deg: int, box) -> Dictionary:
     indices = tuple(idx for total in range(deg + 1)
                     for idx in _grlex_degree(d, total))
-    boxed = tuple(tuple(float(v) for v in b) for b in box) if box is not None else None
-    return Dictionary(family, d, indices, boxed)
+    return Dictionary(family, d, indices, box)
 
 
 def _grlex_degree(d: int, total: int):
@@ -213,6 +222,16 @@ def evaluate(dictionary: Dictionary, x: np.ndarray,
             X /= hi - lo
         out = _kernels.chebyshev_eval(X, dictionary.exponents, out)
     return out[:, 0] if single else out
+
+
+def evaluate_chunks(dictionary: Dictionary, X: np.ndarray):
+    """(start, values) of each CHUNK_ROWS chunk of X, written C-contiguous
+    into one buffer: a strided view would change the bits of products."""
+    flat = np.empty(dictionary.size * min(CHUNK_ROWS, len(X)))
+    for start in range(0, len(X), CHUNK_ROWS):
+        rows = X[start:start + CHUNK_ROWS]
+        out = flat[:dictionary.size * len(rows)].reshape(-1, len(rows))
+        yield start, evaluate(dictionary, rows, out)
 
 
 def _check_same_space(first: Dictionary, *others: Dictionary) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polybasis import CHUNK_ROWS, Poly, evaluate
+from .polybasis import CHUNK_ROWS, Poly, evaluate_chunks
 
 KOOPMAN = "koopman"
 GENERATOR = "generator"
@@ -104,9 +104,8 @@ def empirical_average(s: SnapshotSet, g: Poly) -> float:
     if g.basis.dimension != s.d:
         raise SnapshotFormatError("observable dimension does not match states")
     total = 0.0
-    for start in range(0, s.n, CHUNK_ROWS):
-        vals = g.coeffs @ evaluate(g.basis, s.X[start:start + CHUNK_ROWS])
-        total += float(np.sum(vals))
+    for _, vals in evaluate_chunks(g.basis, s.X):
+        total += float(np.sum(g.coeffs @ vals))
     return total / s.n
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL, Dictionary,
-                        _check_same_space, compose, evaluate,
+                        _check_same_space, compose, evaluate_chunks,
                         inclusion_matrix, multiplication_matrix,
                         poly_from_terms, project, total_degree_dictionary)
 from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
@@ -236,16 +236,15 @@ def exact_lie_matrix(spec: SystemSpec, phi: Dictionary, psi: Dictionary
 def exact_lie_values(spec: SystemSpec, phi: Dictionary, X: np.ndarray
                      ) -> np.ndarray:
     """Exact Lie derivative of every element of phi evaluated at rows of X;
-    returns shape (n, phi.size)."""
+    returns shape (n, phi.size), filled per chunk of ``evaluate_chunks``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     psi = total_degree_dictionary(phi.family, phi.dimension,
                                   lie_image_degree(spec, phi.max_degree),
                                   phi.box)
     lie = exact_lie_matrix(spec, phi, psi)
     out = np.empty((X.shape[0], phi.size))
-    for start in range(0, X.shape[0], CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        out[rows] = (lie @ evaluate(psi, X[rows])).T
+    for start, vals in evaluate_chunks(psi, X):
+        out[start:start + vals.shape[1]] = (lie @ vals).T
     return out
 
 

@@ -230,15 +230,16 @@ def test_criterion_06_moment_identity_suite():
         K = fit_edmd(sk, phi, psi).K
         L = fit_edmd(sk, phi, psi).L
         from koopsos.koopman import fit_gedmd
-        G = fit_gedmd(sg, phi, psi).G
+        L_g = fit_gedmd(sg, phi, psi).L
         mk = moment_matrices(sk, phi, psi)
         mg = moment_matrices(sg, phi, psi)
         Bp = pinv(mk.B)
         rel = lambda got, want: (np.linalg.norm(got - want)
                                  / (1.0 + np.linalg.norm(want)))
-        assert rel(K, mk.A_tau @ Bp) < 1e-9, f"trial {trial}: K identity"
-        assert rel(G, mg.C @ pinv(mg.B)) < 1e-9, f"trial {trial}: G identity"
-        L_id = mk.D_tau @ Bp + theta @ (mk.B @ Bp - np.eye(psi.size)) / sk.tau
+        assert rel(K, mk.A @ Bp) < 1e-9, f"trial {trial}: K identity"
+        assert rel(L_g, mg.A @ pinv(mg.B)) < 1e-9, f"trial {trial}: gEDMD L"
+        D = (mk.A - theta @ mk.B) / sk.tau
+        L_id = D @ Bp + theta @ (mk.B @ Bp - np.eye(psi.size)) / sk.tau
         assert rel(L, L_id) < 1e-9, f"trial {trial}: L identity"
 
 

@@ -126,7 +126,7 @@ def test_beta_invariance():
 
 
 def test_gedmd_bound_matches_exact():
-    # generator snapshots carry exact Lie values, so the fitted G reproduces
+    # generator snapshots carry exact Lie values, so the fitted L reproduces
     # the exact generator on a rich enough sample
     spec, phi, psi, g, domain = _logistic_setup(4)
     rng = make_rng(3)
@@ -134,9 +134,9 @@ def test_gedmd_bound_matches_exact():
     from koopsos.systems import exact_lie_values
     Y = exact_lie_values(spec, phi, X)
     data = SnapshotSet(t=np.zeros(500), X=X, Y=Y, tau=1.0, kind=GENERATOR)
-    G = fit_gedmd(data, phi, psi).G
+    lie_fit = fit_gedmd(data, phi, psi).L
     lie = exact_lie_matrix(spec, phi, psi)
-    b_fit = ergodic_bound("upper", g, G, psi, phi, domain=domain,
+    b_fit = ergodic_bound("upper", g, lie_fit, psi, phi, domain=domain,
                           lie_source="gedmd").bound
     b_exact = ergodic_bound("upper", g, lie, psi, phi, domain=domain).bound
     assert b_fit == pytest.approx(b_exact, abs=1e-6)

@@ -192,8 +192,8 @@ def test_fit_gedmd_writes_generator(tmp_path):
     })
     assert main(["fit", cfg]) == EXIT_OK
     ops = json.loads((tmp_path / "ops.json").read_text())
-    assert ops["K"] is None and ops["L"] is None
-    assert len(ops["G"]) == 3
+    assert ops["K"] is None and "G" not in ops
+    assert len(ops["L"]) == 3
 
 
 def test_fit_exact_is_config_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from koopsos import _kernels, koopman
+from koopsos.auxfn import circle_dictionaries
 from koopsos.koopman import (analytic_circle_moments, circle_moment,
                              convergence_study, divergence_indicator,
                              fit_edmd, fit_gedmd, loglog_slope,
@@ -66,7 +67,8 @@ def _random_snapshots(rng, n=60, kind=KOOPMAN, q=2):
 
 
 def test_moment_identities_randomized():
-    # K = A B^+, G = C B^+, L = D B^+ + (1/tau) Theta (B B^+ - I)
+    # K = A B^+ and L = D B^+ + (1/tau) Theta (B B^+ - I) with
+    # D = (A - Theta B) / tau on koopman data; L = A B^+ on generator data
     rng = np.random.default_rng(42)
     phi = total_degree_dictionary(MONOMIAL, 2, 2)
     psi = total_degree_dictionary(MONOMIAL, 2, 3)
@@ -77,8 +79,9 @@ def test_moment_identities_randomized():
         mm = moment_matrices(s, phi, psi)
         Bp = pinv(mm.B)
         scale = 1.0 + np.linalg.norm(ops.K)
-        assert np.linalg.norm(ops.K - mm.A_tau @ Bp) / scale < 1e-9
-        L_id = mm.D_tau @ Bp + (theta @ (mm.B @ Bp - np.eye(psi.size))) / s.tau
+        assert np.linalg.norm(ops.K - mm.A @ Bp) / scale < 1e-9
+        D = (mm.A - theta @ mm.B) / s.tau
+        L_id = D @ Bp + (theta @ (mm.B @ Bp - np.eye(psi.size))) / s.tau
         assert (np.linalg.norm(ops.L - L_id)
                 / (1.0 + np.linalg.norm(ops.L)) < 1e-9)
 
@@ -86,8 +89,9 @@ def test_moment_identities_randomized():
                               q=phi.size)
         gops = fit_gedmd(g, phi, psi)
         gm = moment_matrices(g, phi, psi)
-        assert (np.linalg.norm(gops.G - gm.C @ pinv(gm.B))
-                / (1.0 + np.linalg.norm(gops.G)) < 1e-9)
+        assert gops.K is None
+        assert (np.linalg.norm(gops.L - gm.A @ pinv(gm.B))
+                / (1.0 + np.linalg.norm(gops.L)) < 1e-9)
 
 
 def test_each_fit_factors_B_once_and_reports_the_rank_pinv_kept(monkeypatch):
@@ -156,8 +160,33 @@ def test_gedmd_recovers_exact_generator():
                          snapshot_kind=GENERATOR, phi=phi,
                          bounds=[(-2, 2), (-2, 2)])
     ops = fit_gedmd(s, phi, psi)
-    np.testing.assert_allclose(ops.G, exact_lie_matrix(spec, phi, psi),
+    np.testing.assert_allclose(ops.L, exact_lie_matrix(spec, phi, psi),
                                atol=1e-8)
+
+
+def test_both_fits_return_L_from_one_moment_pair():
+    # the circle's limit-cycle data: gEDMD's L is A B^+ of its generator
+    # moments, EDMD's is (K - Theta) / tau with K = A B^+ of its koopman
+    # moments, both from one least-squares routine, bit for bit
+    spec = SystemSpec(CIRCULAR_ORBIT)
+    phi, psi = circle_dictionaries()
+    gen = sample_snapshots(spec, "limit_cycle", 0.01, 1000,
+                           snapshot_kind=GENERATOR, phi=phi)
+    mm = moment_matrices(gen, phi, psi)
+    ops = fit_gedmd(gen, phi, psi)
+    assert ops.K is None
+    np.testing.assert_array_equal(ops.L, koopman._refined_ls(mm.A, mm.B)[0])
+    koop = sample_snapshots(spec, "limit_cycle", 0.01, 1000)
+    mm = moment_matrices(koop, phi, psi)
+    ops = fit_edmd(koop, phi, psi)
+    K = koopman._refined_ls(mm.A, mm.B)[0]
+    np.testing.assert_array_equal(ops.K, K)
+    np.testing.assert_array_equal(ops.L, (K - ops.theta) / koop.tau)
+    # each estimator keeps its snapshot kind
+    with pytest.raises(ValueError, match="fit_gedmd needs generator-kind"):
+        fit_gedmd(koop, phi, psi)
+    with pytest.raises(ValueError, match="fit_edmd needs koopman-kind"):
+        fit_edmd(gen, phi, psi)
 
 
 def test_edmd_lie_image_is_finite_difference():
@@ -204,7 +233,6 @@ def _reference_moments(s, phi, psi, block=None):
     chunk = koopman.CHUNK_ROWS
     if koopman._moment_structure(psi) is not None:
         chunk = min(chunk, block or _kernels.EVAL_BLOCK)
-    theta = inclusion_matrix(phi, psi)
     acc_b = koopman._KahanAccumulator((psi.size, psi.size))
     acc_a = koopman._KahanAccumulator((phi.size, psi.size))
     for start in range(0, s.n, chunk):
@@ -212,8 +240,7 @@ def _reference_moments(s, phi, psi, block=None):
         Psi = evaluate(psi, s.X[rows])
         acc_b.add(Psi @ Psi.T)
         acc_a.add(evaluate(phi, s.Y[rows]) @ Psi.T)
-    B, A = acc_b.total / s.n, acc_a.total / s.n
-    return B, A, (A - theta @ B) / s.tau
+    return acc_b.total / s.n, acc_a.total / s.n
 
 
 def _trajectory_cases(n):
@@ -269,18 +296,16 @@ def _evaluated(monkeypatch):
 
 
 def _assert_matches_reference(mm, psi, reference):
-    """A^tau bitwise equal to the reference pass; B and D^tau bitwise too,
-    except for a 1-D psi, whose B is assembled from its moments instead of
-    the product Psi Psi^T: those agree within rounding, 1e-13 max |B|."""
-    B, A, D = reference
-    np.testing.assert_array_equal(mm.A_tau, A)
+    """A bitwise equal to the reference pass; B bitwise too, except for a
+    1-D psi, whose B is assembled from its moments instead of the product
+    Psi Psi^T: those agree within rounding, 1e-13 max |B|."""
+    B, A = reference
+    np.testing.assert_array_equal(mm.A, A)
     if psi.dimension > 1:
         np.testing.assert_array_equal(mm.B, B)
-        np.testing.assert_array_equal(mm.D_tau, D)
     else:
-        atol = 1e-13 * np.max(np.abs(B))
-        np.testing.assert_allclose(mm.B, B, rtol=0, atol=atol)
-        np.testing.assert_allclose(mm.D_tau, D, rtol=0, atol=atol)
+        np.testing.assert_allclose(mm.B, B, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(B)))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 50])
@@ -368,12 +393,11 @@ def test_one_dimensional_gram_comes_from_its_moments(monkeypatch, family):
     gaps = Dictionary(family, 1, ((0,), (1,), (3,), (4,)), box)
     phi_gaps = Dictionary(family, 1, ((0,), (1,)), box)
     built.clear()
-    B, A, D_tau = _reference_moments(iid, phi_gaps, gaps)
+    B, A = _reference_moments(iid, phi_gaps, gaps)
     mm = moment_matrices(iid, phi_gaps, gaps)
     assert not built
     np.testing.assert_array_equal(mm.B, B)
-    np.testing.assert_array_equal(mm.A_tau, A)
-    np.testing.assert_array_equal(mm.D_tau, D_tau)
+    np.testing.assert_array_equal(mm.A, A)
 
 
 def test_trajectory_moments_never_evaluate_phi(monkeypatch):
@@ -446,7 +470,7 @@ def test_one_dimensional_moments_over_block_chunks(monkeypatch, family,
         Psi = evaluate(psi, s.X).astype(np.longdouble)
         Phi = (evaluate(phi, s.Y) if koop else s.Y.T).astype(np.longdouble)
         for got, ref in ((mm.B, Psi @ Psi.T / s.n),
-                         (mm.A_tau if koop else mm.C, Phi @ Psi.T / s.n)):
+                         (mm.A, Phi @ Psi.T / s.n)):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -480,7 +504,7 @@ def test_sampled_trajectory_is_detected_without_a_compare(monkeypatch):
     assert evaluated == {psi} and max(compared) < n - 1
     copy, evaluated = moments(pickle.loads(pickle.dumps(s)))
     assert evaluated == {psi} and n - 1 in compared
-    for name in ("B", "A_tau", "D_tau"):
+    for name in ("B", "A"):
         np.testing.assert_array_equal(getattr(copy, name), getattr(view, name))
     states = np.random.default_rng(6).uniform(0.0, 1.0, n + 2)
     _, evaluated = moments(SnapshotSet(t=1.0, X=states[:n, None],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopsos import _kernels
+from koopsos import _kernels, polybasis
 from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, Dictionary,
                                DimensionMismatch, Poly, TargetTooSmall,
                                compose, evaluate, grlex_key,
@@ -68,6 +68,56 @@ def test_dictionary_deterministic():
     b = total_degree_dictionary(CHEBYSHEV, 3, 4, ((-1, 1),) * 3)
     assert a == b
     assert a.indices == b.indices
+
+
+def test_total_degree_dictionary_is_built_once_per_arguments():
+    # the box as a list of ints or a tuple of floats is the same box, so the
+    # same object, whose cached facts are then built once
+    a = total_degree_dictionary(CHEBYSHEV, 2, 3, [[0, 1], [-2, 5]])
+    assert a is total_degree_dictionary(CHEBYSHEV, 2, 3,
+                                        ((0.0, 1.0), (-2.0, 5.0)))
+    assert a.exponents is total_degree_dictionary(
+        CHEBYSHEV, 2, 3, [(0.0, 1.0), (-2.0, 5.0)]).exponents
+    mono = total_degree_dictionary(MONOMIAL, 2, 3)
+    assert mono is total_degree_dictionary(MONOMIAL, 2, 3, None)
+    assert mono is not total_degree_dictionary(MONOMIAL, 2, 3, BOX2)
+    assert mono is not total_degree_dictionary(MONOMIAL, 2, 4)
+
+
+def test_cached_dictionaries_give_the_same_bits(monkeypatch):
+    # compose, monomial_to_cheb and the exact Lie matrices built from fresh
+    # dictionaries and from cached ones agree bit for bit
+    from koopsos.systems import SystemSpec, exact_lie_matrix
+    box = ((0.0, 1.0),)
+    vbox = ((-3.0, 3.0), (-3.0, 3.0))
+    mono2 = total_degree_dictionary(MONOMIAL, 1, 2)
+    x_minus_x2 = Poly(mono2, np.array([0.0, 1.0, -1.0]))
+
+    def results():
+        cheb = total_degree_dictionary(CHEBYSHEV, 1, 8, box)
+        sq = Poly(mono2, np.array([0.5, 0.0, 2.0]))
+        return [
+            monomial_to_cheb(x_minus_x2,
+                             total_degree_dictionary(CHEBYSHEV, 1, 2, box)
+                             ).coeffs,
+            compose(total_degree_dictionary(MONOMIAL, 1, 4), [sq],
+                    total_degree_dictionary(MONOMIAL, 1, 8)),
+            exact_lie_matrix(SystemSpec("StochasticLogistic"),
+                             total_degree_dictionary(CHEBYSHEV, 1, 4, box),
+                             cheb),
+            exact_lie_matrix(SystemSpec("VanDerPol"),
+                             total_degree_dictionary(CHEBYSHEV, 2, 4, vbox),
+                             total_degree_dictionary(CHEBYSHEV, 2, 6, vbox)),
+            exact_lie_matrix(SystemSpec("VanDerPol"),
+                             total_degree_dictionary(MONOMIAL, 2, 4),
+                             total_degree_dictionary(MONOMIAL, 2, 6)),
+        ]
+
+    cached = results()
+    monkeypatch.setattr(polybasis, "_total_degree_dictionary",
+                        polybasis._total_degree_dictionary.__wrapped__)
+    for got, fresh in zip(cached, results()):
+        assert got.tobytes() == fresh.tobytes()
 
 
 def test_chebyshev_t2():

@@ -7,11 +7,12 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
-from koopsos import _kernels, systems
+from koopsos import _kernels, polybasis, systems
 from koopsos.polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL,
                                DimensionMismatch, Poly, TargetTooSmall,
                                evaluate, total_degree_dictionary)
-from koopsos.snapshots import GENERATOR
+from koopsos.snapshots import (GENERATOR, KOOPMAN, SnapshotSet,
+                               empirical_average)
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              VAN_DER_POL, StateOutOfDomain, SystemSpec,
                              WrongSystemKind, exact_lie_matrix,
@@ -579,3 +580,45 @@ def test_empirical_logistic_mean_between_certified_bounds():
     s = sample_snapshots(spec, "trajectory", 1.0, 100_000, rng=make_rng(4))
     mean = float(np.mean(s.X))
     assert 0.0 <= mean <= 0.3750
+
+
+def test_streaming_helpers_fill_one_buffer_with_the_per_chunk_values(
+        monkeypatch):
+    # chunks of 7 rows over 30 states, the last chunk short: each helper
+    # evaluates every chunk into one buffer, and its values and chunk sums
+    # are those of evaluating each chunk into its own array, bit for bit
+    chunk, n = 7, 30
+    monkeypatch.setattr(polybasis, "CHUNK_ROWS", chunk)
+    bases = []
+
+    def spy(dictionary, x, out=None):
+        bases.append(out.base)
+        return evaluate(dictionary, x, out)
+    monkeypatch.setattr(polybasis, "evaluate", spy)
+    spec = SystemSpec(VAN_DER_POL)
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(n, 2))
+    chunks = [X[start:start + chunk] for start in range(0, n, chunk)]
+
+    def one_buffer():
+        assert len(bases) == len(chunks) and bases[0] is not None
+        assert all(b is bases[0] for b in bases)
+        bases.clear()
+
+    for family, box in ((MONOMIAL, None), (CHEBYSHEV, BOX22)):
+        phi = total_degree_dictionary(family, 2, 3, box)
+        psi = total_degree_dictionary(family, 2, lie_image_degree(spec, 3),
+                                      box)
+        lie = exact_lie_matrix(spec, phi, psi)
+        got = exact_lie_values(spec, phi, X)
+        one_buffer()
+        want = np.concatenate([(lie @ evaluate(psi, c)).T for c in chunks])
+        assert got.tobytes() == want.tobytes()
+
+        g = Poly(phi, np.random.default_rng(9).standard_normal(phi.size))
+        data = SnapshotSet(t=1.0, X=X, Y=X, tau=1.0, kind=KOOPMAN)
+        mean = empirical_average(data, g)
+        one_buffer()
+        total = 0.0
+        for c in chunks:
+            total += float(np.sum(g.coeffs @ evaluate(phi, c)))
+        assert mean == total / n
