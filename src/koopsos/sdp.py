@@ -5,7 +5,10 @@ Solves   minimize c.z   subject to  A z = b,  z in K,
 where K is a product of free, nonnegative, and positive semidefinite blocks.
 Symmetric matrix variables are scalarized to their lower triangle with
 off-diagonal entries multiplied by sqrt(2), so the cone inner product equals
-the Euclidean dot product of the scalarized vectors.
+the Euclidean dot product of the scalarized vectors.  The solver lays the
+cone out as one orthant, the positions of every nonnegative entry, and a
+list of PSD blocks, so each cone operation is one vectorized step over the
+orthant and one loop over the PSD blocks.
 
 Free variables are eliminated through one SVD of the free columns A_f and
 one rank cut, and their values are read back from that SVD's kept factors,
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +65,19 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 
 
+def _is_int(value) -> bool:
+    """True for an integer of any integer type other than bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_options(tol, max_iter) -> None:
-    """Raise ValueError unless tol is a number in (0, 1) and max_iter >= 1.
-    The relative gap never exceeds 1, so a tol >= 1 no longer tests it, and a
-    tol <= 0 (or NaN) can never be met."""
-    if not 0.0 < tol < 1.0:
+    """Raise ValueError unless tol is a real number in (0, 1) and max_iter an
+    integer >= 1 (not a bool).  The relative gap never exceeds 1, so a
+    tol >= 1 no longer tests it, and a tol <= 0 (or NaN) can never be met."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
         raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -130,7 +139,12 @@ class SdpProblem:
     b: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple((str(k), int(s)) for k, s in self.blocks)
+        blocks = tuple((str(k), s) for k, s in self.blocks)
+        for kind, size in blocks:
+            if kind not in (FREE, NONNEG, PSD) or not _is_int(size) \
+                    or size < 1:
+                raise ValueError(f"bad block ({kind}, {size})")
+        blocks = tuple((kind, int(size)) for kind, size in blocks)
         dim = sum(block_dim(k, s) for k, s in blocks)
         c = np.asarray(self.c, dtype=float)
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -144,9 +158,6 @@ class SdpProblem:
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))
                 and np.all(np.isfinite(c))):
             raise ValueError("non-finite problem data")
-        for kind, size in blocks:
-            if kind not in (FREE, NONNEG, PSD) or size < 1:
-                raise ValueError(f"bad block ({kind}, {size})")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
@@ -171,62 +182,56 @@ class SdpSolution:
 # -- cone helpers over the conic (non-free) part -------------------------------
 
 class _Cone:
-    """Layout and algebra of the nonnegative/PSD product cone."""
+    """Layout and algebra of the nonnegative/PSD product cone: the orthant
+    as the positions of every nonnegative entry, and the (size, slice) of
+    each PSD block, both in layout order."""
 
     def __init__(self, blocks):
-        self.blocks = block_layout(blocks)
+        layout = block_layout(blocks)
+        self.nonneg = np.array([i for kind, _, sl in layout if kind == NONNEG
+                                for i in range(sl.start, sl.stop)], np.intp)
+        self.psd = [(size, sl) for kind, size, sl in layout if kind == PSD]
         self.degree = sum(size for _, size in blocks)
         self.dim = sum(block_dim(kind, size) for kind, size in blocks)
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
-        for kind, size, sl in self.blocks:
-            if kind == NONNEG:
-                e[sl] = 1.0
-            else:
-                e[sl] = svec(np.eye(size))
+        e[self.nonneg] = 1.0
+        for size, sl in self.psd:
+            e[sl] = svec(np.eye(size))
         return e
 
     def matrices(self, u: np.ndarray) -> list:
-        """smat of each PSD block's slice of u along its last axis (None for
-        a nonnegative block), in block order."""
-        return [None if kind == NONNEG else smat(u[..., sl])
-                for kind, _, sl in self.blocks]
+        """smat of each PSD block's slice of u along its last axis."""
+        return [smat(u[..., sl]) for _, sl in self.psd]
 
     def min_eig(self, v: np.ndarray) -> float:
-        worst = np.inf
-        for kind, size, sl in self.blocks:
-            if kind == NONNEG:
-                worst = min(worst, float(np.min(v[sl])))
-            else:
-                worst = min(worst, float(np.linalg.eigvalsh(smat(v[sl]))[0]))
-        return worst if self.blocks else 0.0
+        worst = float(np.min(v[self.nonneg], initial=np.inf))
+        for _, sl in self.psd:
+            worst = min(worst, float(np.linalg.eigvalsh(smat(v[sl]))[0]))
+        return worst if self.dim else 0.0
 
 
 class _Scaling:
-    """Nesterov-Todd scaling state at a strictly interior (x, s)."""
+    """Nesterov-Todd scaling state at a strictly interior (x, s): w2 and lam
+    over the orthant, and (slice, R, R^-1, sig, R R^T) per PSD block.
+    Directions and targets come as one (orthant, [per PSD block]) pair.  The
+    hot methods skip the orthant step when it is empty, as every
+    ergodic_bound program's is: numpy calls on empty arrays cost
+    microseconds each."""
 
     def __init__(self, cone: _Cone, x: np.ndarray, s: np.ndarray):
         self.cone = cone
-        self.data = []
-        lam_parts = []
-        for kind, size, sl in cone.blocks:
-            if kind == NONNEG:
-                w2 = np.sqrt(x[sl] / s[sl])
-                lam = np.sqrt(x[sl] * s[sl])
-                self.data.append((kind, sl, (w2, lam)))
-                lam_parts.append(lam)
-            else:
-                X = smat(x[sl])
-                S = smat(s[sl])
-                Lx = np.linalg.cholesky(X)
-                Ls = np.linalg.cholesky(S)
-                U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-                R = Lx @ Vt.T / np.sqrt(sig)
-                Rinv = np.linalg.inv(R)
-                self.data.append((kind, sl, (R, Rinv, sig, R @ R.T)))
-                lam_parts.append(sig)
-        self.lam_parts = lam_parts
+        xn, sn = x[cone.nonneg], s[cone.nonneg]
+        self.w2 = np.sqrt(xn / sn)
+        self.lam = np.sqrt(xn * sn)
+        self.psd = []
+        for _, sl in cone.psd:
+            Lx = np.linalg.cholesky(smat(x[sl]))
+            Ls = np.linalg.cholesky(smat(s[sl]))
+            _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+            R = Lx @ Vt.T / np.sqrt(sig)
+            self.psd.append((sl, R, np.linalg.inv(R), sig, R @ R.T))
 
     def apply_w2(self, u: np.ndarray, u_mats=None) -> np.ndarray:
         """The operator W(u) = T u T with T the NT scaling point, applied
@@ -236,65 +241,56 @@ class _Scaling:
         if u_mats is None:
             u_mats = self.cone.matrices(u)
         out = np.empty_like(u)
-        for (kind, sl, dat), U in zip(self.data, u_mats):
-            if kind == NONNEG:
-                w2, _ = dat
-                out[..., sl] = w2 * w2 * u[..., sl]
-            else:
-                _, _, _, T = dat
-                out[..., sl] = svec(T @ U @ T)
+        nn = self.cone.nonneg
+        if nn.size:
+            out[..., nn] = self.w2 * self.w2 * u[..., nn]
+        for (sl, _, _, _, T), U in zip(self.psd, u_mats):
+            out[..., sl] = svec(T @ U @ T)
         return out
 
     def w_comp_target(self, targets) -> np.ndarray:
-        """W(R^-T [(lam o)^-1 D] R^-1) for per-block scaled targets D."""
+        """W(R^-T [(lam o)^-1 D] R^-1) for scaled targets (d, [D per PSD
+        block])."""
+        d, Ds = targets
         out = np.empty(self.cone.dim)
-        for (kind, sl, dat), D in zip(self.data, targets):
-            if kind == NONNEG:
-                w2, lam = dat
-                # for scalars this collapses to d / s
-                out[sl] = w2 * D / lam
-            else:
-                R, _, sig, _ = dat
-                M = 2.0 * D / (sig[:, None] + sig[None, :])
-                out[sl] = svec(R @ M @ R.T)
+        if self.lam.size:
+            # for scalars this collapses to d / s
+            out[self.cone.nonneg] = self.w2 * d / self.lam
+        for (sl, R, _, sig, _), D in zip(self.psd, Ds):
+            M = 2.0 * D / (sig[:, None] + sig[None, :])
+            out[sl] = svec(R @ M @ R.T)
         return out
 
     def scaled_dirs(self, dx: np.ndarray, ds: np.ndarray):
         """dx_tilde = R^-1 dx R^-T and ds_tilde = R^T ds R per block."""
-        out = []
-        for kind, sl, dat in self.data:
-            if kind == NONNEG:
-                w2, _ = dat
-                out.append((dx[sl] / w2, w2 * ds[sl]))
-            else:
-                R, Rinv, _, _ = dat
-                out.append((Rinv @ smat(dx[sl]) @ Rinv.T,
-                            R.T @ smat(ds[sl]) @ R))
-        return out
+        nn = self.cone.nonneg
+        return ((dx[nn] / self.w2, self.w2 * ds[nn]),
+                [(Rinv @ smat(dx[sl]) @ Rinv.T, R.T @ smat(ds[sl]) @ R)
+                 for sl, R, Rinv, _, _ in self.psd])
 
     def max_step(self, dirs) -> float:
         """Largest alpha keeping x + alpha dx and s + alpha ds in the cone,
         from the scaled directions dirs = scaled_dirs(dx, ds)."""
+        (dxn, dsn), blocks = dirs
         alpha = np.inf
-        for (kind, _, dat), (dxt, dst) in zip(self.data, dirs):
-            # overflowing directions signal a numerically dead iterate; a
-            # zero step makes the caller stop instead of crashing in eigvalsh
+        # overflowing directions signal a numerically dead iterate; a zero
+        # step makes the caller stop instead of crashing in eigvalsh
+        if self.lam.size:
+            if not (np.isfinite(dxn).all() and np.isfinite(dsn).all()):
+                return 0.0
+            for dv in (dxn, dsn):
+                neg = dv < 0
+                alpha = min(alpha, float(np.min(-self.lam[neg] / dv[neg],
+                                                initial=np.inf)))
+        for (_, _, _, sig, _), (dxt, dst) in zip(self.psd, blocks):
             if not (np.isfinite(dxt).all() and np.isfinite(dst).all()):
                 return 0.0
-            if kind == NONNEG:
-                _, lam = dat
-                for dv in (dxt, dst):
-                    neg = dv < 0
-                    if np.any(neg):
-                        alpha = min(alpha, float(np.min(-lam[neg] / dv[neg])))
-            else:
-                _, _, sig, _ = dat
-                scale = 1.0 / np.sqrt(sig)
-                for dv in (dxt, dst):
-                    m = float(np.linalg.eigvalsh(
-                        scale[:, None] * dv * scale[None, :])[0])
-                    if m < 0:
-                        alpha = min(alpha, -1.0 / m)
+            scale = 1.0 / np.sqrt(sig)
+            for dv in (dxt, dst):
+                m = float(np.linalg.eigvalsh(
+                    scale[:, None] * dv * scale[None, :])[0])
+                if m < 0:
+                    alpha = min(alpha, -1.0 / m)
         return alpha
 
 
@@ -473,9 +469,9 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
             return dx, dy, ds, dtau, dkappa
 
         # predictor: full Newton step toward the central-path target 0
-        aff_targets = [(-lam * lam) if kind == NONNEG else (-np.diag(lam * lam))
-                       for (kind, _, _), lam in zip(scaling.data,
-                                                    scaling.lam_parts)]
+        lam = scaling.lam
+        aff_targets = (-lam * lam, [-np.diag(sig * sig)
+                                    for _, _, _, sig, _ in scaling.psd])
         aff = newton(-r_p, -r_d, -r_g, -tau * kappa, aff_targets)
         dx_a, dy_a, ds_a, dtau_a, dkap_a = aff
         dirs_a = scaling.scaled_dirs(dx_a, ds_a)
@@ -485,15 +481,12 @@ def _hsde_solve(cone: _Cone, A, b, c, tol, max_iter):
         sigma = max(min((1.0 - alpha_aff) ** 3, 1.0), 1e-10)
 
         # corrector with Mehrotra second-order terms
-        targets = []
-        for (kind, _, _), lam, (dxt, dst) in zip(scaling.data,
-                                                 scaling.lam_parts, dirs_a):
-            if kind == NONNEG:
-                targets.append(sigma * mu - lam * lam - dxt * dst)
-            else:
-                corr = 0.5 * (dxt @ dst + dst @ dxt)
-                targets.append(sigma * mu * np.eye(lam.shape[0])
-                               - np.diag(lam * lam) - corr)
+        (dxn, dsn), blocks_a = dirs_a
+        targets = (sigma * mu - lam * lam - dxn * dsn,
+                   [sigma * mu * np.eye(sig.shape[0]) - np.diag(sig * sig)
+                    - 0.5 * (dxt @ dst + dst @ dxt)
+                    for (_, _, _, sig, _), (dxt, dst) in zip(scaling.psd,
+                                                             blocks_a)])
         r5 = -tau * kappa - dtau_a * dkap_a + sigma * mu
         eta = 1.0 - sigma
         dx, dy, ds, dtau, dkappa = newton(-eta * r_p, -eta * r_d, -eta * r_g,
@@ -567,10 +560,16 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL,
 def verify_kkt(prob: SdpProblem, z, y=None) -> tuple:
     """Independent residuals (primal feasibility, dual feasibility, gap).
 
-    Accepts either a primal/dual pair or an SdpSolution.
+    Accepts either a primal/dual pair or an SdpSolution; a solution
+    without a point is unverifiable, (inf, inf, inf).  Raises ValueError
+    when z is an array and y is missing.
     """
     if isinstance(z, SdpSolution):
         z, y = z.z, z.y
+        if z is None:
+            return (np.inf, np.inf, np.inf)
+    elif y is None:
+        raise ValueError("verify_kkt needs the dual point y with an array z")
     if not (np.isfinite(z).all() and np.isfinite(y).all()):
         return (np.inf, np.inf, np.inf)
     # finite but huge iterates overflow in the products below; that reads as

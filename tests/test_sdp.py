@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from koopsos.sdp import (FREE, NONNEG, PSD, SdpProblem, _Cone, _Scaling,
-                         smat, solve, svec, verify_kkt)
+from koopsos.sdp import (FREE, MAXITER, NONNEG, PSD, SdpProblem,
+                         SdpSolution, _Cone, _Scaling, block_layout, smat,
+                         solve, svec, verify_kkt)
 
 
 def test_svec_round_trip_and_inner_product():
@@ -66,24 +67,156 @@ def test_svec_smat_take_stacks():
         np.testing.assert_allclose(back, M, atol=1e-14)
 
 
+def _interior(rng, blocks):
+    """A random point strictly inside the cone of a (kind, size) list."""
+    parts = []
+    for kind, size in blocks:
+        if kind == NONNEG:
+            parts.append(rng.uniform(0.5, 2.0, size))
+        else:
+            Q = rng.standard_normal((size, size))
+            parts.append(svec(Q @ Q.T + 0.5 * np.eye(size)))
+    return np.concatenate(parts)
+
+
 def test_apply_w2_on_rows_matches_row_by_row():
     rng = np.random.default_rng(4)
     blocks = [(PSD, 3), (NONNEG, 2), (PSD, 4)]
     cone = _Cone(blocks)
-    point = []
-    for _ in range(2):
-        parts = []
-        for kind, size in blocks:
-            if kind == NONNEG:
-                parts.append(rng.uniform(0.5, 2.0, size))
-            else:
-                Q = rng.standard_normal((size, size))
-                parts.append(svec(Q @ Q.T + 0.5 * np.eye(size)))
-        point.append(np.concatenate(parts))
-    scaling = _Scaling(cone, *point)
+    scaling = _Scaling(cone, _interior(rng, blocks), _interior(rng, blocks))
     U = rng.standard_normal((7, cone.dim))
     np.testing.assert_array_equal(scaling.apply_w2(U),
                                   [scaling.apply_w2(u) for u in U])
+
+
+class _ScalingLoop:
+    """Reference NT scaling: one (kind, slice, data) entry per block, and
+    every operation a loop over the blocks that tests each block's kind."""
+
+    def __init__(self, blocks, x, s):
+        self.dim = x.shape[0]
+        self.data = []
+        for kind, size, sl in block_layout(blocks):
+            if kind == NONNEG:
+                w2 = np.sqrt(x[sl] / s[sl])
+                lam = np.sqrt(x[sl] * s[sl])
+                self.data.append((kind, sl, (w2, lam)))
+            else:
+                Lx = np.linalg.cholesky(smat(x[sl]))
+                Ls = np.linalg.cholesky(smat(s[sl]))
+                U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+                R = Lx @ Vt.T / np.sqrt(sig)
+                self.data.append((kind, sl, (R, np.linalg.inv(R), sig,
+                                             R @ R.T)))
+
+    def apply_w2(self, u):
+        out = np.empty_like(u)
+        for kind, sl, dat in self.data:
+            if kind == NONNEG:
+                w2, _ = dat
+                out[..., sl] = w2 * w2 * u[..., sl]
+            else:
+                T = dat[3]
+                out[..., sl] = svec(T @ smat(u[..., sl]) @ T)
+        return out
+
+    def w_comp_target(self, targets):
+        out = np.empty(self.dim)
+        for (kind, sl, dat), D in zip(self.data, targets):
+            if kind == NONNEG:
+                w2, lam = dat
+                out[sl] = w2 * D / lam
+            else:
+                R, _, sig, _ = dat
+                M = 2.0 * D / (sig[:, None] + sig[None, :])
+                out[sl] = svec(R @ M @ R.T)
+        return out
+
+    def scaled_dirs(self, dx, ds):
+        out = []
+        for kind, sl, dat in self.data:
+            if kind == NONNEG:
+                w2, _ = dat
+                out.append((dx[sl] / w2, w2 * ds[sl]))
+            else:
+                R, Rinv, _, _ = dat
+                out.append((Rinv @ smat(dx[sl]) @ Rinv.T,
+                            R.T @ smat(ds[sl]) @ R))
+        return out
+
+    def max_step(self, dirs):
+        alpha = np.inf
+        for (kind, _, dat), (dxt, dst) in zip(self.data, dirs):
+            if not (np.isfinite(dxt).all() and np.isfinite(dst).all()):
+                return 0.0
+            if kind == NONNEG:
+                _, lam = dat
+                for dv in (dxt, dst):
+                    neg = dv < 0
+                    if np.any(neg):
+                        alpha = min(alpha, float(np.min(-lam[neg] / dv[neg])))
+            else:
+                _, _, sig, _ = dat
+                scale = 1.0 / np.sqrt(sig)
+                for dv in (dxt, dst):
+                    m = float(np.linalg.eigvalsh(
+                        scale[:, None] * dv * scale[None, :])[0])
+                    if m < 0:
+                        alpha = min(alpha, -1.0 / m)
+        return alpha
+
+    def min_eig(self, v):
+        worst = np.inf
+        for kind, sl, _ in self.data:
+            if kind == NONNEG:
+                worst = min(worst, float(np.min(v[sl])))
+            else:
+                worst = min(worst, float(np.linalg.eigvalsh(smat(v[sl]))[0]))
+        return worst
+
+
+def _by_kind(blocks, parts):
+    """A per-block list as the cone's (orthant, [per PSD block]) pair."""
+    kinds = [kind for kind, _ in blocks]
+    return (np.concatenate([p for k, p in zip(kinds, parts) if k == NONNEG]),
+            [p for k, p in zip(kinds, parts) if k == PSD])
+
+
+def test_scaling_matches_the_per_block_reference():
+    rng = np.random.default_rng(11)
+    blocks = [(NONNEG, 2), (PSD, 3), (NONNEG, 1), (PSD, 4)]
+    cone = _Cone(blocks)
+    x, s = _interior(rng, blocks), _interior(rng, blocks)
+    scaling, ref = _Scaling(cone, x, s), _ScalingLoop(blocks, x, s)
+    U = rng.standard_normal((5, cone.dim))
+    for u in (U, U[0]):
+        np.testing.assert_array_equal(scaling.apply_w2(u), ref.apply_w2(u))
+    for trial in range(20):
+        targets = []
+        for kind, size in blocks:
+            D = rng.standard_normal(size if kind == NONNEG else (size, size))
+            targets.append(D if kind == NONNEG else D + D.T)
+        np.testing.assert_array_equal(
+            scaling.w_comp_target(_by_kind(blocks, targets)),
+            ref.w_comp_target(targets))
+        # longer directions leave the cone sooner, so that the step bound
+        # comes from the orthant in some trials and a PSD block in others
+        dx, ds = rng.standard_normal((2, cone.dim)) * (1 + trial)
+        if trial == 0:
+            dx[2] = np.inf
+        (dxn, dsn), blocks_got = got = scaling.scaled_dirs(dx, ds)
+        want = ref.scaled_dirs(dx, ds)
+        want_x, want_s = (_by_kind(blocks, [d[i] for d in want])
+                          for i in (0, 1))
+        np.testing.assert_array_equal(dxn, want_x[0])
+        np.testing.assert_array_equal(dsn, want_s[0])
+        for (gx, gs), wx, ws in zip(blocks_got, want_x[1], want_s[1]):
+            np.testing.assert_array_equal(gx, wx)
+            np.testing.assert_array_equal(gs, ws)
+        assert scaling.max_step(got) == ref.max_step(want)
+        if trial:
+            for v in (x, s, dx, ds):
+                assert cone.min_eig(v) == ref.min_eig(v)
 
 
 def _random_feasible(rng, blocks, m):
@@ -248,6 +381,15 @@ def test_rejects_bad_data():
                    np.zeros(0))
 
 
+@pytest.mark.parametrize("block, dim", [
+    ((PSD, 2.7), 3), ((NONNEG, True), 1), ((PSD, 0), 0),
+], ids=["non-integral", "bool", "zero"])
+def test_rejects_a_bad_block_size(block, dim):
+    # int(2.7) would silently take a 3-entry c as one PSD block of size 2
+    with pytest.raises(ValueError, match="bad block"):
+        SdpProblem([block], np.zeros(dim), np.zeros((0, dim)), np.zeros(0))
+
+
 def test_never_optimal_without_meeting_tolerance():
     rng = np.random.default_rng(21)
     prob = _random_feasible(rng, [(PSD, 6)], 5)
@@ -271,7 +413,9 @@ def test_iteration_cap_reason():
 
 @pytest.mark.parametrize("options", [
     {"tol": -1.0}, {"tol": math.nan}, {"tol": 1.0}, {"max_iter": 0},
-], ids=["tol-negative", "tol-nan", "tol-one", "max_iter-zero"])
+    {"max_iter": 10.5}, {"max_iter": True}, {"tol": "1e-8"}, {"tol": None},
+], ids=["tol-negative", "tol-nan", "tol-one", "max_iter-zero",
+        "max_iter-fraction", "max_iter-bool", "tol-string", "tol-none"])
 def test_rejects_meaningless_options(options):
     # tol -1 would certify unboundedness, tol 1 accept a point far from the
     # optimum, max_iter 0 report a cap without one iteration
@@ -303,6 +447,25 @@ def test_verify_kkt_huge_point_is_unverifiable_without_warnings():
         warnings.simplefilter("error")
         res = verify_kkt(prob, np.full(2, 1e200), np.array([1e200]))
     assert res == (np.inf, np.inf, np.inf)
+
+
+def test_verify_kkt_of_a_solution_without_a_point_is_unverifiable():
+    # x1 + x2 = -1 with x >= 0 has no point: the solver certifies that
+    prob = SdpProblem([(NONNEG, 2)], np.array([1.0, 2.0]),
+                      np.array([[1.0, 1.0]]), np.array([-1.0]))
+    sol = solve(prob)
+    assert sol.status == "Infeasible" and sol.z is None
+    capped = SdpSolution(MAXITER, None, None, None, (np.inf,) * 3, 5,
+                         reason="tau collapse")
+    for s in (sol, capped):
+        assert verify_kkt(prob, s) == (np.inf, np.inf, np.inf)
+
+
+def test_verify_kkt_of_an_array_needs_y():
+    prob = SdpProblem([(NONNEG, 2)], np.array([1.0, 2.0]),
+                      np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="y"):
+        verify_kkt(prob, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("delta", [1e-13, 1e-14])
