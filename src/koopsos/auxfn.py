@@ -8,12 +8,12 @@ of a known system; bounds obtained from data are only guaranteed on the set
 where the approximate Lie derivative agrees with the exact one, and results
 carry that caveat explicitly.  A Lyapunov candidate found from data is
 re-checked against a trusted Lie matrix by ``posterior_verify``, which solves
-the same two inequalities as the search with V fixed.
+the same two inequalities as the search with V fixed.  A result keeps its
+solve's ``sos.SosSolution``, the one copy of V, status, reason and residuals.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ from .koopman import (analytic_circle_moments, divergence_indicator, fit_edmd,
                       fit_gedmd)
 from .polybasis import (MONOMIAL, Dictionary, Poly, inclusion_matrix,
                         norm_squared, total_degree_dictionary)
-from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, OPTIMAL
 from .snapshots import GENERATOR, KOOPMAN
 from .systems import CIRCULAR_ORBIT, SystemSpec, sample_snapshots
 
@@ -32,35 +32,27 @@ DATA_VALIDITY_NOTE = ("bound certified against the approximate Lie derivative; "
                       "matches the exact Lie derivative")
 
 
-def _solver_state(solution: sos.SosSolution | None) -> dict:
-    """The SDP's stop reason, iteration count, blocks and equality rows,
-    for a result's JSON; a program split by parity shows two PSD blocks per
-    Gram term."""
-    if solution is None:
-        return {"reason": None, "iterations": None, "sdp_blocks": None,
-                "sdp_rows": None}
-    return {"reason": solution.sdp.reason,
-            "iterations": solution.sdp.iterations,
-            "sdp_blocks": [list(block) for block in solution.sdp_blocks],
-            "sdp_rows": solution.sdp_rows}
-
-
 @dataclass
 class LyapunovResult:
-    feasible: bool
-    V: Poly | None
     epsilon_posterior: float | None
-    status: str
-    sos_solution: sos.SosSolution | None
+    sos_solution: sos.SosSolution
 
-    def to_json(self) -> str:
-        return json.dumps({
+    @property
+    def V(self) -> Poly | None:
+        return self.sos_solution.phi
+
+    @property
+    def feasible(self) -> bool:
+        return self.sos_solution.status == OPTIMAL
+
+    def to_dict(self) -> dict:
+        return {
             "feasible": self.feasible,
-            "status": self.status,
+            "status": self.sos_solution.status,
             "V_coeffs": None if self.V is None else self.V.coeffs.tolist(),
             "epsilon_posterior": self.epsilon_posterior,
-            **_solver_state(self.sos_solution),
-        })
+            **self.sos_solution.solver_state(),
+        }
 
 
 def _lyapunov_program(phi: Dictionary, lie_matrix: np.ndarray,
@@ -98,50 +90,58 @@ def find_lyapunov(lie_matrix: np.ndarray, lie_basis: Dictionary,
     solution = sos.solve(sos.compile(_lyapunov_program(phi, lie_matrix,
                                                        lie_basis)),
                          tol=tol, max_iter=max_iter)
-    feasible = solution.status == "Optimal"
-    V = Poly(phi, solution.phi_coeffs) if feasible else None
     eps = None
-    if feasible and posterior_lie is not None:
-        eps = posterior_verify(V, posterior_lie, lie_basis, tol=tol,
-                               max_iter=max_iter)["epsilon"]
-    return LyapunovResult(feasible, V, eps, solution.status, solution)
+    if solution.phi is not None and posterior_lie is not None:
+        eps = posterior_verify(solution.phi, posterior_lie, lie_basis, tol=tol,
+                               max_iter=max_iter).scalar_values.get("eps")
+    return LyapunovResult(eps, solution)
 
 
 def posterior_verify(V: Poly, lie_matrix: np.ndarray, lie_basis: Dictionary,
                      tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> dict:
+                     max_iter: int = DEFAULT_MAX_ITER) -> sos.SosSolution:
     """Re-check a Lyapunov candidate with a trusted Lie matrix: maximize eps
-    subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed."""
-    sol = sos.solve(sos.compile(_lyapunov_program(V.basis, lie_matrix,
-                                                  lie_basis, V)),
-                    tol=tol, max_iter=max_iter)
-    return {"status": sol.status,
-            "epsilon": sol.scalar_values.get("eps"),
-            "reason": sol.sdp.reason}
+    subject to V - eps |x|^2 >= 0 and -LV - eps |x|^2 >= 0 with V fixed.
+    The certified eps is ``scalar_values["eps"]``, absent unless Optimal."""
+    return sos.solve(sos.compile(_lyapunov_program(V.basis, lie_matrix,
+                                                   lie_basis, V)),
+                     tol=tol, max_iter=max_iter)
 
 
 @dataclass
 class BoundResult:
     direction: str
-    bound: float | None
-    V: Poly | None
     lie_source: str
-    status: str
-    residuals: tuple
-    validity: str
-    sos_solution: sos.SosSolution | None = None
+    sos_solution: sos.SosSolution
 
-    def to_json(self) -> str:
-        return json.dumps({
+    @property
+    def V(self) -> Poly | None:
+        return self.sos_solution.phi
+
+    @property
+    def bound(self) -> float | None:
+        return self.sos_solution.scalar_values.get("bound")
+
+    @property
+    def status(self) -> str:
+        return self.sos_solution.status
+
+    @property
+    def validity(self) -> str:
+        return ("exact-generator certificate" if self.lie_source == "exact"
+                else DATA_VALIDITY_NOTE)
+
+    def to_dict(self) -> dict:
+        return {
             "direction": self.direction,
             "bound": self.bound,
             "status": self.status,
             "lie_source": self.lie_source,
             "V_coeffs": None if self.V is None else self.V.coeffs.tolist(),
-            "residuals": list(self.residuals),
+            "residuals": list(self.sos_solution.sdp.kkt_residuals),
             "validity": self.validity,
-            **_solver_state(self.sos_solution),
-        })
+            **self.sos_solution.solver_state(),
+        }
 
 
 def ergodic_bound(direction: str, g: Poly, lie_matrix: np.ndarray,
@@ -171,13 +171,7 @@ def ergodic_bound(direction: str, g: Poly, lie_matrix: np.ndarray,
     prog = sos.SosProgram(phi=phi, scalars=("bound",), constraints=[con],
                           objective=(sense, {"bound": 1.0}), c_fixed=c_fixed)
     solution = sos.solve(sos.compile(prog), tol=tol, max_iter=max_iter)
-    validity = ("exact-generator certificate" if lie_source == "exact"
-                else DATA_VALIDITY_NOTE)
-    V = (None if solution.phi_coeffs is None
-         else Poly(phi, solution.phi_coeffs))
-    return BoundResult(direction, solution.scalar_values.get("bound"), V,
-                       lie_source, solution.status,
-                       solution.sdp.kkt_residuals, validity, solution)
+    return BoundResult(direction, lie_source, solution)
 
 
 # -- circular-orbit case study -------------------------------------------------

@@ -33,7 +33,6 @@ bit-identical to evaluating phi at y.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -103,15 +102,15 @@ class EdmdOperators:
     L: np.ndarray
     svd_report: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "phi": json.loads(self.phi.to_json()),
-            "psi": json.loads(self.psi.to_json()),
+    def to_dict(self) -> dict:
+        return {
+            "phi": self.phi.to_dict(),
+            "psi": self.psi.to_dict(),
             "tau": self.tau,
             "svd_report": self.svd_report,
             "K": None if self.K is None else self.K.tolist(),
             "L": self.L.tolist(),
-        })
+        }
 
 
 def _refined_ls(num: np.ndarray, B: np.ndarray):

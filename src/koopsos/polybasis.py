@@ -21,7 +21,6 @@ change of basis, which is p with the coordinates written in the new basis
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -131,7 +130,7 @@ class Dictionary:
         table.flags.writeable = False
         return table
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         payload = {
             "family": self.family,
             "dimension": self.dimension,
@@ -139,11 +138,10 @@ class Dictionary:
         }
         if self.box is not None:
             payload["box"] = [list(b) for b in self.box]
-        return json.dumps(payload)
+        return payload
 
     @staticmethod
-    def from_json(text: str) -> "Dictionary":
-        data = json.loads(text)
+    def from_dict(data: dict) -> "Dictionary":
         box = data.get("box")
         return Dictionary(
             family=data["family"],

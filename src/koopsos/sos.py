@@ -321,14 +321,33 @@ def compile(prog: SosProgram) -> CompiledSos:
 
 @dataclass
 class SosSolution:
-    status: str
-    phi_coeffs: np.ndarray | None
+    """The one record of a solve: phi, the scalars and Grams it lifts, and
+    the SDP solution, sole holder of status, reason, iterations, residuals."""
+
+    phi: Poly | None     # None unless Optimal
     scalar_values: dict
     objective: float | None
     grams: list          # per constraint, the Gram Q_k of each term
     sdp: SdpSolution
     sdp_blocks: tuple    # the solved problem's (kind, size) blocks
     sdp_rows: int
+
+    @property
+    def status(self) -> str:
+        return self.sdp.status
+
+    def verdict(self) -> str:
+        """The status, followed by its stop reason unless it is Optimal."""
+        return (self.status if self.status == OPTIMAL
+                else f"{self.status}: {self.sdp.reason}")
+
+    def solver_state(self) -> dict:
+        """The stop reason, iterations, blocks and equality rows of a result's
+        JSON; a parity-split program shows two PSD blocks per Gram term."""
+        return {"reason": self.sdp.reason,
+                "iterations": self.sdp.iterations,
+                "sdp_blocks": [list(block) for block in self.sdp_blocks],
+                "sdp_rows": self.sdp_rows}
 
 
 def solve(compiled: CompiledSos, tol: float = DEFAULT_TOL,
@@ -339,25 +358,22 @@ def solve(compiled: CompiledSos, tol: float = DEFAULT_TOL,
     prog = compiled.program
     sdp_shape = (problem.blocks, problem.A.shape[0])
     if sol.status != OPTIMAL:
-        return SosSolution(sol.status, None, {}, None, [], sol, *sdp_shape)
-    z = sol.z
-    dec = z[compiled.dec_slice]
+        return SosSolution(None, {}, None, [], sol, *sdp_shape)
+    dec = sol.z[compiled.dec_slice]
     ell = compiled.phi_dec.size
-    if prog.c_fixed is not None:
-        phi_coeffs = prog.c_fixed.copy()
-    else:
-        # a split program's odd phi coefficients are 0
-        phi_coeffs = np.zeros(prog.phi.size)
-        phi_coeffs[compiled.phi_dec] = dec[:ell]
+    # a fixed phi has no decision variables; a split program's odd phi
+    # coefficients are 0
+    phi_coeffs = (np.zeros(prog.phi.size) if prog.c_fixed is None
+                  else prog.c_fixed.copy())
+    phi_coeffs[compiled.phi_dec] = dec[:ell]
     scalar_values = {n: float(dec[ell + k])
                      for k, n in enumerate(prog.scalars)}
     slices = block_layout(problem.blocks)
-    grams = [[smat(z[slices[bi][2]]) for bi in cc.blocks]
+    grams = [[smat(sol.z[slices[bi][2]]) for bi in cc.blocks]
              for cc in compiled.per_constraint]
-    objective = None
-    if prog.objective[0] in ("min", "max", "l1_phi"):
-        objective = compiled.sense * sol.objective
-    return SosSolution(sol.status, phi_coeffs, scalar_values, objective,
+    objective = (compiled.sense * sol.objective
+                 if prog.objective[0] in ("min", "max", "l1_phi") else None)
+    return SosSolution(Poly(prog.phi, phi_coeffs), scalar_values, objective,
                        grams, sol, *sdp_shape)
 
 
@@ -369,7 +385,7 @@ def certificate_values(compiled: CompiledSos, solution: SosSolution,
     prog = compiled.program
     dec = []
     if prog.c_fixed is None:
-        dec.append(solution.phi_coeffs[compiled.phi_dec])
+        dec.append(solution.phi.coeffs[compiled.phi_dec])
     dec.append(np.array([solution.scalar_values[n] for n in prog.scalars]))
     dec = np.concatenate(dec) if dec else np.zeros(0)
     coeffs = cc.dec_matrix @ dec + cc.const

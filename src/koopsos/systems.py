@@ -67,7 +67,8 @@ class SystemSpec:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.id not in _TIME_KIND:
+        # a list or a dict names no system, and is not hashable
+        if not isinstance(self.id, str) or self.id not in _TIME_KIND:
             raise WrongSystemKind(f"unknown system {self.id!r}")
         if self.id == VAN_DER_POL:
             object.__setattr__(

@@ -14,8 +14,9 @@ from koopsos.auxfn import BoundResult
 from koopsos.cli import (EXIT_CONFIG, EXIT_NONOPTIMAL, EXIT_OK, ConfigError,
                          config_hash, main, validate_config)
 from koopsos.polybasis import CHEBYSHEV, MONOMIAL, total_degree_dictionary
+from koopsos.sdp import SdpSolution
 from koopsos.snapshots import empirical_average
-from koopsos.sos import SemialgebraicSet
+from koopsos.sos import SemialgebraicSet, SosSolution
 from koopsos.systems import (STOCHASTIC_LOGISTIC, VAN_DER_POL,
                              lie_image_degree, make_rng)
 
@@ -108,6 +109,10 @@ def test_bound_exact_logistic(tmp_path):
     })
     assert main(["bound", cfg]) == EXIT_OK
     out = json.loads((tmp_path / "bound.json.out").read_text())
+    assert list(out) == ["direction", "bound", "status", "lie_source",
+                         "V_coeffs", "residuals", "validity", "reason",
+                         "iterations", "sdp_blocks", "sdp_rows",
+                         "config_hash", "version"]
     assert out["status"] == "Optimal"
     assert out["reason"] == "optimal" and out["iterations"] > 0
     assert abs(out["bound"] - 0.3125) < 2e-4
@@ -219,6 +224,10 @@ def test_lyapunov_then_verify(tmp_path, capsys):
     })
     assert main(["lyapunov", cfg]) == EXIT_OK
     payload = json.loads(Path(result).read_text())
+    assert list(payload) == ["feasible", "status", "V_coeffs",
+                             "epsilon_posterior", "reason", "iterations",
+                             "sdp_blocks", "sdp_rows", "phi", "config_hash",
+                             "version"]
     assert payload["feasible"] is True
     assert payload["reason"] == "optimal"
     # MapLyap2D is not odd: the rows of degree 4 and 8 and the l1 rows
@@ -321,10 +330,14 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     # the map's default beta is 2 alpha, so alpha is checked before beta
     ({"system": "MapLyap2D", "dictionaries": {"alpha": -1}},
      "dictionaries.alpha"),
+    ({"system": ["VanDerPol"]}, "unknown system"),
+    ({"system": {"a": 1}}, "unknown system"),
+    ({"output": {"path": 5}}, "output.path"),
 ], ids=["alpha", "alpha-fraction", "alpha-negative", "box-short",
         "box-reversed", "box-empty", "n", "n-fraction", "tol", "max_iter",
         "tol-negative", "tol-nan", "tol-one", "max_iter-zero", "max_iter-bool",
-        "observable", "domain", "domain-2d", "map-alpha-negative"])
+        "observable", "domain", "domain-2d", "map-alpha-negative",
+        "system-list", "system-object", "output-path"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
                                           update, key):
     def no_sampling(*args, **kwargs):
@@ -335,8 +348,9 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch,
               "sampling": {"n": 200}, "dictionaries": {"alpha": 2},
               "output": {"path": str(tmp_path / "bound.json.out")}}
     for section, entry in update.items():
-        config[section] = ({**config.get(section, {}), **entry}
-                           if isinstance(entry, dict) else entry)
+        config[section] = ({**config[section], **entry}
+                           if isinstance(config.get(section), dict)
+                           else entry)
     assert main(["bound", _write(tmp_path, "bound.json", config)]) == EXIT_CONFIG
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "bound.json.out").exists()
@@ -471,11 +485,20 @@ def test_reproduce_cell_exact_logistic_alpha2():
                      "+0.0000"]]
 
 
+def _bound_result(direction, lie_source, status, residuals, bound=None):
+    """A BoundResult whose solve record holds only a status, residuals and
+    the bound, if any."""
+    sdp = SdpSolution(status, None, None, None, residuals)
+    scalars = {} if bound is None else {"bound": bound}
+    return BoundResult(direction, lie_source,
+                       SosSolution(None, scalars, None, [], sdp, (), 0))
+
+
 def _never_optimal(calls):
     def bound(direction, *args, tol=1e-8, lie_source="exact", **kwargs):
         calls.append(tol)
-        return BoundResult(direction, None, None, lie_source, "MaxIter",
-                           (float("inf"),) * 3, "")
+        return _bound_result(direction, lie_source, "MaxIter",
+                             (float("inf"),) * 3)
     return bound
 
 
@@ -603,11 +626,11 @@ def _fake_bound(calls):
                       tuple(_digest(s.coeffs) for s in domain.s_list)))
         k = (phi.max_degree // 2 + (direction == "lower")) % 3
         if k == 2 or (k == 1 and tol < 1e-6):
-            return BoundResult(direction, None, None, lie_source, "MaxIter",
-                               (float("inf"),) * 3, "")
+            return _bound_result(direction, lie_source, "MaxIter",
+                                 (float("inf"),) * 3)
         value = float(np.abs(lie).sum()) + float(g.coeffs.sum())
-        return BoundResult(direction, value, None, lie_source, "Optimal",
-                           (0.0,) * 3, "")
+        return _bound_result(direction, lie_source, "Optimal", (0.0,) * 3,
+                             value)
     return bound
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import pickle
 
@@ -351,7 +352,7 @@ def test_poly_from_terms_matches_hand_built(family, box):
 
 def test_json_round_trip():
     dic = total_degree_dictionary(CHEBYSHEV, 2, 3, BOX2)
-    again = Dictionary.from_json(dic.to_json())
+    again = Dictionary.from_dict(json.loads(json.dumps(dic.to_dict())))
     assert again == dic
 
 
@@ -467,4 +468,4 @@ def test_dictionary_with_read_facts_pickles_copies_and_compares():
         assert other.positions == dic.positions
         np.testing.assert_array_equal(other.bounds, dic.bounds)
         assert evaluate(other, X).tobytes() == vals.tobytes()
-    assert Dictionary.from_json(dic.to_json()) == dic
+    assert Dictionary.from_dict(dic.to_dict()) == dic

@@ -12,7 +12,7 @@ from koopsos.polybasis import (CHEBYSHEV, MONOMIAL, DimensionMismatch, Poly,
 from koopsos.sdp import block_layout, svec
 from koopsos.snapshots import KOOPMAN
 from koopsos.sos import (InequalityConstraint, SemialgebraicSet, SosProgram,
-                         auto_bases, certificate_values, compile,
+                         SosSolution, auto_bases, certificate_values, compile,
                          gram_values, solve)
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
                              VAN_DER_POL, SystemSpec, exact_lie_matrix,
@@ -398,11 +398,11 @@ def test_posterior_verify_zero_candidate_gets_no_margin():
     phi = total_degree_dictionary(MONOMIAL, 2, 4)
     psi = total_degree_dictionary(MONOMIAL, 2, 8)
     lie = exact_lie_matrix(spec, phi, psi)
-    report = posterior_verify(Poly(phi, np.zeros(phi.size)), lie, psi)
-    assert set(report) == {"status", "epsilon", "reason"}
-    if report["status"] == "Optimal":
-        assert report["reason"] == "optimal"
-        assert report["epsilon"] <= 1e-7
+    sol = posterior_verify(Poly(phi, np.zeros(phi.size)), lie, psi)
+    assert isinstance(sol, SosSolution)
+    if sol.status == "Optimal":
+        assert sol.sdp.reason == "optimal"
+        assert sol.scalar_values["eps"] <= 1e-7
 
 
 @pytest.mark.parametrize("other", [(MONOMIAL, BOX), (CHEBYSHEV, ((0.0, 2.0),))],
@@ -508,7 +508,7 @@ def test_parity_split_keeps_the_optimum(make, monkeypatch):
     assert sol.objective == pytest.approx(
         ref.objective, abs=10 * tol * (1 + abs(ref.objective)))
     odd = np.array([sum(idx) % 2 == 1 for idx in prog.phi.indices])
-    assert not sol.phi_coeffs[odd].any()
+    assert not sol.phi.coeffs[odd].any()
     # one Gram per split term, each PSD
     assert len(sol.grams[0]) == len(split.per_constraint[0].terms)
     assert min(np.linalg.eigvalsh(Q)[0] for Q in sol.grams[0]) > -1e-8
@@ -575,6 +575,6 @@ def test_certificate_matches_gram_reconstruction_when_split():
     # the certified polynomial of the reduced program is U - g - LV in full
     prog = compiled.program
     con = prog.constraints[0]
-    lv = (sol.phi_coeffs @ con.lie_matrix) @ evaluate(con.lie_basis, X)
+    lv = (sol.phi.coeffs @ con.lie_matrix) @ evaluate(con.lie_basis, X)
     full = sol.scalar_values["bound"] - norm_squared(MONOMIAL, 2)(X) - lv
     np.testing.assert_allclose(cert, full, rtol=0, atol=1e-12 * scale)

@@ -58,6 +58,10 @@ def test_logistic_domain_check():
 def test_unknown_system_rejected():
     with pytest.raises(WrongSystemKind):
         SystemSpec("Lorenz")
+    # a name that is not a string, also an unhashable one
+    for name in (["VanDerPol"], {"a": 1}, 5):
+        with pytest.raises(WrongSystemKind, match="unknown system"):
+            SystemSpec(name)
 
 
 def test_circle_stays_on_circle():
