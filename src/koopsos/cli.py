@@ -6,9 +6,10 @@ schema (unknown keys are rejected), and every JSON output embeds the config
 hash and library version so results are traceable to their inputs.
 
 Exit codes: 0 success, 1 solver did not reach Optimal, 2 config error: a bad
-file, key, name, number, degree, box, sampling setting or output path, or a
-verify result without usable V_coeffs; numbers, degrees, boxes, the output
-path, the observable and the domain of ``bound`` fail before sampling.
+file, key, name, number, degree, box, sampling setting or output path, a
+verify result without usable V_coeffs, or one whose stored phi is missing,
+malformed or not the config's phi dictionary; numbers, degrees, boxes, the
+output path, the observable and the domain of ``bound`` fail before sampling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import __version__, reference_values
 from .auxfn import (circular_orbit_casestudy, ergodic_bound, find_lyapunov,
                     posterior_verify)
 from .koopman import convergence_study, fit_edmd, fit_gedmd, loglog_slope
-from .polybasis import (CHEBYSHEV, MONOMIAL, Poly, TargetTooSmall,
+from .polybasis import (CHEBYSHEV, MONOMIAL, Dictionary, Poly, TargetTooSmall,
                         norm_squared, poly_from_terms, total_degree_dictionary)
 from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, check_options
 from .snapshots import GENERATOR, KOOPMAN, empirical_average, save_csv
@@ -130,7 +131,7 @@ def _system(cfg) -> SystemSpec:
 def _dictionaries(cfg, spec: SystemSpec):
     sec = cfg.get("dictionaries", {})
     family = sec.get("family",
-                     CHEBYSHEV if spec.id == STOCHASTIC_LOGISTIC else MONOMIAL)
+                     MONOMIAL if spec.system.box is None else CHEBYSHEV)
     if family not in (MONOMIAL, CHEBYSHEV):
         raise ConfigError(f"unknown dictionary family {family!r}")
     alpha = _number(cfg, "dictionaries.alpha", 4, int)
@@ -252,8 +253,7 @@ def _fit_operators(cfg, spec, phi, psi, data):
 def _bound_problem(cfg, spec, phi):
     """The observable g and the domain of a bound config."""
     default_obs = "state" if spec.dimension == 1 else "energy"
-    default_dom = ("unit_interval" if spec.id == STOCHASTIC_LOGISTIC
-                   else "none")
+    default_dom = "none" if spec.system.box is None else "unit_interval"
     g = _observable(cfg.get("observable", default_obs), spec, phi.family,
                     phi.box)
     domain = _domain(cfg.get("domain", default_dom), spec, phi.family, phi.box)
@@ -326,6 +326,16 @@ def cmd_verify(cfg) -> int:
         raise ConfigError(f"output.path {result_path} holds no finite "
                           f"V_coeffs of length {phi.size}, the size of the "
                           f"config's phi dictionary")
+    stored = data.get("phi")  # V is read over it, so it must be the config's
+    if isinstance(stored, dict):
+        try:
+            stored = Dictionary.from_dict(stored)
+        except (KeyError, TypeError, ValueError, OverflowError):  # malformed
+            stored = None
+    if stored != phi:
+        raise ConfigError(f"output.path {result_path} holds no phi equal to "
+                          f"the config's phi dictionary, over which V_coeffs "
+                          f"would be read")
     solution = posterior_verify(Poly(phi, coeffs),
                                 exact_lie_matrix(spec, phi, psi), psi,
                                 **_solver(cfg))

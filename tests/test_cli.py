@@ -308,6 +308,36 @@ def test_verify_without_usable_v_is_config_error(tmp_path, capsys, result):
     assert f"output.path {path}" in err and "length 15" in err
 
 
+@pytest.mark.parametrize("phi, dictionaries", [
+    (None, {}),
+    ([1, 2], {}),
+    ({"family": "monomial"}, {}),
+    ({"family": "monomial", "dimension": 2, "indices": [["a", 0]]}, {}),
+    (total_degree_dictionary(CHEBYSHEV, 2, 4, ((-2, 2), (-2, 2))).to_dict(),
+     {}),
+    (total_degree_dictionary(MONOMIAL, 2, 4).to_dict(),
+     {"family": "chebyshev", "box": [[-2, 2], [-2, 2]]}),
+], ids=["missing", "not-object", "no-indices", "bad-index", "other-phi",
+        "other-config"])
+def test_verify_reads_v_only_over_its_own_phi(tmp_path, capsys, phi,
+                                              dictionaries):
+    # a Chebyshev and a monomial phi of degree 4 both hold 15 elements: V's
+    # coefficients used to be read over whichever the config named
+    path = str(tmp_path / "lyap.json.out")
+    result = {"feasible": True, "V_coeffs": [1.0] * 15}
+    if phi is not None:
+        result["phi"] = phi
+    Path(path).write_text(json.dumps(result))
+    vcfg = _write(tmp_path, "verify.json", {
+        "system": "MapLyap2D",
+        "dictionaries": {"alpha": 4, "beta": 8, **dictionaries},
+        "output": {"path": path},
+    })
+    assert main(["verify", vcfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"output.path {path} holds no phi equal" in err
+
+
 @pytest.mark.parametrize("update, key", [
     ({"dictionaries": {"alpha": "four"}}, "dictionaries.alpha"),
     ({"dictionaries": {"alpha": 4.9}}, "dictionaries.alpha"),

@@ -10,7 +10,8 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 from koopsos import _kernels, polybasis, systems
 from koopsos.polybasis import (CHEBYSHEV, CHUNK_ROWS, MONOMIAL,
                                DimensionMismatch, Poly, TargetTooSmall,
-                               evaluate, total_degree_dictionary)
+                               evaluate, poly_from_terms,
+                               total_degree_dictionary)
 from koopsos.snapshots import (GENERATOR, KOOPMAN, SnapshotSet,
                                empirical_average)
 from koopsos.systems import (CIRCULAR_ORBIT, MAP_LYAP_2D, STOCHASTIC_LOGISTIC,
@@ -64,6 +65,16 @@ def test_unknown_system_rejected():
             SystemSpec(name)
 
 
+@pytest.mark.parametrize("parameters", [
+    {"nu": 3.0}, {"mu": True}, {"mu": float("nan")}, {"mu": float("inf")},
+    {"mu": "x"}, {"mu": None}],
+    ids=["unknown", "bool", "nan", "inf", "string", "none"])
+def test_system_parameters_are_checked(parameters):
+    # each used to run with mu = 0.1, 1 or NaN, or to raise a bare error
+    with pytest.raises(WrongSystemKind, match="VanDerPol"):
+        SystemSpec(VAN_DER_POL, parameters)
+
+
 def test_circle_stays_on_circle():
     spec = SystemSpec(CIRCULAR_ORBIT)
     states = integrate_ode(spec, np.array([1.0, 0.0]), 1e-3, 1000)
@@ -93,6 +104,38 @@ def test_vdp_origin_equilibrium():
     spec = SystemSpec(VAN_DER_POL)
     states = integrate_ode(spec, np.zeros(2), 1e-2, 50)
     np.testing.assert_allclose(states, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("x0", [(1.0, 2.0, 3.0), (1.0,), (0.1, np.nan)],
+                         ids=["long", "short", "nan"])
+def test_integrate_ode_rejects_a_wrong_x0(x0):
+    # a long x0 used to be cut to 2 numbers, a short one to die with
+    # IndexError inside the kernel
+    with pytest.raises(ValueError, match="x0 must hold 2 numbers"):
+        integrate_ode(SystemSpec(VAN_DER_POL), x0, 1e-2, 5)
+
+
+@pytest.mark.parametrize("system, parameters", [
+    (VAN_DER_POL, {}), (VAN_DER_POL, {"mu": 0.7}), (CIRCULAR_ORBIT, {})],
+    ids=["vdp", "vdp-mu0.7", "circle"])
+def test_rk4_kernel_steps_the_field_of_the_row(system, parameters):
+    # the kernel writes each field out inline; its step must be a classical
+    # RK4 step of the field that the row's terms give
+    spec = SystemSpec(system, parameters)
+    f = [poly_from_terms(t) for t in spec.terms]
+
+    def field(x):
+        return np.array([fj(x[None])[0] for fj in f])
+
+    tau = 0.1
+    for x in np.random.default_rng(6).uniform(-1.5, 1.5, size=(20, 2)):
+        k1 = field(x)
+        k2 = field(x + tau / 2 * k1)
+        k3 = field(x + tau / 2 * k2)
+        k4 = field(x + tau * k3)
+        want = x + tau / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = integrate_ode(spec, x, tau, 1)[1]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_integrate_ode_rejects_a_blow_up():
@@ -236,6 +279,37 @@ def test_monomial_lie_rows_match_closed_form(system, terms_of):
                                       lie_image_degree(spec, alpha))
         np.testing.assert_array_equal(exact_lie_matrix(spec, phi, psi),
                                       _closed_form_rows(terms_of, phi, psi))
+
+
+def test_a_new_ode_is_one_row(monkeypatch):
+    # a 3-D Lorenz row, not a supported system: its dimension, its Lie
+    # image degree and its exact Lie matrix all derive from the row
+    lorenz = systems._System(
+        systems.CONTINUOUS,
+        lambda sigma, rho, beta: [
+            {(0, 1, 0): sigma, (1, 0, 0): -sigma},
+            {(1, 0, 0): rho, (0, 1, 0): -1.0, (1, 0, 1): -1.0},
+            {(1, 1, 0): 1.0, (0, 0, 1): -beta}],
+        {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}, (1.0, 1.0, 1.0))
+    monkeypatch.setitem(systems._SYSTEMS, "Lorenz", lorenz)
+    spec = SystemSpec("Lorenz")
+    assert spec.dimension == 3
+    assert lie_image_degree(spec, 4) == 5
+    phi = total_degree_dictionary(MONOMIAL, 3, 4)
+    psi = total_degree_dictionary(MONOMIAL, 3, 5)
+    rng = np.random.default_rng(3)
+    p = Poly(phi, rng.standard_normal(phi.size))
+    X = rng.uniform(-2.0, 2.0, size=(50, 3))
+    x, y, z = X.T
+    f = (10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z)
+    ref = 0.0
+    for j, fj in enumerate(f):  # d/dx_j x^a = a_j x^(a - e_j)
+        expo = phi.exponents.copy()
+        expo[:, j] = np.maximum(expo[:, j] - 1, 0)
+        monomials = np.prod(X[None] ** expo[:, None], axis=2)
+        ref = ref + fj * ((p.coeffs * phi.exponents[:, j]) @ monomials)
+    got = _lie(spec, p, psi)(X)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_circle_exact_lie_of_energy():
@@ -465,7 +539,7 @@ def _tensor_interpolated_lie(spec, p, target):
         tensor = np.zeros((degp + 1,) * d)
         tensor[tuple(np.array(p.basis.indices).T)] = p.coeffs
         vals = 0.0
-        for j, fj in enumerate(systems._vector_field_terms(spec)):
+        for j, fj in enumerate(spec.terms):
             grad = cheb.chebder(tensor, axis=j) * (2.0 / (hi[j] - lo[j]))
             for _ in range(d):  # each call turns one coefficient axis to grid
                 grad = cheb.chebval(zs, grad)
