@@ -22,13 +22,18 @@ Van der Pol or circle field inline, behind one ``kind == VDP`` test per step,
 rather than calling a field function four times a step.
 
 The dictionary evaluation kernels are vectorized numpy and run the same way
-whether or not numba is present.  Each writes into ``out``, an ``(n_basis,
-n)`` array, which may be a view into a wider buffer; without ``out`` a fresh
-C-contiguous one is allocated.  The points are taken in blocks of
-``EVAL_BLOCK``.  For each block a table of shape ``(max_deg + 1, d, block)``
-is filled in place (``np.multiply``/``np.subtract`` with ``out=``): row
-``[k, j]`` holds ``x_j ** k`` or ``T_k(z_j)`` for the block's points,
+whether or not numba is present.  They read the basis as a ``ProductBasis``,
+whose exponent table, highest degree, in-order fact and Chebyshev rescaling
+``product_basis`` derives once (``polybasis.Dictionary.basis`` keeps one per
+dictionary), so that no call re-derives them.  Each writes into ``out``, an
+``(n_basis, n)`` array, which may be a view into a wider buffer; without
+``out`` a fresh C-contiguous one is allocated.  The points are taken in
+blocks of ``EVAL_BLOCK``.  For each block a table of shape ``(max_deg + 1, d,
+block)`` is filled in place (``np.multiply``/``np.subtract`` with ``out=``):
+row ``[k, j]`` holds ``x_j ** k`` or ``T_k(z_j)`` for the block's points,
 contiguous, and the table is small enough to stay in cache while it is read.
+A Chebyshev basis with a box maps x onto ``z = (2 x - (lo + hi)) / (hi -
+lo)`` in the table's row 1 itself, so no array of mapped points is made.
 Each basis row of the block is the product of its first two coordinates'
 table rows (``np.multiply`` with ``out=``), and the rows of any further
 coordinates are multiplied into it in place, so no ``(n_basis, n)`` gather or
@@ -43,6 +48,7 @@ bit of the result.
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +66,8 @@ _buffer = (lambda a: a) if USE_NUMBA else memoryview
 
 __all__ = [
     "USE_NUMBA",
+    "ProductBasis",
+    "product_basis",
     "logistic_trajectory",
     "rk4_trajectory",
     "monomial_eval",
@@ -70,7 +78,11 @@ __all__ = [
 # or recurrence table, (max_deg + 1) * d * EVAL_BLOCK floats, stays in cache
 # while its basis products are written out (8192 and 16384 measured alike).
 # It also sets the chunk of a 1-D moment pass (koopman.moment_matrices), so
-# that pass's sums are grouped by it
+# that pass's sums are grouped by it.  That pass forms a chunk's products
+# over slices of koopman.MOMENT_SLICE = 2048 columns: a whole 8192-column
+# chunk of a degree-28 psi (1.9 MB) and its phi rows do not fit a 2 MB L2
+# cache together, and on one Xeon core its products ran at 16 GF/s against
+# 24 over the slices
 EVAL_BLOCK = 1 << 13
 
 # Vector-field ids for rk4_trajectory
@@ -154,20 +166,60 @@ def rk4_trajectory(kind: int, x0, tau: float, n_steps: int,
     return out
 
 
-def _power_table(X: np.ndarray, table: np.ndarray) -> None:
-    """table[k, j] = X[:, j] ** k, one row per power and coordinate."""
+class ProductBasis(NamedTuple):
+    """A product basis as the evaluation kernels read it; see
+    ``product_basis``."""
+
+    expo: np.ndarray          # (n_basis, d) C-contiguous int64 exponents
+    max_deg: int              # the table holds powers 0..max_deg
+    in_order: bool            # d = 1 with exponents 0..max_deg in order
+    rescale: tuple | None     # (lo + hi, hi - lo) as (d, 1) columns, or None
+
+
+def product_basis(expo, bounds=None) -> ProductBasis:
+    """The facts the kernels read from an exponent table, derived once so
+    that no call re-derives them: the table as C-contiguous int64, its
+    highest degree and whether it is 1-D with exponents 0..max_deg in order
+    (every 1-D total-degree dictionary), whose recurrence then runs in the
+    output.  With ``bounds``, a (2, d) array of lo and hi rows, the kernels
+    evaluate at z = (2 x - (lo + hi)) / (hi - lo), as a Chebyshev dictionary
+    with a box is evaluated."""
+    expo = np.ascontiguousarray(expo, dtype=np.int64)
+    max_deg = int(expo.max()) if expo.size else 0
+    in_order = expo.shape[1] == 1 and np.array_equal(expo[:, 0],
+                                                     np.arange(max_deg + 1))
+    rescale = (None if bounds is None else
+               ((bounds[0] + bounds[1])[:, None],
+                (bounds[1] - bounds[0])[:, None]))
+    return ProductBasis(expo, max_deg, in_order, rescale)
+
+
+def _coordinate_rows(X: np.ndarray, table: np.ndarray, rescale) -> None:
+    """table[0] = 1 and table[1, j] = the j-th coordinate of X's rows, or
+    (2 x - (lo + hi)) / (hi - lo), the same operations in the same order as
+    that expression, when rescale is given."""
     table[0] = 1.0
     if table.shape[0] > 1:
-        table[1] = X.T
+        z = table[1]
+        if rescale is None:
+            z[...] = X.T
+        else:
+            np.multiply(X.T, 2.0, out=z)
+            z -= rescale[0]
+            z /= rescale[1]
+
+
+def _power_table(table: np.ndarray) -> None:
+    """table[k] = table[1] ** k for k >= 2, one row per power and
+    coordinate."""
     for k in range(2, table.shape[0]):
         np.multiply(table[k - 1], table[1], out=table[k])
 
 
-def _chebyshev_table(Z: np.ndarray, table: np.ndarray) -> None:
-    """table[k, j] = T_k(Z[:, j]) by T_k = (2 z) T_{k-1} - T_{k-2}."""
-    table[0] = 1.0
-    if table.shape[0] > 1:
-        table[1] = Z.T
+def _chebyshev_table(table: np.ndarray) -> None:
+    """table[k] = T_k(table[1]) for k >= 2, by T_k = (2 z) T_{k-1} -
+    T_{k-2}."""
+    if table.shape[0] > 2:
         two_z = 2.0 * table[1]
     for k in range(2, table.shape[0]):
         np.multiply(two_z, table[k - 1], out=table[k])
@@ -187,41 +239,39 @@ def _table_product(table: np.ndarray, expo: np.ndarray,
             row *= table[e[j], j]
 
 
-def _blocked_eval(fill, X, expo, out):
-    """Evaluate the product basis ``expo`` at the rows of X into out, one
-    block of EVAL_BLOCK points at a time; see the module docstring."""
+def _blocked_eval(fill, X, basis: ProductBasis, out):
+    """Evaluate the product basis at the rows of X into out, one block of
+    EVAL_BLOCK points at a time; see the module docstring."""
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-    expo = np.ascontiguousarray(expo, dtype=np.int64)
     n, d = X.shape
     if out is None:
-        out = np.empty((expo.shape[0], n))
-    max_deg = int(expo.max()) if expo.size else 0
-    # exponents 0..max_deg in order (every 1-D total-degree dictionary): the
-    # table would be the output row for row, so the recurrence runs in out
-    in_order = d == 1 and np.array_equal(expo[:, 0], np.arange(max_deg + 1))
+        out = np.empty((basis.expo.shape[0], n))
     block = EVAL_BLOCK
-    if not in_order:
-        table = np.empty((max_deg + 1, d, min(block, n)))
+    if not basis.in_order:
+        table = np.empty((basis.max_deg + 1, d, min(block, n)))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        if in_order:
-            fill(X[start:stop], out[:, None, start:stop])
-        else:
-            fill(X[start:stop], table[:, :, :stop - start])
-            _table_product(table[:, :, :stop - start], expo,
-                           out[:, start:stop])
+        # in order, the table would be the output row for row, so the
+        # recurrence runs in out
+        rows = (out[:, None, start:stop] if basis.in_order
+                else table[:, :, :stop - start])
+        _coordinate_rows(X[start:stop], rows, basis.rescale)
+        fill(rows)
+        if not basis.in_order:
+            _table_product(rows, basis.expo, out[:, start:stop])
     return out
 
 
-def monomial_eval(X: np.ndarray, expo: np.ndarray,
+def monomial_eval(X: np.ndarray, basis: ProductBasis,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate monomials x^expo at rows of X into out, an (n_basis,
     n_points) array that is allocated when not given; returns out."""
-    return _blocked_eval(_power_table, X, expo, out)
+    return _blocked_eval(_power_table, X, basis, out)
 
 
-def chebyshev_eval(Z: np.ndarray, expo: np.ndarray,
+def chebyshev_eval(X: np.ndarray, basis: ProductBasis,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate tensor-product Chebyshev polynomials at rows of Z in
-    [-1,1]^d into out, as monomial_eval; returns out."""
-    return _blocked_eval(_chebyshev_table, Z, expo, out)
+    """Evaluate tensor-product Chebyshev polynomials at rows of X, rescaled
+    by the basis's bounds when it has them (else in [-1,1]^d), into out, as
+    monomial_eval; returns out."""
+    return _blocked_eval(_chebyshev_table, X, basis, out)

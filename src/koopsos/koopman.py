@@ -18,9 +18,12 @@ degree-2D dictionary: B = sum_k mu_k T[k] with T from
 for Chebyshev.  For such psi the pass streams only the two columns
 avg psi psi_0 and avg psi psi_D, O(m) work per row instead of the O(m^2) of
 the full product, and recovers the moments from them.  Its chunks are one
-evaluation block, ``_kernels.EVAL_BLOCK`` rows, so the values are still in
-cache when the two columns and the A product read them.  Every other
-dictionary streams the full product.
+evaluation block, ``_kernels.EVAL_BLOCK`` rows, evaluated by one
+``evaluate`` call each.  The two columns and the A product of a chunk are
+summed over consecutive slices of ``MOMENT_SLICE`` of its rows, each read
+by both products while it is in cache, the cache blocking of Goto and van
+de Geijn (ACM TOMS 2008).  Every other dictionary streams the full product
+over ``CHUNK_ROWS`` chunks, unsliced.
 
 Snapshots sampled along one trajectory have y_i bitwise equal to x_{i+1}.
 ``moment_matrices`` takes that from the memory layout when X and Y are views
@@ -47,6 +50,15 @@ from .snapshots import GENERATOR, KOOPMAN, SnapshotSet
 
 # singular values below REL_TOL * sigma_max * max(rows, cols) count as zero
 REL_TOL = 1e-12
+
+# rows per slice of a 1-D moment chunk's products (see moment_matrices).  At
+# m = 29 and l = 15, a 2048-row slice's psi and phi values (0.7 MB) stay in
+# a 2 MB L2 cache between the two products, where an 8192-row chunk's 2.9 MB
+# do not.  The seven moment passes of perfbench's logistic_edmd (2e6 rows,
+# alpha = 2..14, one Xeon core, one BLAS thread) took 0.66, 0.61, 0.59, 0.65
+# and 0.70 s at slices of 512, 1024, 2048, 4096 and 8192 (whole chunks).
+# The slices group the moment sums, so the width is part of the results
+MOMENT_SLICE = 1 << 11
 
 
 class NonFiniteInput(ValueError):
@@ -199,11 +211,28 @@ def _moment_structure(psi: Dictionary) -> np.ndarray | None:
     """T = product_tensor(psi, psi, E) over the degree-2D dictionary E when
     psi is 1-D with exponents 0..D in order, D >= 1; None for any other psi.
     """
-    D = psi.max_degree
-    if D < 1 or not np.array_equal(psi.exponents, np.arange(D + 1)[:, None]):
+    basis = psi.basis
+    if not basis.in_order or basis.max_deg < 1:
         return None
-    E = total_degree_dictionary(psi.family, 1, 2 * D, psi.box)
+    E = total_degree_dictionary(psi.family, 1, 2 * basis.max_deg, psi.box)
     return product_tensor(psi, psi, E)
+
+
+def _sliced_sums(Psi: np.ndarray, Phi: np.ndarray):
+    """Psi (psi_0, psi_D)^T and Phi Psi^T of one chunk of a 1-D psi with
+    exponents 0..D, each summed over consecutive slices of MOMENT_SLICE
+    columns, so that both products read a slice while it is in cache.  The
+    two B columns are one (m, 2) product, psi's rows 0 and D as a strided
+    view: at m = 29 that took half the time of two matrix-vector products."""
+    width = MOMENT_SLICE
+    D = Psi.shape[0] - 1
+    cols = Psi[:, :width]
+    B, A = cols @ cols[::D].T, Phi[:, :width] @ cols.T
+    for start in range(width, Psi.shape[1], width):
+        cols = Psi[:, start:start + width]
+        B += cols @ cols[::D].T
+        A += Phi[:, start:start + width] @ cols.T
+    return B, A
 
 
 def _gram_from_moments(P: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -250,7 +279,8 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     B is the Kahan-summed product Psi Psi^T over chunks of CHUNK_ROWS rows,
     except for a 1-D psi with exponents 0..D, D >= 1 (see the module
     docstring): there each chunk of EVAL_BLOCK rows adds Psi (psi_0, psi_D),
-    and B is assembled from the moments after the pass.
+    summed with its Phi Psi^T over slices of MOMENT_SLICE rows, and B is
+    assembled from the moments after the pass.
 
     When the koopman snapshots are one trajectory (y_i is bitwise x_{i+1}),
     each row is evaluated once: the psi table of a chunk holds its rows plus
@@ -280,8 +310,8 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
     # the chunk length groups the Kahan sums, so it is part of the results:
     # the d >= 2 sums keep CHUNK_ROWS and their recorded bits.  The 1-D
     # moment sums are checked at printed precision only, so each of their
-    # chunks is one evaluation block, still in cache when the B columns and
-    # Phi Psi^T read it
+    # chunks is one evaluation block, whose B columns and Phi Psi^T are
+    # summed over slices of MOMENT_SLICE rows (_sliced_sums)
     chunk = CHUNK_ROWS if T is None else min(CHUNK_ROWS, _kernels.EVAL_BLOCK)
     # one buffer per pass, each chunk's values written into a view of it
     rows = min(chunk, s.n) + 1
@@ -305,11 +335,13 @@ def moment_matrices(s: SnapshotSet, phi: Dictionary, psi: Dictionary
             Psi = evaluate(psi, s.X[start:stop], psi_buf[:, :stop - start])
             Phi = (evaluate(phi, s.Y[start:stop], phi_buf[:, :stop - start])
                    if koopman else s.Y[start:stop].T)
-        # a 1-D psi's two columns as one (m, 2) matrix product: at m = 29 on
-        # one Xeon core, 72 us per 8192-row chunk against 130 us for two
-        # matrix-vector products (and 820 us for the full Psi Psi^T)
-        acc_b.add(Psi @ (Psi if T is None else Psi[[0, -1]]).T)
-        acc_a.add(Phi @ Psi.T)
+        if T is None:
+            acc_b.add(Psi @ Psi.T)
+            acc_a.add(Phi @ Psi.T)
+        else:
+            b, a = _sliced_sums(Psi, Phi)
+            acc_b.add(b)
+            acc_a.add(a)
     B = acc_b.total / s.n
     return MomentMatrices(B=B if T is None else _gram_from_moments(B, T),
                           A=acc_a.total / s.n)

@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -111,6 +111,10 @@ class SystemSpec:
         if not isinstance(self.id, str) or self.id not in _SYSTEMS:
             raise WrongSystemKind(f"unknown system {self.id!r}")
         params = dict(self.system.defaults)
+        if not isinstance(self.parameters, Mapping):
+            raise WrongSystemKind(
+                f"{self.id} takes parameters {sorted(params)} as a mapping "
+                f"of names to numbers; got {self.parameters!r}")
         for name, value in self.parameters.items():
             real = isinstance(value, numbers.Real) and not isinstance(
                 value, bool)

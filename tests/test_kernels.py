@@ -98,7 +98,8 @@ def _eval_cases():
 def _check_against_reference(kernel, reference):
     for X, expo in _eval_cases():
         want = reference(X, expo)
-        got = kernel(X, expo)
+        basis = _kernels.product_basis(expo)
+        got = kernel(X, basis)
         np.testing.assert_array_equal(got, want)
         assert got.shape == (expo.shape[0], X.shape[0])
         assert got.flags.c_contiguous
@@ -107,7 +108,7 @@ def _check_against_reference(kernel, reference):
         # of a moment pass: nothing outside them is written
         n = X.shape[0]
         buf = np.full((expo.shape[0], n + 5), np.pi)
-        got = kernel(X, expo, buf[:, :n])
+        got = kernel(X, basis, buf[:, :n])
         assert np.shares_memory(got, buf) and got.shape == want.shape
         np.testing.assert_array_equal(buf[:, :n], want)
         assert np.all(buf[:, n:] == np.pi)
@@ -135,10 +136,11 @@ def test_product_kernel_allocates_only_output_and_table(kernel, reference,
     monkeypatch.setattr(_kernels, "EVAL_BLOCK", block)
     dictionary = total_degree_dictionary(MONOMIAL, 2, max_deg)
     expo = np.array(dictionary.indices, dtype=np.int64)
+    basis = _kernels.product_basis(expo)
     X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
     tracemalloc.start()
     try:
-        got = kernel(X, expo)
+        got = kernel(X, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

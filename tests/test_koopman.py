@@ -229,17 +229,24 @@ def _reference_moments(s, phi, psi, block=None):
     """The two-evaluation moment pass: psi at every x and phi at every y,
     chunked and Kahan-summed like moment_matrices: by koopman.CHUNK_ROWS, or
     for a 1-D psi on the moment route by min(CHUNK_ROWS, block), block
-    _kernels.EVAL_BLOCK unless given."""
-    chunk = koopman.CHUNK_ROWS
+    _kernels.EVAL_BLOCK unless given, with each chunk's products summed over
+    slices of koopman.MOMENT_SLICE columns."""
+    chunk = width = koopman.CHUNK_ROWS
     if koopman._moment_structure(psi) is not None:
         chunk = min(chunk, block or _kernels.EVAL_BLOCK)
+        width = koopman.MOMENT_SLICE
     acc_b = koopman._KahanAccumulator((psi.size, psi.size))
     acc_a = koopman._KahanAccumulator((phi.size, psi.size))
     for start in range(0, s.n, chunk):
         rows = slice(start, start + chunk)
-        Psi = evaluate(psi, s.X[rows])
-        acc_b.add(Psi @ Psi.T)
-        acc_a.add(evaluate(phi, s.Y[rows]) @ Psi.T)
+        Psi, Phi = evaluate(psi, s.X[rows]), evaluate(phi, s.Y[rows])
+        for first in range(0, Psi.shape[1], width):
+            cols = slice(first, first + width)
+            b = Psi[:, cols] @ Psi[:, cols].T
+            a = Phi[:, cols] @ Psi[:, cols].T
+            B, A = (b, a) if first == 0 else (B + b, A + a)
+        acc_b.add(B)
+        acc_a.add(A)
     return acc_b.total / s.n, acc_a.total / s.n
 
 
@@ -311,8 +318,10 @@ def _assert_matches_reference(mm, psi, reference):
 @pytest.mark.parametrize("n", [1, 7, 8, 50])
 def test_trajectory_moments_match_reference(monkeypatch, n):
     # chunks of 7 rows: n=7 is an exact multiple, n=8 leaves a 1-row last
-    # chunk and n=1 is a single row
+    # chunk and n=1 is a single row; a 1-D chunk's products are summed over
+    # slices of 3, 3 and 1 columns
     monkeypatch.setattr(koopman, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(koopman, "MOMENT_SLICE", 3)
     for s, phi, psi in _trajectory_cases(n):
         variants = [s]
         if n > 1:
@@ -326,9 +335,11 @@ def test_trajectory_moments_match_reference(monkeypatch, n):
 def test_moments_over_several_eval_blocks_match_reference(monkeypatch):
     # chunks of 11 rows evaluated in blocks of 3 points: each chunk's values
     # fill a view of the pass's buffer block by block, the last chunk (6
-    # rows) a narrower view; a 1-D psi streams chunks of one block, 3 rows.
-    # The reference evaluates at the default block
+    # rows) a narrower view; a 1-D psi streams chunks of one block, 3 rows,
+    # whose products are summed over slices of 2 and 1 columns.  The
+    # reference evaluates at the default block
     monkeypatch.setattr(koopman, "CHUNK_ROWS", 11)
+    monkeypatch.setattr(koopman, "MOMENT_SLICE", 2)
     cases = []
     for s, phi, psi in _trajectory_cases(50):
         for data in (s, _edited(s, _ulp_up(20))):
@@ -442,15 +453,18 @@ def test_one_dimensional_pass_streams_one_eval_block(monkeypatch):
 
 
 @pytest.mark.parametrize("family", [CHEBYSHEV, MONOMIAL])
-@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("extra", [-6, -1, 0, 1, 12])
 def test_one_dimensional_moments_over_block_chunks(monkeypatch, family,
                                                    extra):
-    # chunks of one 8-point block for n one short of a block, one block, and
-    # one block and a row: B and A^tau (C on generator data) of trajectory,
-    # iid and generator data are the long-double sums of the same values
-    # within 1e-14 of their largest entry
+    # chunks of one 8-point block, their products summed over slices of 3
+    # columns, for n = 8 + extra: 2 rows (one short slice), one short of a
+    # block, one block, one block and a row, and two blocks, a slice and a
+    # row.  B and A^tau (C on generator data) of trajectory, iid and
+    # generator data are the long-double sums of the same values within
+    # 1e-14 of their largest entry
     block = 8
     monkeypatch.setattr(_kernels, "EVAL_BLOCK", block)
+    monkeypatch.setattr(koopman, "MOMENT_SLICE", 3)
     n = block + extra
     box = ((0.0, 1.0),) if family == CHEBYSHEV else None
     phi, psi = (total_degree_dictionary(family, 1, deg, box) for deg in (3, 6))

@@ -422,6 +422,12 @@ def test_exponent_table_is_read_only_and_equals_indices(dic):
             table[0, 0] = 7
     assert dic.exponents is table  # built once
     assert all(dic.positions[idx] == k for k, idx in enumerate(dic.indices))
+    # the kernels' facts, built once on the same table: only the 1-D
+    # total-degree dictionary has exponents 0..max_deg in order
+    basis = dic.basis
+    assert dic.basis is basis and basis.expo is table
+    assert basis.max_deg == dic.max_degree
+    assert basis.in_order == (dic.dimension == 1)
 
 
 def test_box_bounds_and_their_checks():

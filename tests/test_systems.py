@@ -67,10 +67,12 @@ def test_unknown_system_rejected():
 
 @pytest.mark.parametrize("parameters", [
     {"nu": 3.0}, {"mu": True}, {"mu": float("nan")}, {"mu": float("inf")},
-    {"mu": "x"}, {"mu": None}],
-    ids=["unknown", "bool", "nan", "inf", "string", "none"])
+    {"mu": "x"}, {"mu": None}, [("mu", 1.0)], None, "mu"],
+    ids=["unknown", "bool", "nan", "inf", "string", "none", "not-a-mapping",
+         "not-a-mapping-none", "not-a-mapping-string"])
 def test_system_parameters_are_checked(parameters):
-    # each used to run with mu = 0.1, 1 or NaN, or to raise a bare error
+    # each used to run with mu = 0.1, 1 or NaN, or to raise a bare error,
+    # parameters that are not a mapping an AttributeError
     with pytest.raises(WrongSystemKind, match="VanDerPol"):
         SystemSpec(VAN_DER_POL, parameters)
 
@@ -136,6 +138,23 @@ def test_rk4_kernel_steps_the_field_of_the_row(system, parameters):
         want = x + tau / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         got = integrate_ode(spec, x, tau, 1)[1]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_logistic_samplers_step_the_map_of_the_row():
+    # the trajectory kernel and step_stochastic write F = x (1 - x) out;
+    # one step of each must be lam F(x) with F the row's terms, at random x
+    # in the box and the lam that each draws from the same stream
+    spec = SystemSpec(STOCHASTIC_LOGISTIC)
+    [F] = [poly_from_terms(t) for t in spec.terms]
+    lo, hi = spec.system.box[0]
+    rng = np.random.default_rng(7)
+    for seed, x in enumerate(rng.uniform(lo, hi, size=20)):
+        lam = make_rng(seed).uniform(0.0, spec.system.rate, size=1)
+        want = lam[0] * F(np.array([[x]]))[0]
+        stepped = (_kernels.logistic_trajectory(x, lam)[1],
+                   step_stochastic(spec, np.array([x]), make_rng(seed))[0])
+        for got in stepped:
+            assert abs(got - want) <= 1e-15
 
 
 def test_integrate_ode_rejects_a_blow_up():
